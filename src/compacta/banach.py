@@ -362,5 +362,8 @@ def parse_plf(text: str) -> PLFunction:
         if not (token.startswith("(") and token.endswith(")")):
             raise ValueError(f"bad breakpoint token {token!r}")
         a, _, b = token[1:-1].partition(",")
-        points.append((Fraction(a), Fraction(b)))
+        try:
+            points.append((Fraction(a), Fraction(b)))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad breakpoint token {token!r}") from None
     return PLFunction(tuple(points))

@@ -772,16 +772,24 @@ def parse_ba(text: str) -> LabelledBA:
     clusters = []
     for line in lines[1:]:
         parts = line.split()
-        if parts[0] != "cluster" or len(parts) != 4:
+        opts = dict(p.partition("=")[::2] for p in parts[1:])
+        if (
+            parts[0] != "cluster"
+            or len(parts) != 4
+            or opts.keys() != {"in", "junk", "atomless"}
+            or opts["atomless"] not in ("0", "1")
+        ):
             raise ValueError(f"unexpected line in algebra file: {line!r}")
-        opts = dict(p.split("=", 1) for p in parts[1:])
-        clusters.append(
-            Cluster(
-                parse_symcard(opts["in"]),
-                parse_symcard(opts["junk"]),
-                opts["atomless"] == "1",
+        try:
+            clusters.append(
+                Cluster(
+                    parse_symcard(opts["in"]),
+                    parse_symcard(opts["junk"]),
+                    opts["atomless"] == "1",
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"bad cluster line {line!r}: {exc}") from None
     return LabelledBA(tuple(clusters))
 
 

@@ -1,21 +1,34 @@
 """Finite-cover primitives: exact 2^{-n} covers, ball intersection
 decisions, and clopen partition enumeration.
 
-Every decision here is exact rational arithmetic.  Coverage is verified
-by subtracting closed balls from a component's hull and deciding whether
-any leftover region still meets the component; the same region test
-answers whether two balls intersect inside the set.
+Every decision here is exact, and runs on integers.  Each query first
+picks one grid, the multiples of 1/D, on which all of its coordinates
+are integers:
 
-Ball centers are rationals in the set.  Interval components use dyadic
-grid centers; Cantor components use the endpoints of their level-k
-pieces, which are triadic, so centers are stored as plain fractions.
+- `cover(s, n)` takes D = 2^E * 3^K.  E is the largest dyadic exponent
+  of the components plus n + 1, which leaves room for the halvings of a
+  sequence's members; K is the deepest Cantor level the cover uses, the
+  least L with span / 3^L < 2^{-n}.  Endpoints, ball centres and the
+  radius D >> n are then plain ints.
+- `cover_is_valid` and `balls_intersect` take D as the lcm of 2^E and the
+  denominators of the given centres and radii, so a certificate may hold
+  any rational.
+
+Coverage is verified by subtracting closed balls from a component's hull
+and deciding whether any leftover region still meets the component; the
+same region test answers whether two balls intersect inside the set.
+The Cantor descent multiplies a piece and its region by 3 when a third
+would leave the grid.  `Fraction`s are built only at the public API:
+the centres and radii of the returned balls.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Iterator
 
 from .compactum import (
@@ -25,12 +38,8 @@ from .compactum import (
     Point,
     PointSeq,
     SymbolicCompactum,
-    compactum_contains,
-    component_contains,
+    in_cantor_ratio,
 )
-
-# A region is a rational interval with independent endpoint closure flags.
-Region = tuple[Fraction, Fraction, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -46,8 +55,9 @@ class Ball:
 @dataclass(frozen=True)
 class CoverCertificate:
     """A radius-2^{-n} cover; flagged pairs are ball indices whose open
-    and closed intersection decisions disagree (tangencies), computed
-    only when the cover is small enough to scan pairwise."""
+    and closed intersection decisions disagree (tangencies).  `cover`
+    always computes them; they are None only on a certificate read back
+    by `parse_cover`, whose text format does not carry them."""
 
     n: int
     balls: tuple[Ball, ...]
@@ -58,7 +68,88 @@ class CoverCertificate:
         return len(self.balls)
 
 
-_FLAG_SCAN_LIMIT = 256
+# ---------------------------------------------------------------------------
+# The grid of one query
+# ---------------------------------------------------------------------------
+
+# A component on the grid: (kind, lo, hi, limit), where kind is the
+# component's class and limit is a sequence's limit (lo for the others).
+GridComponent = tuple[type, int, int, int]
+# A region is an interval on the grid with independent endpoint closure flags.
+Region = tuple[int, int, bool, bool]
+
+
+def _max_exp(s: SymbolicCompactum) -> int:
+    return max((x.exp for c in s.components for x in (c.lo, c.hi)), default=0)
+
+
+class _Grid:
+    """The components of one compactum as integers on the grid of
+    multiples of 1/d, where d is a multiple of 2^_max_exp(s)."""
+
+    __slots__ = ("d", "comps", "lows", "his")
+
+    def __init__(self, s: SymbolicCompactum, d: int) -> None:
+        self.d = d
+        comps = []
+        for c in s.components:
+            lo = c.lo.num * (d >> c.lo.exp)
+            hi = c.hi.num * (d >> c.hi.exp)
+            limit = hi if type(c) is PointSeq and c.limit == c.hi else lo
+            comps.append((type(c), lo, hi, limit))
+        self.comps: list[GridComponent] = comps
+        self.lows = [c[1] for c in comps]
+        self.his = [c[2] for c in comps]
+
+    def at(self, x: Rational) -> int:
+        """A rational whose denominator divides d, in grid units."""
+        return x.numerator * (self.d // x.denominator)
+
+    def near(self, u: int, v: int) -> list[GridComponent]:
+        """Components whose hulls meet [u, v].  Components are sorted and
+        pairwise disjoint, so these form a contiguous run."""
+        return self.comps[bisect_left(self.his, u) : bisect_right(self.lows, v)]
+
+    def contains(self, x: int) -> bool:
+        return any(_grid_contains(c, x) for c in self.near(x, x))
+
+    def meets(self, region: Region) -> bool:
+        """Does the set meet the region?  Exact."""
+        if not _region_nonempty(region):
+            return False
+        return any(
+            _region_meets_component(c, region)
+            for c in self.near(region[0], region[1])
+        )
+
+
+def _grid_contains(comp: GridComponent, x: int) -> bool:
+    kind, lo, hi, limit = comp
+    if kind is Point:
+        return x == lo
+    if kind is Interval:
+        return lo <= x <= hi
+    if kind is Cantor:
+        return lo <= x <= hi and in_cantor_ratio(x - lo, hi - lo)
+    if x == limit:
+        return True
+    # members sit at limit + (far - limit) * 2^{-i}
+    p, q = x - limit, lo + hi - 2 * limit
+    if q < 0:
+        p, q = -p, -q
+    if not 0 < p <= q or q % p:
+        return False
+    ratio = q // p
+    return ratio & (ratio - 1) == 0
+
+
+def _cantor_level(span: int, r: int) -> int:
+    """The least level L with span / 3^L < r."""
+    level = 0
+    while span >= r:
+        r *= 3
+        level += 1
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -70,76 +161,77 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
     """Greedy per-component cover by balls of radius exactly 2^{-n}."""
     if n < 0:
         raise ValueError("precision must be a natural number")
-    r = Fraction(1, 2 ** n)
-    balls: list[Ball] = []
-    for comp in s.components:
-        balls.extend(_component_balls(comp, r))
-    flagged = None
-    if len(balls) <= _FLAG_SCAN_LIMIT:
-        # Equal radii: centers farther apart than 2r have an empty closed
-        # overlap, so both decisions are False and the pair is never
-        # flagged.  A sweep in center order keeps only the near pairs.
-        order = sorted(range(len(balls)), key=lambda i: balls[i].center)
-        two_r = 2 * r
-        hulls = _component_hulls(s)
-        found = []
-        for a, i in enumerate(order):
-            for j in order[a + 1 :]:
-                d = balls[j].center - balls[i].center
-                if d > two_r:
-                    break
-                if d < r:
-                    # Both centers sit inside the open overlap, and centers
-                    # are points of the set, so the decisions agree.
-                    continue
-                if d == two_r:
-                    # The closed overlap is the single touch point; open is
-                    # empty, so the pair is flagged exactly when the point
-                    # belongs to the set.
-                    touch = balls[i].center + r
-                    disagree = _point_in_set(s, touch, hulls)
-                elif _balls_meet(
-                    s, balls[i], balls[j], closed=True, hulls=hulls
-                ) != _balls_meet(s, balls[i], balls[j], closed=False, hulls=hulls):
-                    disagree = True
-                else:
-                    disagree = False
-                if disagree:
-                    found.append((i, j) if i < j else (j, i))
-        flagged = tuple(sorted(found))
-    return CoverCertificate(n, tuple(balls), flagged)
+    e = _max_exp(s) + n + 1
+    k = max(
+        (
+            _cantor_level(
+                (c.hi.num << (e - c.hi.exp)) - (c.lo.num << (e - c.lo.exp)),
+                1 << (e - n),
+            )
+            for c in s.components
+            if type(c) is Cantor
+        ),
+        default=0,
+    )
+    grid = _Grid(s, 3 ** k << e)
+    r = grid.d >> n
+    centers: list[int] = []
+    for comp in grid.comps:
+        centers += _component_centers(comp, r)
+    radius = Fraction(1, 1 << n)
+    balls = tuple(Ball(Fraction(x, grid.d), radius) for x in centers)
+    return CoverCertificate(n, balls, _tangencies(grid, centers, r))
 
 
-def _component_balls(comp: Component, r: Fraction) -> list[Ball]:
-    if isinstance(comp, Point):
-        return [Ball(comp.pos.as_fraction(), r)]
-    lo = comp.lo.as_fraction()
-    hi = comp.hi.as_fraction()
-    span = hi - lo
-    if isinstance(comp, Interval):
+def _component_centers(comp: GridComponent, r: int) -> list[int]:
+    kind, lo, hi, limit = comp
+    if kind is Point:
+        return [lo]
+    if kind is Interval:
         # step-r grid from lo; consecutive balls overlap by r
-        k = (hi - lo) // r
-        return [Ball(lo + i * r, r) for i in range(k + 1)]
-    if isinstance(comp, Cantor):
-        level = 0
-        while span * Fraction(1, 3 ** level) >= r:
-            level += 1
-        out = []
-        for word in range(2 ** level):
-            a, length = lo, span
-            for bit in range(level - 1, -1, -1):
-                length /= 3
-                if word >> bit & 1:
-                    a += 2 * length
-            out.append(Ball(a, r))
-            out.append(Ball(a + length, r))
-        return out
+        return list(range(lo, hi + 1, r))
+    if kind is Cantor:
+        # both endpoints of every piece at the least level shorter than r
+        starts, length = [lo], hi - lo
+        for _ in range(_cantor_level(hi - lo, r)):
+            length //= 3
+            starts = [x for a in starts for x in (a, a + 2 * length)]
+        return [x for a in starts for x in (a, a + length)]
     # point sequence: one ball per early member; the last listed member is
     # within r of the limit, so its ball swallows the whole tail
+    step = lo + hi - 2 * limit
     i = 0
-    while span * Fraction(1, 2 ** i) >= r:
+    while abs(step) >= r << i:
         i += 1
-    return [Ball(comp.member(j).as_fraction(), r) for j in range(i + 1)]
+    return [limit + (step >> j) for j in range(i + 1)]
+
+
+def _tangencies(
+    grid: _Grid, centers: list[int], r: int
+) -> tuple[tuple[int, int], ...]:
+    """Pairs of equal-radius balls whose open and closed decisions differ.
+
+    Centres farther apart than 2r have an empty closed overlap, and
+    centres closer than r both sit inside the open overlap (centres are
+    points of the set), so either way the decisions agree.  A sweep in
+    centre order visits only the pairs in between.  For those, the closed
+    overlap [u, v] is the open one plus its endpoints, so the decisions
+    differ exactly when the open overlap misses the set and an endpoint
+    does not.
+    """
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    xs = [centers[i] for i in order]
+    found = []
+    for a, x in enumerate(xs):
+        v = x + r
+        for b in range(bisect_left(xs, v, a + 1), bisect_right(xs, v + r, a + 1)):
+            u = xs[b] - r
+            if grid.meets((u, v, False, False)):
+                continue
+            if grid.contains(u) or grid.contains(v):
+                i, j = order[a], order[b]
+                found.append((i, j) if i < j else (j, i))
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +244,7 @@ def _region_nonempty(region: Region) -> bool:
     return u < v or (u == v and cu and cv)
 
 
-def _in_region(x: Fraction, region: Region) -> bool:
+def _in_region(x: int, region: Region) -> bool:
     u, v, cu, cv = region
     if x < u or (x == u and not cu):
         return False
@@ -161,7 +253,7 @@ def _in_region(x: Fraction, region: Region) -> bool:
     return True
 
 
-def _subtract_closed(pieces: list[Region], a: Fraction, b: Fraction) -> list[Region]:
+def _subtract_closed(pieces: list[Region], a: int, b: int) -> list[Region]:
     out: list[Region] = []
     for u, v, cu, cv in pieces:
         if b < u or (b == u and not cu) or a > v or (a == v and not cv):
@@ -174,30 +266,27 @@ def _subtract_closed(pieces: list[Region], a: Fraction, b: Fraction) -> list[Reg
     return [p for p in out if _region_nonempty(p)]
 
 
-def _region_meets_component(comp: Component, region: Region) -> bool:
-    """Does the component's point set meet the region?  Exact."""
-    if not _region_nonempty(region):
-        return False
+def _region_meets_component(comp: GridComponent, region: Region) -> bool:
+    """Does the component's point set meet the nonempty region?  Exact."""
     u, v, cu, cv = region
     if u == v:
-        return component_contains(comp, u)
-    if isinstance(comp, Point):
-        return _in_region(comp.pos.as_fraction(), region)
-    lo = comp.lo.as_fraction()
-    hi = comp.hi.as_fraction()
-    if isinstance(comp, Interval):
+        return _grid_contains(comp, u)
+    kind, lo, hi, limit = comp
+    if kind is Point:
+        return _in_region(lo, region)
+    if kind is Interval:
         a, b = max(lo, u), min(hi, v)
         ca = cu if a == u else True
         cb = cv if b == v else True
         return _region_nonempty((a, b, ca, cb))
-    if isinstance(comp, Cantor):
+    if kind is Cantor:
         return _cantor_piece_meets(lo, hi - lo, region)
-    if _in_region(comp.limit.as_fraction(), region):
+    if _in_region(limit, region):
         return True
     return _seq_member_in_region(comp, region)
 
 
-def _cantor_piece_meets(a: Fraction, length: Fraction, region: Region) -> bool:
+def _cantor_piece_meets(a: int, length: int, region: Region) -> bool:
     u, v, cu, cv = region
     b = a + length
     if b < u or (b == u and not cu) or a > v or (a == v and not cv):
@@ -206,19 +295,21 @@ def _cantor_piece_meets(a: Fraction, length: Fraction, region: Region) -> bool:
         return True
     if _in_region(a, region) or _in_region(b, region):
         return True  # piece endpoints belong to the set
-    third = length / 3
+    if length % 3:
+        # refine the grid by 3 so that the thirds stay on it
+        a, length, region = 3 * a, 3 * length, (3 * u, 3 * v, cu, cv)
+    third = length // 3
     return _cantor_piece_meets(a, third, region) or _cantor_piece_meets(
         a + 2 * third, third, region
     )
 
 
-def _seq_member_in_region(comp: PointSeq, region: Region) -> bool:
+def _seq_member_in_region(comp: GridComponent, region: Region) -> bool:
     u, v, cu, cv = region
-    limit = comp.limit.as_fraction()
-    far = comp.far.as_fraction()
-    span = abs(far - limit)
+    _, lo, hi, limit = comp
+    span = hi - lo
     # members sit at distance t = span * 2^{-i} from the limit
-    if far > limit:
+    if limit == lo:
         t_lo, lo_strict = u - limit, not cu
         t_hi, hi_strict = v - limit, not cv
     else:
@@ -228,10 +319,13 @@ def _seq_member_in_region(comp: PointSeq, region: Region) -> bool:
         return False
     if t_lo <= 0:
         return True  # distances shrink below any positive bound
-    t = span
-    while t > t_hi or (hi_strict and t == t_hi):
-        t /= 2
-    return t > t_lo or (not lo_strict and t == t_lo)
+    # the least i with span * 2^{-i} <= t_hi (< when strict); no smaller i
+    # than the bit-length gap can qualify
+    i = max(0, span.bit_length() - t_hi.bit_length() - 1)
+    while span > t_hi << i or (hi_strict and span == t_hi << i):
+        i += 1
+    t_lo <<= i
+    return span > t_lo or (not lo_strict and span == t_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -242,65 +336,33 @@ def _seq_member_in_region(comp: PointSeq, region: Region) -> bool:
 def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
     """Exact check: radii are 2^{-n}, centers lie in the set, and closed
     balls leave no component point uncovered."""
-    r = Fraction(1, 2 ** cert.n)
-    for ball in cert.balls:
-        if ball.radius != r:
-            return False
-        if not compactum_contains(s, ball.center):
-            return False
-    centers = sorted(ball.center for ball in cert.balls)
-    for comp in s.components:
-        if isinstance(comp, Point):
-            lo = hi = comp.pos.as_fraction()
-        else:
-            lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
+    n = cert.n
+    if n < 0:
+        raise ValueError("precision must be a natural number")
+    if any(
+        b.radius.numerator != 1 or b.radius.denominator != 1 << n
+        for b in cert.balls
+    ):
+        return False
+    denominators = {b.center.denominator for b in cert.balls}
+    grid = _Grid(s, math.lcm(1 << max(_max_exp(s), n), *denominators))
+    r = grid.d >> n
+    centers = sorted(grid.at(b.center) for b in cert.balls)
+    if not all(grid.contains(x) for x in centers):
+        return False
+    for comp in grid.comps:
+        _, lo, hi, _ = comp
         pieces: list[Region] = [(lo, hi, True, True)]
         # Balls whose closed hull misses [lo, hi] subtract nothing.
-        start = bisect.bisect_left(centers, lo - r)
-        stop = bisect.bisect_right(centers, hi + r)
-        for center in centers[start:stop]:
-            pieces = _subtract_closed(pieces, center - r, center + r)
+        start = bisect_left(centers, lo - r)
+        stop = bisect_right(centers, hi + r)
+        for x in centers[start:stop]:
+            pieces = _subtract_closed(pieces, x - r, x + r)
             if not pieces:
                 break
         if any(_region_meets_component(comp, piece) for piece in pieces):
             return False
     return True
-
-
-Hulls = tuple[list[Fraction], list[Fraction]]
-
-
-def _component_hulls(s: SymbolicCompactum) -> Hulls:
-    lows = [c.lo.as_fraction() for c in s.components]
-    his = [c.hi.as_fraction() for c in s.components]
-    return lows, his
-
-
-def _point_in_set(s: SymbolicCompactum, x: Fraction, hulls: Hulls) -> bool:
-    lows, his = hulls
-    start = bisect.bisect_left(his, x)
-    stop = bisect.bisect_right(lows, x)
-    return any(
-        component_contains(c, x) for c in s.components[start:stop]
-    )
-
-
-def _balls_meet(
-    s: SymbolicCompactum, b1: Ball, b2: Ball, closed: bool, hulls: Hulls | None = None
-) -> bool:
-    u = max(b1.center - b1.radius, b2.center - b2.radius)
-    v = min(b1.center + b1.radius, b2.center + b2.radius)
-    region = (u, v, closed, closed)
-    if not _region_nonempty(region):
-        return False
-    # Components are sorted and pairwise disjoint, so the ones whose hulls
-    # meet [u, v] form a contiguous run.
-    lows, his = _component_hulls(s) if hulls is None else hulls
-    start = bisect.bisect_left(his, u)
-    stop = bisect.bisect_right(lows, v)
-    return any(
-        _region_meets_component(c, region) for c in s.components[start:stop]
-    )
 
 
 def balls_intersect(
@@ -310,10 +372,22 @@ def balls_intersect(
 
     Open balls by default; pass closed=True for the closed variant.
     """
-    for ball in (b1, b2):
-        if not compactum_contains(s, ball.center):
+    d = math.lcm(
+        1 << _max_exp(s),
+        b1.center.denominator,
+        b1.radius.denominator,
+        b2.center.denominator,
+        b2.radius.denominator,
+    )
+    grid = _Grid(s, d)
+    c1, c2 = grid.at(b1.center), grid.at(b2.center)
+    for x in (c1, c2):
+        if not grid.contains(x):
             raise ValueError("ball center does not lie in the set")
-    return _balls_meet(s, b1, b2, closed)
+    r1, r2 = grid.at(b1.radius), grid.at(b2.radius)
+    u = max(c1 - r1, c2 - r2)
+    v = min(c1 + r1, c2 + r2)
+    return grid.meets((u, v, closed, closed))
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +518,19 @@ def parse_cover(text: str) -> CoverCertificate:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("cover n="):
         raise ValueError("missing 'cover n=' header")
-    n = int(lines[0].split("=", 1)[1])
+    try:
+        n = int(lines[0].split("=", 1)[1])
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"bad precision in cover header: {lines[0]!r}")
     balls = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] != "ball" or len(parts) != 3:
             raise ValueError(f"unexpected line in cover file: {line!r}")
-        balls.append(Ball(Fraction(parts[1]), Fraction(parts[2])))
+        try:
+            balls.append(Ball(Fraction(parts[1]), Fraction(parts[2])))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad ball in cover file: {line!r}") from None
     return CoverCertificate(n, tuple(balls), None)

@@ -335,23 +335,28 @@ def canonical_form(s: SymbolicCompactum) -> CompactumForm:
 # ---------------------------------------------------------------------------
 
 
+def in_cantor_ratio(p: int, q: int) -> bool:
+    """Membership of p/q (q > 0) in the standard middle-thirds set: the
+    ternary digit loop, on integers over the fixed denominator q."""
+    seen: set[int] = set()
+    while True:
+        if p < 0 or p > q:
+            return False
+        if p == 0 or p == q:
+            return True
+        if p in seen:
+            return True  # periodic orbit avoiding the middle third forever
+        seen.add(p)
+        p *= 3
+        if p >= 2 * q:
+            p -= 2 * q
+        elif p > q:
+            return False
+
+
 def in_cantor_unit(t: Fraction) -> bool:
     """Membership of a rational in the standard middle-thirds set."""
-    seen: set[Fraction] = set()
-    while True:
-        if t < 0 or t > 1:
-            return False
-        if t == 0 or t == 1:
-            return True
-        if t in seen:
-            return True  # periodic orbit avoiding the middle third forever
-        seen.add(t)
-        if 3 * t <= 1:
-            t = 3 * t
-        elif 3 * t >= 2:
-            t = 3 * t - 2
-        else:
-            return False
+    return in_cantor_ratio(t.numerator, t.denominator)
 
 
 def component_contains(comp: Component, x: Fraction) -> bool:

@@ -114,9 +114,6 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp)
-
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
 

@@ -217,12 +217,6 @@ class ScriptState:
     has_pair: set[Address]
     dead: set[Address]
 
-    def live_children(self, addr: Address) -> list[Address]:
-        depth = len(addr) + 1
-        return sorted(
-            a for a in self.alive if len(a) == depth and a[:-1] == addr
-        )
-
 
 def initial_state(script: StageScript) -> ScriptState:
     alive: dict[Address, str] = {a: n.kind for a, n in script.skeleton.items()}
@@ -366,11 +360,15 @@ def print_script(script: StageScript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_node_line(rest: list[str]) -> tuple[Address, Node]:
+def _parse_node_line(line: str, rest: list[str]) -> tuple[Address, Node]:
+    if len(rest) < 2:
+        raise ValueError(f"node line needs an address and a kind: {line!r}")
     addr = parse_address(rest[0])
     kind = rest[1]
     if kind == SPLIT:
-        opts = dict(part.split("=", 1) for part in rest[2:])
+        opts = dict(part.partition("=")[::2] for part in rest[2:])
+        if not {"m", "r"} <= opts.keys() <= {"m", "r", "et"}:
+            raise ValueError(f"split needs m= and r= (and at most et=): {line!r}")
         return addr, Node(
             SPLIT,
             m=int(opts["m"]),
@@ -388,7 +386,7 @@ def parse_tree(text: str) -> LabelledTree:
         parts = line.split()
         if parts[0] != "node":
             raise ValueError(f"unexpected line in tree file: {line!r}")
-        addr, node = _parse_node_line(parts[1:])
+        addr, node = _parse_node_line(line, parts[1:])
         nodes[addr] = node
     return LabelledTree(nodes)
 
@@ -401,13 +399,13 @@ def parse_script(text: str) -> StageScript:
     for line in _format_lines(text, "tree v1"):
         parts = line.split()
         if parts[0] == "node":
-            addr, node = _parse_node_line(parts[1:])
+            addr, node = _parse_node_line(line, parts[1:])
             skeleton[addr] = node
-        elif parts[0] == "event":
+        elif parts[0] == "event" and len(parts) == 3:
             events.append(Event(parts[1], parse_address(parts[2])))
-        elif parts[0] == "label":
+        elif parts[0] == "label" and len(parts) == 3:
             labels[parse_address(parts[1])] = parts[2]
-        elif parts[0] == "stop":
+        elif parts[0] == "stop" and len(parts) == 2:
             stop = int(parts[1])
         else:
             raise ValueError(f"unexpected line in script file: {line!r}")

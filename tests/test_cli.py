@@ -239,3 +239,33 @@ def test_parse_failure_exits_two(run, tmp_path) -> None:
 def test_usage_failure_exits_two(run, capsys) -> None:
     rc = main(["nonsense"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("quotient", "x.ba", "ba v1\ncluster in=1 junk=2 foo=0\n"),
+        ("construct", "x.tree", "tree v1\nnode -\n"),
+        ("simulate", "x.script", "tree v1\nevent fresh\n"),
+        ("simulate", "x.script", "tree v1\nevent fresh -\nstop\n"),
+    ],
+)
+def test_malformed_line_exits_two(run, tmp_path, command, name, text) -> None:
+    rc, out, err = run(command, put(tmp_path, name, text))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(text.splitlines()[-1]) in err
+
+
+def test_malformed_plf_exits_two(run, tmp_path) -> None:
+    plf = put(tmp_path, "x.plf", "plf\n(0,0) (1/0,1) (1,0)\n")
+    rc, out, err = run("supnorm", plf, put(tmp_path, "unit.comp", UNIT))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: bad breakpoint token '(1/0,1)'\n"
+
+
+def test_malformed_cover_ball_is_a_value_error() -> None:
+    with pytest.raises(ValueError, match="'ball 1/0 1/4'"):
+        parse_cover("cover n=2\nball 1/0 1/4\n")

@@ -139,8 +139,8 @@ def test_cantor_cover_requires_gap_awareness():
 def test_flagged_tangencies():
     cert = cover(UNIT_INTERVAL, 1)
     assert cert.flagged == ((0, 2),)
-    big = cover(UNIT_INTERVAL, 9)  # 513 balls, beyond the scan cap
-    assert big.flagged is None
+    big = cover(UNIT_INTERVAL, 9)  # 513 balls: flags at any size
+    assert big.flagged == tuple((i, i + 2) for i in range(511))
     assert big.h == 513
 
 

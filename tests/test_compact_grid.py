@@ -1,0 +1,264 @@
+"""Differential test: the integer-grid covers, cover checks and ball
+decisions in `compacta.compact` against the `Fraction` reference kept in
+`fraction_compact`.
+
+Both must agree on the seeded 500-tree suite, on the same hosts with
+convergent sequences glued to their intervals and Cantor copies, and on
+hypothesis-drawn hosts: cover output (balls and tangency flags), the
+verdict on true and on corrupted certificates, and open and closed ball
+intersection.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_compact as ref
+from compacta.compact import (
+    Ball,
+    CoverCertificate,
+    balls_intersect,
+    cover,
+    cover_is_valid,
+    parse_cover,
+    print_cover,
+)
+from compacta.compactum import (
+    Cantor,
+    Interval,
+    Point,
+    PointSeq,
+    compactum,
+    in_cantor_unit,
+)
+from compacta.dyadic import Dyadic, midpoint
+from test_acceptance import SUITE_SEED, suite_instances
+
+F = Fraction
+PRECISIONS = range(11)
+GLUE_EVERY = 3
+# Rational positions inside a component's hull, as shares of its span:
+# dyadic, triadic and neither, on and off the Cantor set.
+SHARES = (F(1, 7), F(2, 9), F(1, 4), F(1, 10), F(3, 4), F(5, 13))
+
+
+def glued(host):
+    """The host with every interval and Cantor copy shortened and a
+    convergent sequence glued to one or both of its new ends; None when
+    there is nothing to glue to."""
+    out = []
+    for k, comp in enumerate(host.components):
+        if not isinstance(comp, (Interval, Cantor)):
+            out.append(comp)
+            continue
+        kind, lo, hi = type(comp), comp.lo, comp.hi
+        mid = midpoint(lo, hi)
+        side = k % 3
+        if side == 0:
+            out += [PointSeq(mid, lo, mid), kind(mid, hi)]
+        elif side == 1:
+            out += [kind(lo, mid), PointSeq(mid, mid, hi)]
+        else:
+            a, b = midpoint(lo, mid), midpoint(mid, hi)
+            out += [PointSeq(a, lo, a), kind(a, b), PointSeq(b, b, hi)]
+    if len(out) == len(host.components):
+        return None
+    return compactum(out)
+
+
+def suite_hosts() -> list:
+    """The suite's limits and every GLUE_EVERY-th one glued.  The suite
+    repeats some limits; each distinct host is listed once."""
+    limits = [limit for _, limit in suite_instances()]
+    extra = (glued(h) for h in limits[::GLUE_EVERY])
+    return list(dict.fromkeys(limits + [h for h in extra if h is not None]))
+
+
+def member(rng: random.Random, comp) -> Fraction:
+    """A rational point of the component."""
+    if isinstance(comp, Point):
+        return comp.pos.as_fraction()
+    lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
+    if isinstance(comp, Interval):
+        return lo + (hi - lo) * rng.choice(SHARES + (F(0), F(1)))
+    if isinstance(comp, Cantor):
+        t = rng.choice((F(0), F(1), F(1, 4), F(3, 4), F(1, 10), F(2, 9)))
+        return lo + (hi - lo) * t
+    if rng.random() < 0.2:
+        return comp.limit.as_fraction()
+    return comp.member(rng.randrange(0, 7)).as_fraction()
+
+
+def assert_same_decisions(s, cert) -> None:
+    got = cover_is_valid(s, cert)
+    assert got == ref.cover_is_valid(s, cert), (s, cert)
+
+
+def corrupted(s, cert, rng: random.Random) -> list[CoverCertificate]:
+    """Certificates that break one of the checks, or may."""
+    n, balls = cert.n, cert.balls
+    r = F(1, 2 ** n)
+    out = []
+    if len(balls) >= 3:
+        k = rng.randrange(len(balls) - 1)
+        out.append(CoverCertificate(n, balls[:k] + balls[k + 2 :], None))
+        k = rng.randrange(len(balls))
+        wrong = Ball(balls[k].center, r / 2)
+        out.append(CoverCertificate(n, balls[:k] + (wrong,) + balls[k + 1 :], None))
+    out.append(CoverCertificate(n + 1, balls, None))
+    for comp in rng.sample(s.components, min(3, len(s.components))):
+        lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
+        x = lo + (hi - lo) * rng.choice(SHARES)
+        out.append(CoverCertificate(n, balls + (Ball(x, r),), None))
+    if balls:
+        # move every centre by r/7 where it stays in the set
+        hulls = ref._component_hulls(s)
+        moved = []
+        for b in balls:
+            x = b.center + r / 7
+            moved.append(Ball(x, r) if ref._point_in_set(s, x, hulls) else b)
+        out.append(CoverCertificate(n, tuple(moved), None))
+    text = print_cover(cert) + "ball 1/7 {0}\nball 2/9 {0}\n".format(r)
+    out.append(parse_cover(text))
+    return out
+
+
+def ball_pairs(s, rng: random.Random, count: int) -> list[tuple[Ball, Ball]]:
+    comps = s.components
+    pairs = []
+    for _ in range(count):
+        i = rng.randrange(len(comps))
+        j = min(len(comps) - 1, max(0, i + rng.choice((-1, 0, 0, 1))))
+        r1 = F(1, 2 ** rng.randrange(0, 8)) * rng.choice((1, F(2, 3), F(5, 7)))
+        r2 = F(1, 2 ** rng.randrange(0, 8))
+        pairs.append((Ball(member(rng, comps[i]), r1), Ball(member(rng, comps[j]), r2)))
+    return pairs
+
+
+def assert_same_meets(s, b1: Ball, b2: Ball) -> None:
+    for closed in (False, True):
+        got = balls_intersect(s, b1, b2, closed)
+        assert got == ref.balls_intersect(s, b1, b2, closed), (s, b1, b2, closed)
+
+
+# ---------------------------------------------------------------------------
+# The seeded suite and its glued hosts
+# ---------------------------------------------------------------------------
+
+
+def test_covers_match_reference_on_suite() -> None:
+    for idx, s in enumerate(suite_hosts()):
+        for n in PRECISIONS:
+            cert = cover(s, n)
+            assert cert == ref.cover(s, n), (idx, n)
+            assert cover_is_valid(s, cert), (idx, n)
+            assert ref.cover_is_valid(s, cert), (idx, n)
+
+
+def test_corrupted_certificates_match_reference_on_suite() -> None:
+    rng = random.Random(SUITE_SEED + 21)
+    rejected = 0
+    for s in suite_hosts()[::5]:
+        for n in (0, 2, 4, 6):
+            for bad in corrupted(s, cover(s, n), rng):
+                assert_same_decisions(s, bad)
+                rejected += not cover_is_valid(s, bad)
+    assert rejected > 1000
+
+
+def test_ball_decisions_match_reference_on_suite() -> None:
+    rng = random.Random(SUITE_SEED + 22)
+    for s in suite_hosts():
+        if not s.components:
+            continue
+        for b1, b2 in ball_pairs(s, rng, 6):
+            assert_same_meets(s, b1, b2)
+        balls = cover(s, rng.randrange(2, 6)).balls
+        for _ in range(6):
+            assert_same_meets(s, rng.choice(balls), rng.choice(balls))
+
+
+def test_centers_off_the_set_rejected_alike() -> None:
+    s = suite_hosts()[3]
+    inside = Ball(member(random.Random(0), s.components[0]), F(1, 4))
+    for x in (F(1, 7), F(2, 9), F(-1, 2), F(3, 2)):
+        if ref.compactum_contains(s, x):
+            continue
+        stray = Ball(x, F(1, 4))
+        for args in ((stray, inside), (inside, stray)):
+            with pytest.raises(ValueError):
+                ref.balls_intersect(s, *args)
+            with pytest.raises(ValueError):
+                balls_intersect(s, *args)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis-drawn hosts
+# ---------------------------------------------------------------------------
+
+GRID_EXP = 6
+
+
+@st.composite
+def hosts(draw):
+    """Up to four components on disjoint cells of a 2^-6 grid, each a
+    point, interval, Cantor copy or sequence; a sequence may glue its
+    limit to the next component's left end."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    cells = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2 ** GRID_EXP - 1),
+                min_size=count,
+                max_size=count,
+                unique=True,
+            )
+        )
+    )
+    comps = []
+    for c in cells:
+        lo = Dyadic(c, GRID_EXP)
+        hi = Dyadic(4 * c + draw(st.integers(min_value=1, max_value=3)), GRID_EXP + 2)
+        kind = draw(st.sampled_from(["point", "interval", "cantor", "seq", "glued"]))
+        if kind == "point":
+            comps.append(Point(lo))
+        elif kind == "interval":
+            comps.append(Interval(lo, hi))
+        elif kind == "cantor":
+            comps.append(Cantor(lo, hi))
+        elif kind == "seq":
+            comps.append(PointSeq(draw(st.sampled_from([lo, hi])), lo, hi))
+        else:
+            mid = midpoint(lo, hi)
+            host = draw(st.sampled_from([Interval, Cantor]))
+            comps += [PointSeq(mid, lo, mid), host(mid, hi)]
+    return compactum(comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts(), st.randoms(use_true_random=False))
+def test_drawn_hosts_match_reference(s, rng) -> None:
+    for n in PRECISIONS:
+        cert = cover(s, n)
+        assert cert == ref.cover(s, n)
+        assert cover_is_valid(s, cert)
+        assert ref.cover_is_valid(s, cert)
+    for bad in corrupted(s, cover(s, rng.randrange(0, 7)), rng):
+        assert_same_decisions(s, bad)
+    for b1, b2 in ball_pairs(s, rng, 8):
+        assert_same_meets(s, b1, b2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(
+        min_value=-1, max_value=2, max_denominator=3 ** 6 * 2 ** 4 * 7
+    )
+)
+def test_cantor_digit_loop_matches_reference(t) -> None:
+    assert in_cantor_unit(t) == ref.in_cantor_unit(t)
