@@ -70,6 +70,12 @@ def _check_precision(n: int) -> int:
     return n
 
 
+def _check_natural(name: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"{name} must be a natural number, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -178,9 +184,10 @@ def _format_atom(atom: tuple[int, str]) -> str:
 
 
 def _cmd_partitions(args: argparse.Namespace) -> int:
+    depth = _check_natural("--depth", args.depth)
     s = parse_compactum(_read(args.compactum))
-    lines = [f"partitions depth={args.depth}"]
-    for parts in clopen_partitions(s, args.depth):
+    lines = [f"partitions depth={depth}"]
+    for parts in clopen_partitions(s, depth):
         blocks = ["+".join(_format_atom(a) for a in sorted(p)) for p in parts]
         lines.append("part " + " | ".join(sorted(blocks)))
     _emit("\n".join(lines) + "\n", args.out)
@@ -196,11 +203,13 @@ def _cmd_supnorm(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    count = _check_natural("--count", args.count)
+    depth = _check_natural("--depth", args.depth)
     rng = random.Random(args.seed)
     lines = []
     passed = 0
-    for i in range(args.count):
-        tree = random_tree(rng, max_depth=args.depth)
+    for i in range(count):
+        tree = random_tree(rng, max_depth=depth)
         space_form = canonical_form(reduction(construct_limit(tree)))
         tree_form = canonical_form(stone_space(tree))
         algebra_form = ba_form(
@@ -210,10 +219,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         ok = space_form == tree_form and algebra_form == dual_form
         passed += ok
         lines.append(f"case {i} {'ok' if ok else 'FAIL'}")
-    lines.append(f"{passed}/{args.count} duality roundtrips pass")
+    lines.append(f"{passed}/{count} duality roundtrips pass")
     _emit("\n".join(lines) + "\n", args.out)
-    if passed != args.count:
-        raise CheckFailure(f"{args.count - passed} duality roundtrips failed")
+    if passed != count:
+        raise CheckFailure(f"{count - passed} duality roundtrips failed")
     return 0
 
 

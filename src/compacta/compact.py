@@ -2,8 +2,8 @@
 decisions, and clopen partition enumeration.
 
 Every decision here is exact, and runs on integers.  Each query first
-picks one grid, the multiples of 1/D, on which all of its coordinates
-are integers:
+picks one grid (`compactum.Grid`), the multiples of 1/D, on which all of
+its coordinates are integers:
 
 - `cover(s, n)` takes D = 2^E * 3^K.  E is the largest dyadic exponent
   of the components plus n + 1, which leaves room for the halvings of a
@@ -28,17 +28,19 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Iterator
 
 from .compactum import (
     Cantor,
     Component,
+    Grid,
+    GridComponent,
     Interval,
     Point,
     PointSeq,
     SymbolicCompactum,
-    in_cantor_ratio,
+    grid_contains,
+    max_exp,
 )
 
 
@@ -72,75 +74,18 @@ class CoverCertificate:
 # The grid of one query
 # ---------------------------------------------------------------------------
 
-# A component on the grid: (kind, lo, hi, limit), where kind is the
-# component's class and limit is a sequence's limit (lo for the others).
-GridComponent = tuple[type, int, int, int]
 # A region is an interval on the grid with independent endpoint closure flags.
 Region = tuple[int, int, bool, bool]
 
 
-def _max_exp(s: SymbolicCompactum) -> int:
-    return max((x.exp for c in s.components for x in (c.lo, c.hi)), default=0)
-
-
-class _Grid:
-    """The components of one compactum as integers on the grid of
-    multiples of 1/d, where d is a multiple of 2^_max_exp(s)."""
-
-    __slots__ = ("d", "comps", "lows", "his")
-
-    def __init__(self, s: SymbolicCompactum, d: int) -> None:
-        self.d = d
-        comps = []
-        for c in s.components:
-            lo = c.lo.num * (d >> c.lo.exp)
-            hi = c.hi.num * (d >> c.hi.exp)
-            limit = hi if type(c) is PointSeq and c.limit == c.hi else lo
-            comps.append((type(c), lo, hi, limit))
-        self.comps: list[GridComponent] = comps
-        self.lows = [c[1] for c in comps]
-        self.his = [c[2] for c in comps]
-
-    def at(self, x: Rational) -> int:
-        """A rational whose denominator divides d, in grid units."""
-        return x.numerator * (self.d // x.denominator)
-
-    def near(self, u: int, v: int) -> list[GridComponent]:
-        """Components whose hulls meet [u, v].  Components are sorted and
-        pairwise disjoint, so these form a contiguous run."""
-        return self.comps[bisect_left(self.his, u) : bisect_right(self.lows, v)]
-
-    def contains(self, x: int) -> bool:
-        return any(_grid_contains(c, x) for c in self.near(x, x))
-
-    def meets(self, region: Region) -> bool:
-        """Does the set meet the region?  Exact."""
-        if not _region_nonempty(region):
-            return False
-        return any(
-            _region_meets_component(c, region)
-            for c in self.near(region[0], region[1])
-        )
-
-
-def _grid_contains(comp: GridComponent, x: int) -> bool:
-    kind, lo, hi, limit = comp
-    if kind is Point:
-        return x == lo
-    if kind is Interval:
-        return lo <= x <= hi
-    if kind is Cantor:
-        return lo <= x <= hi and in_cantor_ratio(x - lo, hi - lo)
-    if x == limit:
-        return True
-    # members sit at limit + (far - limit) * 2^{-i}
-    p, q = x - limit, lo + hi - 2 * limit
-    if q < 0:
-        p, q = -p, -q
-    if not 0 < p <= q or q % p:
+def _meets(grid: Grid, region: Region) -> bool:
+    """Does the set meet the region?  Exact."""
+    if not _region_nonempty(region):
         return False
-    ratio = q // p
-    return ratio & (ratio - 1) == 0
+    return any(
+        _region_meets_component(c, region)
+        for c in grid.near(region[0], region[1])
+    )
 
 
 def _cantor_level(span: int, r: int) -> int:
@@ -161,7 +106,7 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
     """Greedy per-component cover by balls of radius exactly 2^{-n}."""
     if n < 0:
         raise ValueError("precision must be a natural number")
-    e = _max_exp(s) + n + 1
+    e = max_exp(s) + n + 1
     k = max(
         (
             _cantor_level(
@@ -173,7 +118,7 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
         ),
         default=0,
     )
-    grid = _Grid(s, 3 ** k << e)
+    grid = Grid(s, 3 ** k << e)
     r = grid.d >> n
     centers: list[int] = []
     for comp in grid.comps:
@@ -207,7 +152,7 @@ def _component_centers(comp: GridComponent, r: int) -> list[int]:
 
 
 def _tangencies(
-    grid: _Grid, centers: list[int], r: int
+    grid: Grid, centers: list[int], r: int
 ) -> tuple[tuple[int, int], ...]:
     """Pairs of equal-radius balls whose open and closed decisions differ.
 
@@ -226,7 +171,7 @@ def _tangencies(
         v = x + r
         for b in range(bisect_left(xs, v, a + 1), bisect_right(xs, v + r, a + 1)):
             u = xs[b] - r
-            if grid.meets((u, v, False, False)):
+            if _meets(grid, (u, v, False, False)):
                 continue
             if grid.contains(u) or grid.contains(v):
                 i, j = order[a], order[b]
@@ -270,7 +215,7 @@ def _region_meets_component(comp: GridComponent, region: Region) -> bool:
     """Does the component's point set meet the nonempty region?  Exact."""
     u, v, cu, cv = region
     if u == v:
-        return _grid_contains(comp, u)
+        return grid_contains(comp, u)
     kind, lo, hi, limit = comp
     if kind is Point:
         return _in_region(lo, region)
@@ -345,7 +290,7 @@ def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
     ):
         return False
     denominators = {b.center.denominator for b in cert.balls}
-    grid = _Grid(s, math.lcm(1 << max(_max_exp(s), n), *denominators))
+    grid = Grid(s, math.lcm(1 << max(max_exp(s), n), *denominators))
     r = grid.d >> n
     centers = sorted(grid.at(b.center) for b in cert.balls)
     if not all(grid.contains(x) for x in centers):
@@ -373,13 +318,13 @@ def balls_intersect(
     Open balls by default; pass closed=True for the closed variant.
     """
     d = math.lcm(
-        1 << _max_exp(s),
+        1 << max_exp(s),
         b1.center.denominator,
         b1.radius.denominator,
         b2.center.denominator,
         b2.radius.denominator,
     )
-    grid = _Grid(s, d)
+    grid = Grid(s, d)
     c1, c2 = grid.at(b1.center), grid.at(b2.center)
     for x in (c1, c2):
         if not grid.contains(x):
@@ -387,7 +332,7 @@ def balls_intersect(
     r1, r2 = grid.at(b1.radius), grid.at(b2.radius)
     u = max(c1 - r1, c2 - r2)
     v = min(c1 + r1, c2 + r2)
-    return grid.meets((u, v, closed, closed))
+    return _meets(grid, (u, v, closed, closed))
 
 
 # ---------------------------------------------------------------------------

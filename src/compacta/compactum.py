@@ -10,12 +10,20 @@ analysis has to detect and reject, so it must be representable.
 
 Clopen subsets are selections of component indices; a selection is clopen
 precisely when it never separates a glued pair.
+
+`Grid` puts the components on the integers, as multiples of 1/d for one
+d per query.  `compactum_contains`, the queries of `compact` and
+`construct.hausdorff_gap` decide order and membership there with int
+comparisons; `component_contains` stays the per-component `Fraction` test.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Union
 
 from .dyadic import Dyadic, ONE, ZERO, midpoint, parse_dyadic
@@ -379,8 +387,77 @@ def component_contains(comp: Component, x: Fraction) -> bool:
     return ratio.numerator == 1 and ratio.denominator & (ratio.denominator - 1) == 0
 
 
-def compactum_contains(s: SymbolicCompactum, x: Fraction) -> bool:
-    return any(component_contains(c, x) for c in s.components)
+def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
+    grid = Grid(s, math.lcm(1 << max_exp(s), x.denominator))
+    return grid.contains(grid.at(x))
+
+
+# ---------------------------------------------------------------------------
+# The integer grid of one query
+# ---------------------------------------------------------------------------
+
+# A component on the grid: (kind, lo, hi, limit), where kind is the
+# component's class and limit is a sequence's limit (lo for the others).
+GridComponent = tuple[type, int, int, int]
+
+
+def max_exp(s: SymbolicCompactum) -> int:
+    """The largest dyadic exponent among the components' endpoints."""
+    return max((x.exp for c in s.components for x in (c.lo, c.hi)), default=0)
+
+
+class Grid:
+    """The components of one compactum as integers on the grid of
+    multiples of 1/d, where d is a multiple of 2^max_exp(s).
+
+    A query that puts all of its coordinates on one such grid decides
+    order and membership with int comparisons alone."""
+
+    __slots__ = ("d", "comps", "lows", "his")
+
+    def __init__(self, s: SymbolicCompactum, d: int) -> None:
+        self.d = d
+        comps = []
+        for c in s.components:
+            lo = c.lo.num * (d >> c.lo.exp)
+            hi = c.hi.num * (d >> c.hi.exp)
+            limit = hi if type(c) is PointSeq and c.limit == c.hi else lo
+            comps.append((type(c), lo, hi, limit))
+        self.comps: list[GridComponent] = comps
+        self.lows = [c[1] for c in comps]
+        self.his = [c[2] for c in comps]
+
+    def at(self, x: Rational) -> int:
+        """A rational whose denominator divides d, in grid units."""
+        return x.numerator * (self.d // x.denominator)
+
+    def near(self, u: int, v: int) -> list[GridComponent]:
+        """Components whose hulls meet [u, v].  Components are sorted and
+        pairwise disjoint, so these form a contiguous run."""
+        return self.comps[bisect_left(self.his, u) : bisect_right(self.lows, v)]
+
+    def contains(self, x: int) -> bool:
+        return any(grid_contains(c, x) for c in self.near(x, x))
+
+
+def grid_contains(comp: GridComponent, x: int) -> bool:
+    kind, lo, hi, limit = comp
+    if kind is Point:
+        return x == lo
+    if kind is Interval:
+        return lo <= x <= hi
+    if kind is Cantor:
+        return lo <= x <= hi and in_cantor_ratio(x - lo, hi - lo)
+    if x == limit:
+        return True
+    # members sit at limit + (far - limit) * 2^{-i}
+    p, q = x - limit, lo + hi - 2 * limit
+    if q < 0:
+        p, q = -p, -q
+    if not 0 < p <= q or q % p:
+        return False
+    ratio = q // p
+    return ratio & (ratio - 1) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,30 +18,35 @@ limit set, which makes the Hausdorff bound monotone for free.  Terminal
 leaves densify their interval by one midpoint round per stage; eta leaves
 refine their Cantor net one ternary level per stage, held symbolically
 because level endpoints are triadic, not dyadic.
+
+The Hausdorff gap bound of a stage runs on one integer grid per query
+(`compactum.Grid`): membership of every point, the nearest-point
+distances and the half gaps are int comparisons, and a `Dyadic` is built
+only for the returned bound.
 """
 
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 
 from .compactum import (
     Cantor,
     Component,
+    Grid,
     Interval,
     Point,
     PointSeq,
     SymbolicCompactum,
     compactum,
-    component_contains,
+    max_exp,
 )
 from .dyadic import (
     Address,
     DyInterval,
     Dyadic,
-    ONE,
     ZERO,
-    dyadic_ceil,
     format_address,
     interval_of,
     midpoint,
@@ -201,17 +206,19 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
 
 
 def _densify(iv: DyInterval, pts: list[Dyadic]) -> list[Dyadic]:
-    """One midpoint round over the chain lo, p1, ..., pk, hi.
+    """One midpoint round over the sorted chain lo, p1, ..., pk, hi.
 
     The endpoints anchor the chain but are never emitted themselves; the
     emitted points still close up on the full interval since the largest
-    gap halves every round.
+    gap halves every round.  Each midpoint goes between its two
+    neighbours, so the output stays sorted.
     """
     chain = [iv.lo] + pts + [iv.hi]
-    out = list(pts)
+    out = []
     for a, b in zip(chain, chain[1:]):
         out.append(midpoint(a, b))
-    out.sort()
+        out.append(b)
+    out.pop()  # the anchor hi
     return out
 
 
@@ -220,6 +227,7 @@ def _densify(iv: DyInterval, pts: list[Dyadic]) -> list[Dyadic]:
 # ---------------------------------------------------------------------------
 
 _CEIL_BITS = 80
+_SEQ_CUTOFF = 60
 
 
 def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
@@ -230,18 +238,27 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
     limit came from different scripts and raises.  The returned bound is
     therefore the farthest any limit point can be from the emitted set,
     maximized per component, and it never increases as the stage grows.
+
+    The query runs on one integer grid, the multiples of 1/(2D) with
+    D = 2^E: E covers every exponent of the points and the limit, plus
+    _SEQ_CUTOFF + 1 when the limit holds a sequence (so its members up to
+    the cutoff are on the grid) and at least _CEIL_BITS - 1 when it holds
+    a Cantor copy (so the net bound's rounding is too).  Points and
+    endpoints are even there, so half gaps are ints.  A Dyadic is built
+    only for the returned bound.
     """
-    pts = sorted(state.points)
-    lows = [c.lo for c in limit.components]
-    for p in pts:
-        i = bisect.bisect_right(lows, p)
-        candidates = limit.components[max(0, i - 2) : i + 1]
-        if not any(
-            c.lo <= p <= c.hi and component_contains(c, p.as_fraction())
-            for c in candidates
-        ):
+    kinds = {type(c) for c in limit.components}
+    e = max(max_exp(limit), max((p.exp for p in state.points), default=0))
+    if PointSeq in kinds:
+        e += _SEQ_CUTOFF + 1
+    if Cantor in kinds:
+        e = max(e, _CEIL_BITS - 1)
+    grid = Grid(limit, 2 << e)
+    pts = sorted(p.num << (e + 1 - p.exp) for p in state.points)
+    for x in pts:
+        if not grid.contains(x):
             raise ValueError(
-                f"state point {p} lies outside the limit set: "
+                f"state point {Dyadic(x, e + 1)} lies outside the limit set: "
                 f"state and limit do not match"
             )
     if not limit.components:
@@ -249,70 +266,66 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
     net_levels = {
         (iv.lo, iv.hi): level for iv, level in state.nets.values()
     }
-    bound = ZERO
-    for comp in limit.components:
-        if isinstance(comp, Point):
-            d = _dist_to_points(comp.pos, pts)
-        elif isinstance(comp, Interval):
-            d = _interval_bound(comp.lo, comp.hi, pts)
-        elif isinstance(comp, Cantor):
+    one = grid.d
+    bound = 0
+    for comp, (kind, lo, hi, limit_at) in zip(limit.components, grid.comps):
+        if kind is Point:
+            d = _dist_to_points(lo, pts, one)
+        elif kind is Interval:
+            d = _interval_bound(lo, hi, pts, one)
+        elif kind is Cantor:
             level = net_levels.get((comp.lo, comp.hi))
             if level is None:
-                d = _span_fallback(comp.lo, comp.hi, pts)
+                d = _span_bound(lo, hi, pts, one)
             else:
-                span = comp.hi.as_fraction() - comp.lo.as_fraction()
-                d = dyadic_ceil(span / 3 ** (level + 1), bits=_CEIL_BITS)
+                # dyadic_ceil(span / 3^(level+1)) at _CEIL_BITS bits
+                shift = e + 1 - _CEIL_BITS
+                d = -(-(hi - lo) // (3 ** (level + 1) << shift)) << shift
         else:
-            d = _seq_bound(comp, pts)
+            d = _seq_bound(lo, hi, limit_at, pts, one)
         if d > bound:
             bound = d
-    return bound
+    return Dyadic(bound, e + 1)
 
 
-def _dist_to_points(q: Dyadic, pts: list[Dyadic]) -> Dyadic:
-    i = bisect.bisect_left(pts, q)
-    best = None
-    for k in (i - 1, i):
-        if 0 <= k < len(pts):
-            d = abs(q - pts[k])
-            if best is None or d < best:
-                best = d
-    return best if best is not None else ONE
+def _dist_to_points(x: int, pts: list[int], one: int) -> int:
+    """Distance from x to the nearest point; `one` when there is none."""
+    i = bisect.bisect_left(pts, x)
+    if i == len(pts):
+        return x - pts[-1] if pts else one
+    if i == 0 or pts[i] == x:
+        return pts[i] - x
+    return min(pts[i] - x, x - pts[i - 1])
 
 
-def _interval_bound(lo: Dyadic, hi: Dyadic, pts: list[Dyadic]) -> Dyadic:
-    inside = pts[bisect.bisect_left(pts, lo) : bisect.bisect_right(pts, hi)]
-    if not inside:
-        return _span_fallback(lo, hi, pts)
-    best = max(inside[0] - lo, hi - inside[-1])
-    for a, b in zip(inside, inside[1:]):
-        half = (b - a).half()
-        if half > best:
-            best = half
-    return best
+def _interval_bound(lo: int, hi: int, pts: list[int], one: int) -> int:
+    i = bisect.bisect_left(pts, lo)
+    j = bisect.bisect_right(pts, hi, i)
+    if i == j:
+        return _span_bound(lo, hi, pts, one)
+    inner = max(map(operator.sub, pts[i + 1 : j], pts[i : j - 1]), default=0)
+    return max(pts[i] - lo, hi - pts[j - 1], inner >> 1)
 
 
-def _span_fallback(lo: Dyadic, hi: Dyadic, pts: list[Dyadic]) -> Dyadic:
-    """min over points of the worst distance to any spot in [lo, hi]."""
-    best = None
-    for p in pts:
-        d = max(abs(p - lo), abs(p - hi))
-        if best is None or d < best:
-            best = d
-    return best if best is not None else ONE
+def _span_bound(lo: int, hi: int, pts: list[int], one: int) -> int:
+    """min over points p of the worst distance from p to any spot of
+    [lo, hi]: max(|p - lo|, |p - hi|) = |p - mid| + (hi - lo) / 2, so the
+    point nearest the midpoint attains it."""
+    if not pts:
+        return one
+    return _dist_to_points((lo + hi) >> 1, pts, one) + ((hi - lo) >> 1)
 
 
-def _seq_bound(comp: PointSeq, pts: list[Dyadic]) -> Dyadic:
+def _seq_bound(lo: int, hi: int, limit: int, pts: list[int], one: int) -> int:
     """Worst distance from any sequence member (or the limit) to the points.
 
     Members with index beyond the cutoff sit within span * 2^-cutoff of the
     limit, so the limit's own distance plus that margin bounds the tail.
     """
-    cutoff = 60
-    span = comp.hi - comp.lo
-    worst = _dist_to_points(comp.limit, pts) + span.scaled_pow2(-cutoff)
-    for i in range(cutoff + 1):
-        d = _dist_to_points(comp.member(i), pts)
+    step = lo + hi - 2 * limit  # far - limit
+    worst = _dist_to_points(limit, pts, one) + ((hi - lo) >> _SEQ_CUTOFF)
+    for i in range(_SEQ_CUTOFF + 1):
+        d = _dist_to_points(limit + (step >> i), pts, one)
         if d > worst:
             worst = d
     return worst

@@ -17,43 +17,56 @@ Address = tuple[int, ...]
 ROOT: Address = ()
 
 
-def _normalize(num: int, exp: int) -> tuple[int, int]:
-    if num == 0:
-        return 0, 0
-    while num % 2 == 0 and exp > 0:
-        num //= 2
-        exp -= 1
-    if exp < 0:
-        num <<= -exp
-        exp = 0
-    return num, exp
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=False)
 class Dyadic:
-    """a/2^k with k >= 0 and a odd unless the value is zero."""
+    """a/2^k with k >= 0 and a odd unless the value is zero.  Immutable."""
+
+    __slots__ = ("num", "exp")
 
     num: int
-    exp: int = 0
+    exp: int
 
-    def __post_init__(self) -> None:
-        n, e = _normalize(self.num, self.exp)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "exp", e)
+    def __init__(self, num: int, exp: int = 0) -> None:
+        if not num:
+            exp = 0
+        elif exp < 0:
+            num <<= -exp
+            exp = 0
+        elif exp and not num & 1:
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
+        _set(self, "num", num)
+        _set(self, "exp", exp)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Dyadic is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Dyadic is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[int, int]]:
+        return Dyadic, (self.num, self.exp)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Dyadic | int") -> "Dyadic":
         other = _coerce(other)
-        e = max(self.exp, other.exp)
-        return Dyadic(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
+        a, ea, b, eb = self.num, self.exp, other.num, other.exp
+        if ea == eb:
+            return Dyadic(a + b, ea)
+        # One numerator is odd over the larger exponent, the other becomes
+        # even when shifted onto it, so the sum is already normalised.
+        if ea > eb:
+            return _raw(a + (b << (ea - eb)), ea)
+        return _raw((a << (eb - ea)) + b, eb)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
+        return _raw(-self.num, self.exp)
 
     def __sub__(self, other: "Dyadic | int") -> "Dyadic":
         return self + (-_coerce(other))
@@ -68,7 +81,7 @@ class Dyadic:
     __rmul__ = __mul__
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.num), self.exp)
+        return _raw(abs(self.num), self.exp)
 
     def half(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
@@ -79,24 +92,29 @@ class Dyadic:
 
     # -- comparisons --------------------------------------------------------
 
-    def _key(self, other: "Dyadic") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
+    def _key(self, other: "Dyadic | int") -> tuple[int, int]:
+        other = _coerce(other)
+        ea, eb = self.exp, other.exp
+        if ea == eb:
+            return self.num, other.num
+        if ea > eb:
+            return self.num, other.num << (ea - eb)
+        return self.num << (eb - ea), other.num
 
     def __lt__(self, other: "Dyadic | int") -> bool:
-        a, b = self._key(_coerce(other))
+        a, b = self._key(other)
         return a < b
 
     def __le__(self, other: "Dyadic | int") -> bool:
-        a, b = self._key(_coerce(other))
+        a, b = self._key(other)
         return a <= b
 
     def __gt__(self, other: "Dyadic | int") -> bool:
-        a, b = self._key(_coerce(other))
+        a, b = self._key(other)
         return a > b
 
     def __ge__(self, other: "Dyadic | int") -> bool:
-        a, b = self._key(_coerce(other))
+        a, b = self._key(other)
         return a >= b
 
     def __eq__(self, other: object) -> bool:
@@ -118,6 +136,14 @@ class Dyadic:
         return f"{self.num}/2^{self.exp}"
 
     __repr__ = __str__
+
+
+def _raw(num: int, exp: int) -> Dyadic:
+    """A Dyadic from a pair already in normal form."""
+    d = object.__new__(Dyadic)
+    _set(d, "num", num)
+    _set(d, "exp", exp)
+    return d
 
 
 def _coerce(x: "Dyadic | int") -> Dyadic:

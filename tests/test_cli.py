@@ -177,6 +177,22 @@ def test_cover_precision_bound(run, tmp_path) -> None:
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("suite", "--count", "-1"),
+        ("suite", "--depth", "-1"),
+        ("partitions", "{comp}", "--depth", "-1"),
+    ],
+)
+def test_negative_count_or_depth_exits_two(run, tmp_path, argv) -> None:
+    comp = put(tmp_path, "unit.comp", UNIT)
+    rc, out, err = run(*(a.format(comp=comp) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {argv[-2]} must be a natural number, got -1\n"
+
+
 def test_partitions_output(run, tmp_path) -> None:
     comp = put(tmp_path, "unit.comp", UNIT)
     rc, out, _ = run("partitions", comp, "--depth", "2")

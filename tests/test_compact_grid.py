@@ -5,8 +5,8 @@ decisions in `compacta.compact` against the `Fraction` reference kept in
 Both must agree on the seeded 500-tree suite, on the same hosts with
 convergent sequences glued to their intervals and Cantor copies, and on
 hypothesis-drawn hosts: cover output (balls and tangency flags), the
-verdict on true and on corrupted certificates, and open and closed ball
-intersection.
+verdict on true and on corrupted certificates, open and closed ball
+intersection, and membership of rationals.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from compacta.compactum import (
     Point,
     PointSeq,
     compactum,
+    compactum_contains,
     in_cantor_unit,
 )
 from compacta.dyadic import Dyadic, midpoint
@@ -92,6 +93,18 @@ def member(rng: random.Random, comp) -> Fraction:
     if rng.random() < 0.2:
         return comp.limit.as_fraction()
     return comp.member(rng.randrange(0, 7)).as_fraction()
+
+
+def assert_same_membership(s, rng: random.Random) -> None:
+    """Members, spots by SHARES of each hull, and spots just left of it."""
+    for comp in s.components:
+        lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
+        for x in (
+            member(rng, comp),
+            lo + (hi - lo) * rng.choice(SHARES),
+            lo - F(1, 2 ** rng.randrange(1, 64)),
+        ):
+            assert compactum_contains(s, x) == ref.compactum_contains(s, x), (s, x)
 
 
 def assert_same_decisions(s, cert) -> None:
@@ -183,6 +196,12 @@ def test_ball_decisions_match_reference_on_suite() -> None:
             assert_same_meets(s, rng.choice(balls), rng.choice(balls))
 
 
+def test_membership_matches_reference_on_suite() -> None:
+    rng = random.Random(SUITE_SEED + 23)
+    for s in suite_hosts()[::5]:
+        assert_same_membership(s, rng)
+
+
 def test_centers_off_the_set_rejected_alike() -> None:
     s = suite_hosts()[3]
     inside = Ball(member(random.Random(0), s.components[0]), F(1, 4))
@@ -252,6 +271,7 @@ def test_drawn_hosts_match_reference(s, rng) -> None:
         assert_same_decisions(s, bad)
     for b1, b2 in ball_pairs(s, rng, 8):
         assert_same_meets(s, b1, b2)
+    assert_same_membership(s, rng)
 
 
 @settings(max_examples=300, deadline=None)

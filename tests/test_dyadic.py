@@ -8,9 +8,12 @@ mirror image, and every interval with index m has length exactly 2^-(m+2).
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import hypothesis as hyp
+import pytest
 from hypothesis import given, strategies as st
 
 from compacta.dyadic import (
@@ -180,6 +183,10 @@ dyadics = st.builds(
 )
 
 
+def canonical(x: Dyadic) -> bool:
+    return x.num == 0 and x.exp == 0 or x.num % 2 == 1 or x.exp == 0
+
+
 @given(dyadics, dyadics)
 def test_add_sub_roundtrip(a, b):
     assert (a + b) - b == a
@@ -200,7 +207,38 @@ def test_comparisons_agree_with_fractions(a, b):
 
 @given(dyadics)
 def test_canonical_representation(a):
-    assert a.num == 0 and a.exp == 0 or a.num % 2 == 1 or a.exp == 0
+    assert canonical(a)
+
+
+@given(dyadics, dyadics)
+def test_results_are_canonical(a, b):
+    for x in (a + b, a - b, a * b, -a, abs(a), a.half(), a.scaled_pow2(-3)):
+        assert canonical(x)
+
+
+@given(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=0, max_value=48),
+)
+def test_equal_exponents_agree_with_fractions(m, n, e):
+    a, b = Dyadic(2 * m + 1, e), Dyadic(2 * n + 1, e)
+    fa, fb = a.as_fraction(), b.as_fraction()
+    for x, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
+        assert x.as_fraction() == want
+        assert canonical(x)
+    assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
+
+
+def test_dyadic_is_immutable_and_picklable():
+    d = Dyadic(6, 3)
+    assert (d.num, d.exp) == (3, 2)
+    with pytest.raises(AttributeError):
+        d.num = 1
+    with pytest.raises(AttributeError):
+        d.other = 1
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert twin == d and hash(twin) == hash(d) and str(twin) == "3/2^2"
 
 
 @given(dyadics, dyadics)

@@ -1,0 +1,163 @@
+"""Differential test: the integer-grid `hausdorff_gap` in
+`compacta.construct` against the `Dyadic` reference kept in
+`dyadic_stage`.
+
+Both must return the same `Dyadic` on seeded scripts stratified by their
+terminal-leaf count at stages 0..8, on hypothesis-drawn scripts, and on
+hand-built limits with sequences, glued components, components no point
+reaches, no components at all, and states with no points.  A state
+paired with a limit it does not lie in must raise the same error.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dyadic_stage as ref
+from compacta.compactum import Cantor, Interval, Point, PointSeq, compactum
+from compacta.construct import (
+    EnumerationState,
+    construct_limit,
+    enumerate_stage,
+    hausdorff_gap,
+)
+from compacta.dyadic import DyInterval, Dyadic
+from compacta.randgen import random_script
+from compacta.trees import TERMINAL, limit_tree
+from test_acceptance import SUITE_SEED
+
+D = Dyadic
+STAGES = range(9)
+# Scripts per terminal-leaf count 0..5; the last band holds 5 or more.
+PER_BAND = 6
+BANDS = 6
+
+
+def _terminal_leaves(script) -> int:
+    static = sum(1 for n in script.skeleton.values() if n.kind == TERMINAL)
+    return static + sum(1 for k in script.final_labels.values() if k == TERMINAL)
+
+
+def stratified_scripts() -> list:
+    """Seeded random_script draws, PER_BAND of each terminal-leaf count:
+    the leaves set how many points a stage holds."""
+    rng = random.Random(SUITE_SEED + 3)
+    kept: list[list] = [[] for _ in range(BANDS)]
+    while any(len(band) < PER_BAND for band in kept):
+        script = random_script(rng)
+        band = kept[min(_terminal_leaves(script), BANDS - 1)]
+        if len(band) < PER_BAND:
+            band.append(script)
+    return [script for band in kept for script in band]
+
+
+def assert_same(state: EnumerationState, limit) -> None:
+    """Equal bounds, or the same ValueError from both."""
+    try:
+        want = ref.hausdorff_gap(state, limit)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            hausdorff_gap(state, limit)
+        assert str(got.value) == str(exc)
+        return
+    got = hausdorff_gap(state, limit)
+    assert (got.num, got.exp) == (want.num, want.exp)
+
+
+def test_stratified_scripts_match_reference():
+    for script in stratified_scripts():
+        limit = construct_limit(limit_tree(script))
+        for s in STAGES:
+            state = enumerate_stage(script, s)
+            want = ref.hausdorff_gap(state, limit)
+            got = hausdorff_gap(state, limit)
+            assert (got.num, got.exp) == (want.num, want.exp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 7))
+def test_drawn_scripts_match_reference(rng, s):
+    script = random_script(rng)
+    limit = construct_limit(limit_tree(script))
+    assert_same(enumerate_stage(script, s), limit)
+
+
+def test_wrong_limit_raises_like_reference():
+    scripts = stratified_scripts()
+    raised = 0
+    for script, other in zip(scripts, scripts[1:] + scripts[:1]):
+        limit = construct_limit(limit_tree(other))
+        for s in (0, 3):
+            state = enumerate_stage(script, s)
+            try:
+                ref.hausdorff_gap(state, limit)
+            except ValueError:
+                raised += 1
+            assert_same(state, limit)
+    assert raised > len(scripts)
+
+
+# Hand-built limits: (components, points of the limit that states may hold).
+SEQ_HI = PointSeq(D(3, 2), D(1, 2), D(3, 2))  # limit 3/4, members below it
+HAND = [
+    # an interval alone: with its two ends held, an inner half gap is the
+    # bound, and with no points it is the span fallback's
+    ([Interval(D(1, 2), D(3, 2))], [D(1, 2), D(3, 2), D(1, 1)]),
+    ([SEQ_HI], [D(3, 2), D(1, 1), D(5, 3), D(23, 5)]),
+    ([PointSeq(D(1, 3), D(1, 3), D(1, 1))], [D(1, 3), D(5, 4), D(1, 1)]),
+    (  # sequences glued to both ends of an interval
+        [
+            PointSeq(D(1, 1), D(1, 2), D(1, 1)),
+            Interval(D(1, 1), D(3, 2)),
+            PointSeq(D(3, 2), D(3, 2), D(1, 0)),
+        ],
+        [D(3, 3), D(1, 1), D(5, 3), D(11, 4), D(3, 2), D(7, 3)],
+    ),
+    (  # a sequence glued to a Cantor copy, plus a lone point
+        [
+            Point(D(1, 4)),
+            PointSeq(D(1, 1), D(3, 3), D(1, 1)),
+            Cantor(D(1, 1), D(1, 0)),
+        ],
+        [D(1, 4), D(7, 4), D(1, 1), D(5, 3), D(1, 0)],
+    ),
+    (  # components that no point reaches
+        [
+            Point(D(1, 5)),
+            Interval(D(1, 3), D(3, 3)),
+            Cantor(D(13, 4), D(15, 4)),
+            Interval(D(31, 5), D(1, 0)),
+        ],
+        [D(1, 5), D(1, 3), D(31, 5)],
+    ),
+]
+
+
+@pytest.mark.parametrize("comps,points", HAND)
+def test_hand_built_limits_match_reference(comps, points):
+    limit = compactum(comps)
+    nets = {
+        (k,): (DyInterval(c.lo, c.hi), k) for k, c in enumerate(comps)
+        if isinstance(c, Cantor)
+    }
+    for n in range(len(points) + 1):
+        for state_nets in ({}, nets):
+            for held in (points[:n], points[len(points) - n :]):
+                assert_same(EnumerationState(0, tuple(held), {}, state_nets), limit)
+    # 1/64 lies off every limit here; 29/64 lies off most, inside some hulls
+    for stray in (D(1, 6), D(29, 6)):
+        assert_same(EnumerationState(0, tuple(points) + (stray,)), limit)
+    with pytest.raises(ValueError):
+        hausdorff_gap(EnumerationState(0, tuple(points) + (D(1, 6),)), limit)
+
+
+def test_no_components():
+    empty = compactum([])
+    assert_same(EnumerationState(0, ()), empty)
+    assert hausdorff_gap(EnumerationState(0, ()), empty) == D(0)
+    with pytest.raises(ValueError):
+        hausdorff_gap(EnumerationState(0, (D(1, 1),)), empty)
