@@ -2,11 +2,13 @@
 
 A PL function is total on [0,1] and linear between breakpoints.  Its sup
 over the whole interval sits at a breakpoint, so the unit-interval norm
-is a max of finitely many rationals.  The sup over a hosted set needs
-more care: on each linear segment the extreme host points of the segment
-decide the value, which for a Cantor component means the least member
-above and the greatest member below a rational cut, found by following
-the ternary orbit of the cut.
+is a max of finitely many rationals.  The sup over a hosted set runs on
+one integer grid (`compactum.Grid`), the multiples of 1/d with d the lcm
+of 2^E (E the host's largest dyadic exponent) and the breakpoints'
+denominators.  On a linear segment [x0, x1], |f| is convex, so over the
+host's points in the segment it peaks at the least of them,
+`succ(x0)`, or the greatest, `pred(x1)`: two exact evaluations per
+segment, whatever the components' kinds.
 
 The dense family enumerated here pins breakpoints to the host's stage
 points and extends the first and last values flat to the boundary; that
@@ -16,6 +18,7 @@ which is the identity the test suite checks exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,14 +26,13 @@ from typing import Iterable, Iterator
 
 from .compactum import (
     Cantor,
-    Component,
+    Grid,
     Interval,
-    Point,
-    PointSeq,
     SymbolicCompactum,
+    cantor_net,
     compactum,
     compactum_contains,
-    in_cantor_unit,
+    max_exp,
 )
 from .dyadic import Dyadic
 
@@ -134,96 +136,20 @@ def unit_sup(f: PLFunction) -> Fraction:
     return max(abs(y) for _, y in f.breakpoints)
 
 
-def _cantor_min_geq(lo: Fraction, span: Fraction, a: Fraction) -> Fraction | None:
-    """Least point of the Cantor copy on [lo, lo+span] that is >= a."""
-    hi = lo + span
-    if a <= lo:
-        return lo
-    if a > hi:
-        return None
-    if in_cantor_unit((a - lo) / span):
-        return a
-    third = span / 3
-    if a <= lo + third:
-        r = _cantor_min_geq(lo, third, a)
-        return r if r is not None else lo + 2 * third
-    if a < lo + 2 * third:
-        return lo + 2 * third
-    return _cantor_min_geq(lo + 2 * third, third, a)
-
-
-def _cantor_max_leq(lo: Fraction, span: Fraction, b: Fraction) -> Fraction | None:
-    hi = lo + span
-    if b >= hi:
-        return hi
-    if b < lo:
-        return None
-    if in_cantor_unit((b - lo) / span):
-        return b
-    third = span / 3
-    if b >= lo + 2 * third:
-        r = _cantor_max_leq(lo + 2 * third, third, b)
-        return r if r is not None else lo + third
-    if b > lo + third:
-        return lo + third
-    return _cantor_max_leq(lo, third, b)
-
-
-def _component_candidates(f: PLFunction, comp: Component) -> Iterator[Fraction]:
-    """Points of the component where |f| can attain its component sup."""
-    if isinstance(comp, Point):
-        yield comp.pos.as_fraction()
-        return
-    lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
-    if isinstance(comp, Interval):
-        yield lo
-        yield hi
-        for x, _ in f.breakpoints:
-            if lo < x < hi:
-                yield x
-        return
-    if isinstance(comp, Cantor):
-        span = hi - lo
-        pts = f.breakpoints
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            a, b = max(x0, lo), min(x1, hi)
-            if a > b:
-                continue
-            pmin = _cantor_min_geq(lo, span, a)
-            if pmin is None or pmin > b:
-                continue
-            pmax = _cantor_max_leq(lo, span, b)
-            yield pmin
-            yield pmax
-        return
-    limit = comp.limit.as_fraction()
-    far = comp.far.as_fraction()
-    span = abs(far - limit)
-    between = [
-        x
-        for x, _ in f.breakpoints
-        if min(limit, far) < x < max(limit, far)
-    ]
-    if between:
-        d = min(abs(x - limit) for x in between)
-        i_last = 0
-        while span * Fraction(1, 2 ** i_last) >= d:
-            i_last += 1
-    else:
-        i_last = 0
-    yield limit
-    for i in range(i_last + 1):
-        yield comp.member(i).as_fraction()
-
-
 def sup_norm(hf: HostedFunction) -> Fraction:
     """Exact sup of |f| over the host set."""
+    pts = hf.f.breakpoints
+    d = math.lcm(1 << max_exp(hf.host), *(x.denominator for x, _ in pts))
+    grid = Grid(hf.host, d)
     best = Fraction(0)
-    for comp in hf.host.components:
-        for x in _component_candidates(hf.f, comp):
-            v = abs(hf.f.value(x))
-            if v > best:
-                best = v
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        u, v = grid.at(x0), grid.at(x1)
+        first = grid.succ(u)
+        if first is None or first[0] > v * first[1]:
+            continue  # no host point on this segment
+        slope = (y1 - y0) / (v - u)
+        for n, m in (first, grid.pred(v)):
+            best = max(best, abs(y0 + slope * Fraction(n - u * m, m)))
     return best
 
 
@@ -277,30 +203,19 @@ def generalized_tooth(
 
 def stage_points(host: SymbolicCompactum, n: int) -> list[Fraction]:
     """The host's dense points at resolution stage n, sorted."""
-    pts: set[Fraction] = set()
-    for comp in host.components:
-        if isinstance(comp, Point):
-            pts.add(comp.pos.as_fraction())
-            continue
-        lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
-        span = hi - lo
-        if isinstance(comp, Interval):
-            for i in range(2 ** n + 1):
-                pts.add(lo + span * Fraction(i, 2 ** n))
-        elif isinstance(comp, Cantor):
-            for word in range(2 ** n):
-                a, length = lo, span
-                for bit in range(n - 1, -1, -1):
-                    length /= 3
-                    if word >> bit & 1:
-                        a += 2 * length
-                pts.add(a)
-                pts.add(a + length)
+    # level-n Cantor pieces and n halvings of any span fall on this grid
+    grid = Grid(host, 3**n << (max_exp(host) + n))
+    pts: set[int] = set()
+    for kind, lo, hi, limit in grid.comps:
+        if kind is Interval:
+            pts.update(range(lo, hi + 1, (hi - lo) >> n))
+        elif kind is Cantor:
+            pts.update(cantor_net(lo, hi, n))
         else:
-            pts.add(comp.limit.as_fraction())
-            for i in range(n + 1):
-                pts.add(comp.member(i).as_fraction())
-    return sorted(pts)
+            step = lo + hi - 2 * limit  # 0 for a point
+            pts.add(limit)
+            pts.update(limit + (step >> i) for i in range(n + 1))
+    return [Fraction(x, grid.d) for x in sorted(pts)]
 
 
 def stage_values(n: int) -> list[Fraction]:

@@ -14,12 +14,12 @@ its coordinates are integers:
   denominators of the given centres and radii, so a certificate may hold
   any rational.
 
-Coverage is verified by subtracting closed balls from a component's hull
-and deciding whether any leftover region still meets the component; the
-same region test answers whether two balls intersect inside the set.
-The Cantor descent multiplies a piece and its region by 3 when a third
-would leave the grid.  `Fraction`s are built only at the public API:
-the centres and radii of the returned balls.
+Every region test asks one question: does the first member from the
+region's start (`compactum.succ`, strict when the start is open) pass
+its end?  Two balls intersect inside the set when their overlap meets
+it; a cover check sweeps a component's balls in centre order and asks
+it of each gap between them.  `Fraction`s are built only at the public
+API: the centres and radii of the returned balls.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .compactum import (
     Component,
     Grid,
     GridComponent,
+    GridPoint,
     Interval,
-    Point,
     PointSeq,
     SymbolicCompactum,
-    grid_contains,
+    cantor_net,
     max_exp,
+    succ,
 )
 
 
@@ -74,18 +75,18 @@ class CoverCertificate:
 # The grid of one query
 # ---------------------------------------------------------------------------
 
-# A region is an interval on the grid with independent endpoint closure flags.
-Region = tuple[int, int, bool, bool]
+
+def _meets(grid: Grid, u: int, v: int, closed: bool) -> bool:
+    """Does the set meet [u, v] (closed) or (u, v) (open)?  Exact."""
+    return _not_past(grid.succ(u, not closed), v, closed)
 
 
-def _meets(grid: Grid, region: Region) -> bool:
-    """Does the set meet the region?  Exact."""
-    if not _region_nonempty(region):
+def _not_past(p: GridPoint | None, v: int, closed: bool) -> bool:
+    """Is there a point p, and does it lie before v (or at v when closed)?"""
+    if p is None:
         return False
-    return any(
-        _region_meets_component(c, region)
-        for c in grid.near(region[0], region[1])
-    )
+    n, m = p
+    return n < v * m or (closed and n == v * m)
 
 
 def _cantor_level(span: int, r: int) -> int:
@@ -100,6 +101,12 @@ def _cantor_level(span: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 # Cover construction
 # ---------------------------------------------------------------------------
+
+
+# The most balls `cover` builds; a larger cover is refused before any of
+# it is built.  Every cover the tests, the README and the benchmark make
+# stays below it.
+MAX_BALLS = 1 << 20
 
 
 def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
@@ -120,6 +127,11 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
     )
     grid = Grid(s, 3 ** k << e)
     r = grid.d >> n
+    h = sum(_ball_count(comp, r) for comp in grid.comps)
+    if h > MAX_BALLS:
+        raise ValueError(
+            f"a cover at precision {n} needs {h} balls, more than {MAX_BALLS}"
+        )
     centers: list[int] = []
     for comp in grid.comps:
         centers += _component_centers(comp, r)
@@ -128,27 +140,38 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
     return CoverCertificate(n, balls, _tangencies(grid, centers, r))
 
 
+def _seq_last(span: int, r: int) -> int:
+    """The least i with span * 2^-i < r."""
+    i = 0
+    while span >= r << i:
+        i += 1
+    return i
+
+
+def _ball_count(comp: GridComponent, r: int) -> int:
+    """len(_component_centers(comp, r)), in closed form."""
+    kind, lo, hi, _ = comp
+    if kind is Interval:
+        return (hi - lo) // r + 1
+    if kind is Cantor:
+        return 2 << _cantor_level(hi - lo, r)
+    return _seq_last(hi - lo, r) + 1 if kind is PointSeq else 1
+
+
 def _component_centers(comp: GridComponent, r: int) -> list[int]:
     kind, lo, hi, limit = comp
-    if kind is Point:
-        return [lo]
     if kind is Interval:
         # step-r grid from lo; consecutive balls overlap by r
         return list(range(lo, hi + 1, r))
     if kind is Cantor:
         # both endpoints of every piece at the least level shorter than r
-        starts, length = [lo], hi - lo
-        for _ in range(_cantor_level(hi - lo, r)):
-            length //= 3
-            starts = [x for a in starts for x in (a, a + 2 * length)]
-        return [x for a in starts for x in (a, a + length)]
-    # point sequence: one ball per early member; the last listed member is
-    # within r of the limit, so its ball swallows the whole tail
-    step = lo + hi - 2 * limit
-    i = 0
-    while abs(step) >= r << i:
-        i += 1
-    return [limit + (step >> j) for j in range(i + 1)]
+        return cantor_net(lo, hi, _cantor_level(hi - lo, r))
+    if kind is PointSeq:
+        # one ball per early member; the last listed member is within r of
+        # the limit, so its ball swallows the whole tail
+        step = lo + hi - 2 * limit
+        return [limit + (step >> j) for j in range(_seq_last(hi - lo, r) + 1)]
+    return [lo]
 
 
 def _tangencies(
@@ -171,106 +194,12 @@ def _tangencies(
         v = x + r
         for b in range(bisect_left(xs, v, a + 1), bisect_right(xs, v + r, a + 1)):
             u = xs[b] - r
-            if _meets(grid, (u, v, False, False)):
+            if _meets(grid, u, v, False):
                 continue
             if grid.contains(u) or grid.contains(v):
                 i, j = order[a], order[b]
                 found.append((i, j) if i < j else (j, i))
     return tuple(sorted(found))
-
-
-# ---------------------------------------------------------------------------
-# Exact region tests
-# ---------------------------------------------------------------------------
-
-
-def _region_nonempty(region: Region) -> bool:
-    u, v, cu, cv = region
-    return u < v or (u == v and cu and cv)
-
-
-def _in_region(x: int, region: Region) -> bool:
-    u, v, cu, cv = region
-    if x < u or (x == u and not cu):
-        return False
-    if x > v or (x == v and not cv):
-        return False
-    return True
-
-
-def _subtract_closed(pieces: list[Region], a: int, b: int) -> list[Region]:
-    out: list[Region] = []
-    for u, v, cu, cv in pieces:
-        if b < u or (b == u and not cu) or a > v or (a == v and not cv):
-            out.append((u, v, cu, cv))
-            continue
-        if u < a:
-            out.append((u, a, cu, False))
-        if b < v:
-            out.append((b, v, False, cv))
-    return [p for p in out if _region_nonempty(p)]
-
-
-def _region_meets_component(comp: GridComponent, region: Region) -> bool:
-    """Does the component's point set meet the nonempty region?  Exact."""
-    u, v, cu, cv = region
-    if u == v:
-        return grid_contains(comp, u)
-    kind, lo, hi, limit = comp
-    if kind is Point:
-        return _in_region(lo, region)
-    if kind is Interval:
-        a, b = max(lo, u), min(hi, v)
-        ca = cu if a == u else True
-        cb = cv if b == v else True
-        return _region_nonempty((a, b, ca, cb))
-    if kind is Cantor:
-        return _cantor_piece_meets(lo, hi - lo, region)
-    if _in_region(limit, region):
-        return True
-    return _seq_member_in_region(comp, region)
-
-
-def _cantor_piece_meets(a: int, length: int, region: Region) -> bool:
-    u, v, cu, cv = region
-    b = a + length
-    if b < u or (b == u and not cu) or a > v or (a == v and not cv):
-        return False
-    if (a > u or (a == u and cu)) and (b < v or (b == v and cv)):
-        return True
-    if _in_region(a, region) or _in_region(b, region):
-        return True  # piece endpoints belong to the set
-    if length % 3:
-        # refine the grid by 3 so that the thirds stay on it
-        a, length, region = 3 * a, 3 * length, (3 * u, 3 * v, cu, cv)
-    third = length // 3
-    return _cantor_piece_meets(a, third, region) or _cantor_piece_meets(
-        a + 2 * third, third, region
-    )
-
-
-def _seq_member_in_region(comp: GridComponent, region: Region) -> bool:
-    u, v, cu, cv = region
-    _, lo, hi, limit = comp
-    span = hi - lo
-    # members sit at distance t = span * 2^{-i} from the limit
-    if limit == lo:
-        t_lo, lo_strict = u - limit, not cu
-        t_hi, hi_strict = v - limit, not cv
-    else:
-        t_lo, lo_strict = limit - v, not cv
-        t_hi, hi_strict = limit - u, not cu
-    if t_hi <= 0:
-        return False
-    if t_lo <= 0:
-        return True  # distances shrink below any positive bound
-    # the least i with span * 2^{-i} <= t_hi (< when strict); no smaller i
-    # than the bit-length gap can qualify
-    i = max(0, span.bit_length() - t_hi.bit_length() - 1)
-    while span > t_hi << i or (hi_strict and span == t_hi << i):
-        i += 1
-    t_lo <<= i
-    return span > t_lo or (not lo_strict and span == t_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +226,16 @@ def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
         return False
     for comp in grid.comps:
         _, lo, hi, _ = comp
-        pieces: list[Region] = [(lo, hi, True, True)]
-        # Balls whose closed hull misses [lo, hi] subtract nothing.
-        start = bisect_left(centers, lo - r)
-        stop = bisect_right(centers, hi + r)
-        for x in centers[start:stop]:
-            pieces = _subtract_closed(pieces, x - r, x + r)
-            if not pieces:
-                break
-        if any(_region_meets_component(comp, piece) for piece in pieces):
+        # Sweep the balls that reach [lo, hi] in centre order.  They cover
+        # the component up to x (x too when `after`); a member in the gap
+        # before the next ball, or past the last one, is left uncovered.
+        x, after = lo, False
+        for c in centers[bisect_left(centers, lo - r) : bisect_right(centers, hi + r)]:
+            if _not_past(succ(comp, x, after), c - r, False):
+                return False
+            if c + r >= x:
+                x, after = c + r, True
+        if succ(comp, x, after) is not None:
             return False
     return True
 
@@ -332,7 +262,7 @@ def balls_intersect(
     r1, r2 = grid.at(b1.radius), grid.at(b2.radius)
     u = max(c1 - r1, c2 - r2)
     v = min(c1 + r1, c2 + r2)
-    return _meets(grid, (u, v, closed, closed))
+    return _meets(grid, u, v, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +287,8 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
     """Finest clopen pieces at a given Cantor refinement depth.  A glued
     sequence rides with the piece holding its limit, so it never splits
     a group on its own."""
+    if depth < 0:
+        raise ValueError(f"depth must be a natural number, got {depth}")
     atoms: list[PartitionAtom] = []
     for gid, group in enumerate(s.glue_groups()):
         host = _group_host(s, group)
@@ -427,6 +359,14 @@ def clopen_partitions(
     Lazily enumerated grouped by effective depth, so the stream for depth
     d is a prefix of the stream for depth d+1.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be a natural number, got {depth}")
+    return _partitions(s, depth)
+
+
+def _partitions(
+    s: SymbolicCompactum, depth: int
+) -> Iterator[tuple[frozenset[PartitionAtom], ...]]:
     for eff in range(depth + 1):
         atoms = atoms_at_depth(s, eff)
         for rgs in _rgs_strings(len(atoms)):

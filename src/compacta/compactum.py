@@ -12,9 +12,13 @@ Clopen subsets are selections of component indices; a selection is clopen
 precisely when it never separates a glued pair.
 
 `Grid` puts the components on the integers, as multiples of 1/d for one
-d per query.  `compactum_contains`, the queries of `compact` and
-`construct.hausdorff_gap` decide order and membership there with int
-comparisons; `component_contains` stays the per-component `Fraction` test.
+d per query.  Every question that depends on a component's kind goes
+through one walk per kind there: `succ(comp, x, strict)` is the least
+member at or after x (after x when strict), `pred` is `succ` on the
+mirror image, and `cantor_net` lists the endpoints of a Cantor copy's
+pieces at one level.  Membership, the region tests of `compact`, the
+sup norms and stage points of `banach` and `construct.hausdorff_gap`
+are built on them with int comparisons.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Union
 
-from .dyadic import Dyadic, ONE, ZERO, midpoint, parse_dyadic
+from .dyadic import Dyadic, ONE, ZERO, midpoint, parse_dyadic, parse_field
 
 
 @dataclass(frozen=True)
@@ -343,50 +346,6 @@ def canonical_form(s: SymbolicCompactum) -> CompactumForm:
 # ---------------------------------------------------------------------------
 
 
-def in_cantor_ratio(p: int, q: int) -> bool:
-    """Membership of p/q (q > 0) in the standard middle-thirds set: the
-    ternary digit loop, on integers over the fixed denominator q."""
-    seen: set[int] = set()
-    while True:
-        if p < 0 or p > q:
-            return False
-        if p == 0 or p == q:
-            return True
-        if p in seen:
-            return True  # periodic orbit avoiding the middle third forever
-        seen.add(p)
-        p *= 3
-        if p >= 2 * q:
-            p -= 2 * q
-        elif p > q:
-            return False
-
-
-def in_cantor_unit(t: Fraction) -> bool:
-    """Membership of a rational in the standard middle-thirds set."""
-    return in_cantor_ratio(t.numerator, t.denominator)
-
-
-def component_contains(comp: Component, x: Fraction) -> bool:
-    if isinstance(comp, Point):
-        return x == comp.pos.as_fraction()
-    lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
-    if isinstance(comp, Interval):
-        return lo <= x <= hi
-    if isinstance(comp, Cantor):
-        if not lo <= x <= hi:
-            return False
-        return in_cantor_unit((x - lo) / (hi - lo))
-    limit = comp.limit.as_fraction()
-    if x == limit:
-        return True
-    far = comp.far.as_fraction()
-    ratio = (x - limit) / (far - limit)
-    if ratio <= 0 or ratio > 1:
-        return False
-    return ratio.numerator == 1 and ratio.denominator & (ratio.denominator - 1) == 0
-
-
 def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
     grid = Grid(s, math.lcm(1 << max_exp(s), x.denominator))
     return grid.contains(grid.at(x))
@@ -399,6 +358,9 @@ def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
 # A component on the grid: (kind, lo, hi, limit), where kind is the
 # component's class and limit is a sequence's limit (lo for the others).
 GridComponent = tuple[type, int, int, int]
+# An exact position n/m in grid units.  m is 1, a power of 2 (a sequence
+# member finer than the grid) or a power of 3 (a Cantor point below it).
+GridPoint = tuple[int, int]
 
 
 def max_exp(s: SymbolicCompactum) -> int:
@@ -431,33 +393,90 @@ class Grid:
         """A rational whose denominator divides d, in grid units."""
         return x.numerator * (self.d // x.denominator)
 
-    def near(self, u: int, v: int) -> list[GridComponent]:
-        """Components whose hulls meet [u, v].  Components are sorted and
-        pairwise disjoint, so these form a contiguous run."""
-        return self.comps[bisect_left(self.his, u) : bisect_right(self.lows, v)]
+    def succ(self, x: int, strict: bool = False) -> GridPoint | None:
+        """`succ` over the whole set: components are sorted and pairwise
+        disjoint, so the first one whose hull reaches x (past x when
+        strict) holds it."""
+        i = (bisect_right if strict else bisect_left)(self.his, x)
+        return succ(self.comps[i], x, strict) if i < len(self.comps) else None
+
+    def pred(self, x: int) -> GridPoint | None:
+        """The greatest member of the set at or before x."""
+        i = bisect_right(self.lows, x) - 1
+        return pred(self.comps[i], x) if i >= 0 else None
 
     def contains(self, x: int) -> bool:
-        return any(grid_contains(c, x) for c in self.near(x, x))
+        p = self.succ(x)
+        return p is not None and p[0] == x * p[1]
 
 
-def grid_contains(comp: GridComponent, x: int) -> bool:
+def succ(comp: GridComponent, x: int, strict: bool = False) -> GridPoint | None:
+    """The least member of the component at or after x (after x when
+    strict), or None when there is none.  Where members pile up at x from
+    the right there is no least one after x; x itself, their limit and a
+    member of the closed set, is returned."""
     kind, lo, hi, limit = comp
-    if kind is Point:
-        return x == lo
-    if kind is Interval:
-        return lo <= x <= hi
+    if x < lo:
+        return lo, 1
+    if x > hi or (strict and x == hi):
+        return None
     if kind is Cantor:
-        return lo <= x <= hi and in_cantor_ratio(x - lo, hi - lo)
-    if x == limit:
-        return True
-    # members sit at limit + (far - limit) * 2^{-i}
-    p, q = x - limit, lo + hi - 2 * limit
-    if q < 0:
-        p, q = -p, -q
-    if not 0 < p <= q or q % p:
-        return False
-    ratio = q // p
-    return ratio & (ratio - 1) == 0
+        return _cantor_succ(x, lo, hi, strict)
+    if kind is not PointSeq or x == limit:
+        return x, 1
+    # members sit at limit +- span * 2^-i; t << i has the bit length of
+    # span at the first guess for i, so at most one step corrects it
+    span = hi - lo
+    if limit == lo:
+        t = x - lo
+        i = span.bit_length() - t.bit_length()
+        if span < t << i or (strict and span == t << i):
+            i -= 1
+        return (lo << i) + span, 1 << i
+    t = hi - x
+    i = span.bit_length() - t.bit_length()
+    if span > t << i or (strict and span == t << i):
+        i += 1
+    return (hi << i) - span, 1 << i
+
+
+def _cantor_succ(x: int, lo: int, hi: int, strict: bool) -> GridPoint:
+    """The ternary digit walk of x through the Cantor copy's pieces.  At
+    depth k, x sits p units of 1/3^k grid units past the start of its
+    piece, which spans `span` of them, so the piece starts at x*3^k - p."""
+    span = hi - lo
+    p, k, seen, right = x - lo, 0, set(), None
+    while 0 < p < span and p not in seen:
+        seen.add(p)
+        p, k = 3 * p, k + 1
+        if p >= 2 * span:
+            p -= 2 * span
+        else:
+            right = k, p  # the parent piece's right third starts 2*span on
+    # p in (span, 2*span): x is in a gap; p == span: x ends a piece
+    if p > span or (strict and p == span):
+        k, p = right
+        return x * 3**k - p + 2 * span, 3**k
+    # x starts a piece, ends one and strict is off, or its orbit repeats
+    return x, 1
+
+
+def pred(comp: GridComponent, x: int, strict: bool = False) -> GridPoint | None:
+    """The greatest member at or before x (before x when strict): `succ`
+    on the mirror image of the component."""
+    kind, lo, hi, limit = comp
+    p = succ((kind, -hi, -lo, -limit), -x, strict)
+    return None if p is None else (-p[0], p[1])
+
+
+def cantor_net(lo: int, hi: int, level: int) -> list[int]:
+    """Both endpoints of every level-`level` piece of the Cantor copy on
+    [lo, hi], in order; 3^level must divide hi - lo."""
+    starts, length = [lo], hi - lo
+    for _ in range(level):
+        length //= 3
+        starts = [x for a in starts for x in (a, a + 2 * length)]
+    return [x for a in starts for x in (a, a + length)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +498,24 @@ def print_compactum(s: SymbolicCompactum) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A text line's kind and field count, and the component it builds.
+_KINDS = {
+    ("point", 1): Point,
+    ("interval", 2): Interval,
+    ("cantor", 2): Cantor,
+    ("seq", 3): PointSeq,
+}
+
+
 def parse_compactum(text: str) -> SymbolicCompactum:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "compactum v1":
         raise ValueError("missing 'compactum v1' header")
     comps: list[Component] = []
     for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "point" and len(parts) == 2:
-            comps.append(Point(parse_dyadic(parts[1])))
-        elif parts[0] == "interval" and len(parts) == 3:
-            comps.append(Interval(parse_dyadic(parts[1]), parse_dyadic(parts[2])))
-        elif parts[0] == "cantor" and len(parts) == 3:
-            comps.append(Cantor(parse_dyadic(parts[1]), parse_dyadic(parts[2])))
-        elif parts[0] == "seq" and len(parts) == 4:
-            comps.append(
-                PointSeq(
-                    parse_dyadic(parts[1]),
-                    parse_dyadic(parts[2]),
-                    parse_dyadic(parts[3]),
-                )
-            )
-        else:
+        kind, *fields = line.split()
+        make = _KINDS.get((kind, len(fields)))
+        if make is None:
             raise ValueError(f"unexpected line in compactum file: {line!r}")
+        comps.append(make(*(parse_field(parse_dyadic, f, line) for f in fields)))
     return compactum(comps)

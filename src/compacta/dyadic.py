@@ -2,8 +2,9 @@
 
 Every coordinate produced by the tree-to-set construction is a dyadic
 rational a/2^k, so all geometry here is closed-form integer arithmetic.
-Cantor-set internals are the one exception and live on fractions.Fraction;
-the interval endpoints that frame them stay dyadic.
+Cantor-set internals are the one exception: points below the grid are
+exact pairs over powers of 3 (`compactum.succ`), framed by interval
+endpoints that stay dyadic.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, TypeVar
 
 Address = tuple[int, ...]
+T = TypeVar("T")
 
 ROOT: Address = ()
 
@@ -158,10 +161,10 @@ HALF = Dyadic(1, 1)
 def parse_dyadic(text: str) -> Dyadic:
     """Parse the literal form `a/2^k`, e.g. `13/2^4` or `-3/2^1`."""
     num_part, sep, exp_part = text.partition("/2^")
-    if not sep or not exp_part:
-        raise ValueError(f"not a dyadic literal: {text!r}")
-    num = int(num_part)
-    exp = int(exp_part)
+    try:
+        num, exp = int(num_part), int(exp_part if sep else "")
+    except ValueError:
+        raise ValueError(f"not a dyadic literal: {text!r}") from None
     if exp < 0:
         raise ValueError(f"negative exponent in dyadic literal: {text!r}")
     return Dyadic(num, exp)
@@ -253,8 +256,19 @@ def format_address(addr: Address) -> str:
 def parse_address(text: str) -> Address:
     if text == "-":
         return ()
-    parts = text.split(".")
-    addr = tuple(int(p) for p in parts)
+    try:
+        addr = tuple(int(p) for p in text.split("."))
+    except ValueError:
+        raise ValueError(f"not an address: {text!r}") from None
     if any(i < 0 for i in addr):
         raise ValueError(f"negative index in address: {text!r}")
     return addr
+
+
+def parse_field(parse: Callable[[str], T], text: str, line: str) -> T:
+    """parse(text) for one field of a text-format line; a failure names
+    the line as well as the literal."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in line {line!r}") from None

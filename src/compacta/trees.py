@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .dyadic import Address, format_address, parse_address
+from .dyadic import Address, format_address, parse_address, parse_field
 
 SPLIT = "split"
 TERMINAL = "terminal"
@@ -363,7 +363,7 @@ def print_script(script: StageScript) -> str:
 def _parse_node_line(line: str, rest: list[str]) -> tuple[Address, Node]:
     if len(rest) < 2:
         raise ValueError(f"node line needs an address and a kind: {line!r}")
-    addr = parse_address(rest[0])
+    addr = parse_field(parse_address, rest[0], line)
     kind = rest[1]
     if kind == SPLIT:
         opts = dict(part.partition("=")[::2] for part in rest[2:])
@@ -371,8 +371,8 @@ def _parse_node_line(line: str, rest: list[str]) -> tuple[Address, Node]:
             raise ValueError(f"split needs m= and r= (and at most et=): {line!r}")
         return addr, Node(
             SPLIT,
-            m=int(opts["m"]),
-            r=int(opts["r"]),
+            m=parse_field(int, opts["m"], line),
+            r=parse_field(int, opts["r"], line),
             ever_terminal=opts.get("et", "1") == "1",
         )
     if rest[2:]:
@@ -402,11 +402,11 @@ def parse_script(text: str) -> StageScript:
             addr, node = _parse_node_line(line, parts[1:])
             skeleton[addr] = node
         elif parts[0] == "event" and len(parts) == 3:
-            events.append(Event(parts[1], parse_address(parts[2])))
+            events.append(Event(parts[1], parse_field(parse_address, parts[2], line)))
         elif parts[0] == "label" and len(parts) == 3:
-            labels[parse_address(parts[1])] = parts[2]
+            labels[parse_field(parse_address, parts[1], line)] = parts[2]
         elif parts[0] == "stop" and len(parts) == 2:
-            stop = int(parts[1])
+            stop = parse_field(int, parts[1], line)
         else:
             raise ValueError(f"unexpected line in script file: {line!r}")
     return StageScript(

@@ -2,14 +2,17 @@
 
 This is the straightforward version of `compacta.construct.hausdorff_gap`:
 every distance is a `Dyadic`, membership goes through the `Fraction`
-test `component_contains`, and a component without nearby points is
-bounded by a linear scan over all of them.  `test_stage_grid` checks
-that the integer-grid version returns the same `Dyadic` on every case.
+test `fraction_compact.component_contains`, and a component without
+nearby points is bounded by a linear scan over all of them.
+`test_stage_grid` checks that the integer-grid version returns the same
+`Dyadic` on every case.
 """
 
 from __future__ import annotations
 
 import bisect
+
+from fraction_compact import component_contains
 
 from compacta.compactum import (
     Cantor,
@@ -17,7 +20,6 @@ from compacta.compactum import (
     Point,
     PointSeq,
     SymbolicCompactum,
-    component_contains,
 )
 from compacta.construct import EnumerationState
 from compacta.dyadic import ONE, ZERO, Dyadic, dyadic_ceil

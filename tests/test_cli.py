@@ -178,6 +178,26 @@ def test_cover_precision_bound(run, tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
+    "text, precision, balls",
+    [
+        (UNIT, "30", 2 ** 30 + 1),
+        ("compactum v1\ncantor 0/2^0 1/2^0\n", "40", 2 ** 27),
+    ],
+)
+def test_cover_too_large_is_refused_up_front(
+    run, tmp_path, text, precision, balls
+) -> None:
+    comp = put(tmp_path, "big.comp", text)
+    rc, out, err = run("cover", comp, "--precision", precision)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        f"error: a cover at precision {precision} needs {balls} balls, "
+        f"more than {2 ** 20}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("suite", "--count", "-1"),
@@ -264,6 +284,11 @@ def test_usage_failure_exits_two(run, capsys) -> None:
         ("construct", "x.tree", "tree v1\nnode -\n"),
         ("simulate", "x.script", "tree v1\nevent fresh\n"),
         ("simulate", "x.script", "tree v1\nevent fresh -\nstop\n"),
+        ("derive", "x.compactum", "compactum v1\npoint 1/2^x\n"),
+        ("construct", "x.tree", "tree v1\nnode - split m=x r=1\n"),
+        ("construct", "x.tree", "tree v1\nnode 1.x terminal\n"),
+        ("simulate", "x.script", "tree v1\nevent fresh -\nstop x\n"),
+        ("simulate", "x.script", "tree v1\nevent fresh 1.y\n"),
     ],
 )
 def test_malformed_line_exits_two(run, tmp_path, command, name, text) -> None:

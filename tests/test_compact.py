@@ -314,6 +314,14 @@ def test_partitions_respect_glue():
     assert (1, "0") in atoms1 and (1, "1") in atoms1  # Cantor-host group
 
 
+def test_negative_depth_rejected():
+    for s in (UNIT_CANTOR, MIXED):
+        with pytest.raises(ValueError, match="-1"):
+            atoms_at_depth(s, -1)
+        with pytest.raises(ValueError, match="-1"):
+            clopen_partitions(s, -1)
+
+
 def test_parts_cover_and_disjoint():
     for parts in clopen_partitions(MIXED, 2):
         seen = set()

@@ -6,11 +6,14 @@ Both must agree on the seeded 500-tree suite, on the same hosts with
 convergent sequences glued to their intervals and Cantor copies, and on
 hypothesis-drawn hosts: cover output (balls and tangency flags), the
 verdict on true and on corrupted certificates, open and closed ball
-intersection, and membership of rationals.
+intersection, and membership of rationals.  The walk every region test
+and membership decision goes through, `compactum.succ` and its mirror
+`pred`, is checked against the reference region test directly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,14 +33,17 @@ from compacta.compact import (
 )
 from compacta.compactum import (
     Cantor,
+    Grid,
     Interval,
     Point,
     PointSeq,
     compactum,
     compactum_contains,
-    in_cantor_unit,
+    max_exp,
+    pred,
+    succ,
 )
-from compacta.dyadic import Dyadic, midpoint
+from compacta.dyadic import ONE, ZERO, Dyadic, midpoint
 from test_acceptance import SUITE_SEED, suite_instances
 
 F = Fraction
@@ -202,6 +208,26 @@ def test_membership_matches_reference_on_suite() -> None:
         assert_same_membership(s, rng)
 
 
+def test_ball_edge_on_a_neighbours_isolated_end() -> None:
+    """A point, and a sequence's far end, covered only by the edge of a
+    neighbour's ball; without the neighbour's own ball, not at all."""
+    q = F(1, 4)
+    cases = [
+        (compactum([Point(ZERO), Point(Dyadic(1, 1))]), 1, (F(0),)),
+        (
+            compactum([Point(Dyadic(1, 2)), PointSeq(ONE, Dyadic(1, 1), ONE)]),
+            2,
+            (q, F(7, 8)),
+        ),
+    ]
+    for s, n, centers in cases:
+        r = F(1, 2 ** n)
+        cert = CoverCertificate(n, tuple(Ball(c, r) for c in centers), None)
+        assert cover_is_valid(s, cert) and ref.cover_is_valid(s, cert)
+        short = CoverCertificate(n, cert.balls[1:], None)
+        assert not cover_is_valid(s, short) and not ref.cover_is_valid(s, short)
+
+
 def test_centers_off_the_set_rejected_alike() -> None:
     s = suite_hosts()[3]
     inside = Ball(member(random.Random(0), s.components[0]), F(1, 4))
@@ -274,6 +300,58 @@ def test_drawn_hosts_match_reference(s, rng) -> None:
     assert_same_membership(s, rng)
 
 
+# Cut points as shares of a component's hull: Cantor piece ends, sequence
+# members, their limits and points of the gaps between them, or any
+# rational with a small denominator.
+CUTS = st.one_of(
+    st.sampled_from(
+        [F(0), F(1), F(1, 3), F(2, 3), F(1, 9), F(2, 9), F(7, 9), F(1, 4),
+         F(3, 4), F(1, 2), F(1, 8), F(3, 8), F(5, 8)]
+    ),
+    st.fractions(
+        min_value=F(-1, 4), max_value=F(5, 4), max_denominator=3 ** 5 * 2 ** 4 * 7
+    ),
+)
+
+
+def assert_walk_matches_reference(comp, x: Fraction, strict: bool) -> None:
+    """succ and pred from x: a member (None only when the reference finds
+    none on that side), x itself when x is a member and the walk is not
+    strict, and no member strictly between x and the result.  A strict
+    walk returns x only where members pile up at x."""
+    s = compactum([comp])
+    grid = Grid(s, math.lcm(1 << max_exp(s), x.denominator))
+    (gc,) = grid.comps
+    lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
+    for walk, sign in ((succ, 1), (pred, -1)):
+        p = walk(gc, grid.at(x), strict)
+        if p is None:
+            rest = (x, hi, not strict, True) if sign > 0 else (lo, x, True, not strict)
+            assert not ref._region_meets_component(comp, rest), (comp, x, sign)
+            continue
+        y = F(p[0], p[1] * grid.d)
+        assert ref.component_contains(comp, y), (comp, x, sign, y)
+        assert (y - x) * sign >= 0, (comp, x, sign, y)
+        if not strict and ref.component_contains(comp, x):
+            assert y == x, (comp, x, sign, y)
+        between = (x, y, False, False) if sign > 0 else (y, x, False, False)
+        assert not ref._region_meets_component(comp, between), (comp, x, sign, y)
+        if strict and y == x:
+            near = x + sign * (hi - lo) / 6 ** 12
+            beside = (x, near, False, False) if sign > 0 else (near, x, False, False)
+            assert ref._region_meets_component(comp, beside), (comp, x, sign)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts(), st.data())
+def test_succ_and_pred_match_reference(s, data) -> None:
+    for comp in s.components:
+        lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
+        x = lo + (hi - lo) * data.draw(CUTS)
+        for strict in (False, True):
+            assert_walk_matches_reference(comp, x, strict)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.fractions(
@@ -281,4 +359,5 @@ def test_drawn_hosts_match_reference(s, rng) -> None:
     )
 )
 def test_cantor_digit_loop_matches_reference(t) -> None:
-    assert in_cantor_unit(t) == ref.in_cantor_unit(t)
+    unit = compactum([Cantor(ZERO, ONE)])
+    assert compactum_contains(unit, t) == ref.in_cantor_unit(t)

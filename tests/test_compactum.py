@@ -25,9 +25,7 @@ from compacta.compactum import (
     check_property_in,
     compactum,
     compactum_contains,
-    component_contains,
     derived_selector,
-    in_cantor_unit,
     is_atomless_after_derivative,
     is_intom,
     parse_compactum,
@@ -350,34 +348,37 @@ def test_form_fields_explicit():
 # --- membership --------------------------------------------------------------------
 
 
+UNIT_CANTOR = compactum([Cantor(ZERO, ONE)])
+
+
 def test_cantor_unit_members():
     for q in [0, 1, Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
               Fraction(3, 4), Fraction(1, 10), Fraction(1, 9), Fraction(7, 9)]:
-        assert in_cantor_unit(Fraction(q))
+        assert compactum_contains(UNIT_CANTOR, Fraction(q))
 
 
 def test_cantor_unit_non_members():
     for q in [Fraction(1, 2), Fraction(5, 12), Fraction(1, 5), Fraction(4, 9)]:
-        assert not in_cantor_unit(Fraction(q))
+        assert not compactum_contains(UNIT_CANTOR, Fraction(q))
 
 
 def test_scaled_cantor_membership():
-    c = Cantor(D(1, 2), D(3, 2))  # on [1/4, 3/4]
-    assert component_contains(c, Fraction(1, 4))
-    assert component_contains(c, Fraction(3, 4))
-    assert component_contains(c, Fraction(1, 4) + Fraction(1, 2) / 3)
-    assert not component_contains(c, Fraction(1, 2))
-    assert not component_contains(c, Fraction(7, 8))
+    c = compactum([Cantor(D(1, 2), D(3, 2))])  # on [1/4, 3/4]
+    assert compactum_contains(c, Fraction(1, 4))
+    assert compactum_contains(c, Fraction(3, 4))
+    assert compactum_contains(c, Fraction(1, 4) + Fraction(1, 2) / 3)
+    assert not compactum_contains(c, Fraction(1, 2))
+    assert not compactum_contains(c, Fraction(7, 8))
 
 
 def test_sequence_membership():
-    s = SEQ_TO_HALF  # limit 1/2, far 1/4, members 1/2 - 1/4 * 2^-i
-    assert component_contains(s, Fraction(1, 2))
-    assert component_contains(s, Fraction(1, 4))
-    assert component_contains(s, Fraction(3, 8))
-    assert component_contains(s, Fraction(7, 16))
-    assert not component_contains(s, Fraction(1, 3))
-    assert not component_contains(s, Fraction(5, 8))
+    s = compactum([SEQ_TO_HALF])  # limit 1/2, far 1/4, members 1/2 - 1/4 * 2^-i
+    assert compactum_contains(s, Fraction(1, 2))
+    assert compactum_contains(s, Fraction(1, 4))
+    assert compactum_contains(s, Fraction(3, 8))
+    assert compactum_contains(s, Fraction(7, 16))
+    assert not compactum_contains(s, Fraction(1, 3))
+    assert not compactum_contains(s, Fraction(5, 8))
 
 
 def test_compactum_contains():
