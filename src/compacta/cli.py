@@ -40,6 +40,7 @@ from .construct import (
     hausdorff_gap,
     print_state,
 )
+from .dyadic import parse_field
 from .randgen import random_tree
 from .svg import render_tree_svg
 from .trees import limit_tree, parse_script, parse_tree
@@ -150,7 +151,7 @@ def _parse_quotient_map(text: str) -> QuotientIso:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "pair":
             raise ValueError(f"bad quotient map line: {line!r}")
-        pairs.append((int(parts[1]), int(parts[2])))
+        pairs.append(tuple(parse_field(int, part, line) for part in parts[1:]))
     return QuotientIso(tuple(pairs))
 
 

@@ -52,7 +52,7 @@ class Interval:
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
-            raise ValueError("interval needs lo < hi")
+            raise ValueError(f"interval needs lo < hi, got {self.lo} and {self.hi}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class Cantor:
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
-            raise ValueError("cantor copy needs lo < hi")
+            raise ValueError(f"cantor copy needs lo < hi, got {self.lo} and {self.hi}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class PointSeq:
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
-            raise ValueError("sequence needs lo < hi")
+            raise ValueError(f"sequence needs lo < hi, got {self.lo} and {self.hi}")
         if self.limit not in (self.lo, self.hi):
             raise ValueError("sequence limit must sit at one end of its span")
 
@@ -517,5 +517,7 @@ def parse_compactum(text: str) -> SymbolicCompactum:
         make = _KINDS.get((kind, len(fields)))
         if make is None:
             raise ValueError(f"unexpected line in compactum file: {line!r}")
-        comps.append(make(*(parse_field(parse_dyadic, f, line) for f in fields)))
+        comps.append(parse_field(
+            lambda text: make(*map(parse_dyadic, text.split())), " ".join(fields), line
+        ))
     return compactum(comps)

@@ -9,15 +9,18 @@ of the gaps separating the discarded child interval from its replacement.
 All junk lands strictly outside the final children and never in the open
 region between them.
 
-The stage enumerator replays a script and emits points so that the point
-set grows monotonically and its closure converges to the limit set.  A
-child installed by an event that a later event will tombstone emits
-nothing: the script is finite and known in full, so the enumerator may
-consult the future.  That choice keeps every emitted point inside the
-limit set, which makes the Hausdorff bound monotone for free.  Terminal
-leaves densify their interval by one midpoint round per stage; eta leaves
-refine their Cantor net one ternary level per stage, held symbolically
-because level endpoints are triadic, not dyadic.
+The stage enumerator reads one replay of a script (`trees.replay_script`)
+and emits points so that the point set grows monotonically and its
+closure converges to the limit set.  A child installed by an event that a
+later event will tombstone emits nothing: the script is finite and known
+in full, so the enumerator may consult the future.  That choice keeps
+every emitted point inside the limit set, which makes the Hausdorff bound
+monotone for free.  Terminal leaves densify their interval by one
+midpoint round per stage since their birth; eta leaves refine their
+Cantor net one ternary level per stage, held symbolically because level
+endpoints are triadic, not dyadic.  A stage's point count is known in
+closed form from the replay, and a stage of more than `MAX_POINTS`
+points is refused before any point is built.
 
 The Hausdorff gap bound of a stage runs on one integer grid per query
 (`compactum.Grid`): membership of every point, the nearest-point
@@ -53,14 +56,11 @@ from .dyadic import (
 )
 from .trees import (
     ETA,
-    FRESH,
-    SPINE,
     SPLIT,
     TERMINAL,
     LabelledTree,
     StageScript,
     replay_script,
-    split_children,
 )
 
 
@@ -132,7 +132,15 @@ class EnumerationState:
     nets: dict[Address, tuple[DyInterval, int]] = field(default_factory=dict)
 
 
+MAX_POINTS = 2**20
+_COUNTED_ROUNDS = 64  # a leaf past it is far over budget; count it as this
+
+
 def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
+    """Stage s from one replay: a surviving node born at t <= s emits per
+    its limit kind (a terminal leaf s - t midpoint rounds, an eta leaf a
+    level s - t net, a split its seed point), and a surviving target the
+    bridges of its replacements by stage s."""
     if s < 0:
         raise ValueError("stage must be >= 0")
     if script.stop is not None and s > script.stop:
@@ -140,68 +148,42 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
             f"stage {s} exceeds the script's hard stop {script.stop}"
         )
     final = replay_script(script)
-    survivors = set(final.alive)
-
-    def role(addr: Address) -> str:
-        kind = final.alive[addr]
-        if kind != "open":
-            return kind
-        if addr in final.has_pair:
-            return SPLIT
-        return script.final_labels[addr]
-
-    loose: list[Dyadic] = []  # junk points: node 0-slots and bridges
-    leaves: dict[Address, list[Dyadic]] = {}
-    leaf_created: dict[Address, int] = {}
-    nets: dict[Address, int] = {}  # creation stage
-
-    def emit_node(addr: Address, t: int) -> None:
-        if addr not in survivors:
-            return
-        what = role(addr)
-        if what == TERMINAL:
-            leaves[addr] = [seed_point(addr)]
-            leaf_created[addr] = t
-        elif what == ETA:
-            nets[addr] = t
-        elif what == SPLIT:
-            loose.append(seed_point(addr))
-
-    initial = set(script.skeleton) | script.initial_open()
-    for addr in sorted(initial):
-        node = script.skeleton.get(addr)
-        if node is None or node.kind != SPINE:
-            emit_node(addr, 0)
-
-    pair_index: dict[Address, int] = {}
-    for t in range(1, s + 1):
-        for addr, created in list(leaf_created.items()):
-            if created < t:
-                leaves[addr] = _densify(interval_of(addr), leaves[addr])
-        if t <= len(script.events):
-            ev = script.events[t - 1]
-            if ev.kind == FRESH:
-                pair_index[ev.addr] = 0
-            else:
-                j = pair_index[ev.addr] + 1
-                pair_index[ev.addr] = j
-                if ev.addr in survivors:
-                    # Bridges of a pair that is itself torn down later never
-                    # reach the limit set, so they are never emitted.
-                    left, right = replacement_bridges(ev.addr, j)
-                    loose.extend([left, right])
-            for child in split_children(ev.addr, pair_index[ev.addr]):
-                emit_node(child, t)
-
-    pts: list[Dyadic] = sorted(loose)
-    for bucket in leaves.values():
+    splits: list[Address] = []
+    rounds: dict[Address, int] = {}  # terminal leaf -> midpoint rounds
+    nets: dict[Address, tuple[DyInterval, int]] = {}
+    for addr, kind in final.alive.items():
+        age = s - final.born[addr]
+        if age < 0:
+            continue
+        if kind == TERMINAL:
+            rounds[addr] = age
+        elif kind == ETA:
+            nets[addr] = (interval_of(addr), age)
+        elif kind == SPLIT:
+            splits.append(addr)
+    # Bridges of a pair that is itself torn down later never reach the
+    # limit set, so only surviving targets emit them.
+    bridged = [(a, j) for t, a, j in final.replacements if t <= s and a in final.alive]
+    need = len(splits) + 2 * len(bridged) + sum(
+        (2 << min(r, _COUNTED_ROUNDS)) - 1 for r in rounds.values()
+    )
+    if need > MAX_POINTS:
+        over = "over " if max(rounds.values(), default=0) > _COUNTED_ROUNDS else ""
+        raise ValueError(f"stage {s} needs {over}{need} points, more than {MAX_POINTS}")
+    pts = [seed_point(addr) for addr in splits]
+    for addr, j in bridged:
+        pts.extend(replacement_bridges(addr, j))
+    leaf_points: dict[Address, tuple[Dyadic, ...]] = {}
+    for addr, r in rounds.items():
+        iv = interval_of(addr)
+        bucket = [seed_point(addr)]
+        for _ in range(r):
+            bucket = _densify(iv, bucket)
+        leaf_points[addr] = tuple(bucket)
         pts.extend(bucket)
     pts.sort()
     return EnumerationState(
-        stage=s,
-        points=tuple(pts),
-        leaf_points={a: tuple(b) for a, b in leaves.items()},
-        nets={a: (interval_of(a), s - t0) for a, t0 in nets.items()},
+        stage=s, points=tuple(pts), leaf_points=leaf_points, nets=nets
     )
 
 

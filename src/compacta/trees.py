@@ -12,8 +12,12 @@ children are s.0 and s.1.
 A script replays the approximation dynamics: fresh installs the first
 potential child pair of a node, replace tombstones the current pair (with
 its whole subtree) and installs the next one.  Tombstoned addresses never
-come back.  Leaves that survive all events are assigned their limit label
-explicitly, because true terminality is never visible in a finite prefix.
+come back, and no event may re-create a static node.  Leaves that survive
+all events are assigned their limit label explicitly, because true
+terminality is never visible in a finite prefix.
+
+`replay_script` is the one walk over a script's events; `limit_tree` and
+`construct.enumerate_stage` read its record (`ScriptState`).
 """
 
 from __future__ import annotations
@@ -192,70 +196,41 @@ class StageScript:
             raise ValueError("stop horizon must be >= 0")
         replay_script(self)  # validates everything else
 
-    def initial_open(self) -> set[Address]:
-        """Event targets that exist at stage 0 without being event-created."""
-        created: set[Address] = set()
-        pair_index: dict[Address, int] = {}
-        opens: set[Address] = set()
-        for ev in self.events:
-            if ev.addr not in created and ev.addr not in self.skeleton:
-                opens.add(ev.addr)
-            j = pair_index.get(ev.addr, 0)
-            if ev.kind == REPLACE and ev.addr not in pair_index:
-                continue  # replay_script reports this precisely
-            created.update(split_children(ev.addr, j))
-            pair_index[ev.addr] = j + 1
-        return opens
-
 
 @dataclass
 class ScriptState:
-    """Mutable replay state: who is alive, who is open, current pairs."""
+    """The record of one replay.  `alive` maps each live node to its kind
+    ("open" while events may split it; the replay's end resolves it to
+    split or its label).  Event t happens at stage t >= 1; `born` is 0 for
+    static nodes and for event targets that are the root or a static
+    spine's slot, else the event that created the node.  `replacements`
+    holds (t, target, j) for a target's j-th replacement."""
 
-    alive: dict[Address, str]  # kind or "open"
+    alive: dict[Address, str]
+    born: dict[Address, int]
     pairs: dict[Address, int]  # replacements so far at each split target
-    has_pair: set[Address]
+    replacements: list[tuple[int, Address, int]]
     dead: set[Address]
 
 
-def initial_state(script: StageScript) -> ScriptState:
-    alive: dict[Address, str] = {a: n.kind for a, n in script.skeleton.items()}
-    for addr in script.initial_open():
-        parent_ok = addr == () or (
-            script.skeleton.get(addr[:-1], Node(TERMINAL)).kind == SPINE
-            and addr[-1] in (0, 1)
-        )
-        if not parent_ok:
-            raise ValueError(
-                f"event target {format_address(addr)} neither exists "
-                f"statically nor is created by an earlier event"
-            )
-        alive[addr] = "open"
-    state = ScriptState(alive=alive, pairs={}, has_pair=set(), dead=set())
-    if () not in state.alive:
-        raise ValueError("script has an empty stage-0 tree")
-    for addr, kind in state.alive.items():
-        if addr and addr[:-1] not in state.alive:
-            raise ValueError(
-                f"stage-0 tree not prefix-closed at {format_address(addr)}"
-            )
-        if kind == SPINE:
-            kids = {a[-1] for a in state.alive if a[:-1] == addr and len(a) == len(addr) + 1}
-            if kids != {0, 1}:
-                raise ValueError(
-                    f"spine at {format_address(addr)} needs both slots filled"
-                )
-    return state
-
-
-def apply_event(state: ScriptState, event: Event) -> None:
+def apply_event(state: ScriptState, event: Event, t: int) -> None:
+    """Replay the event of stage t.  A target not yet seen is open from
+    stage 0 when it is the root or a slot of a static spine."""
     addr = event.addr
     if addr in state.dead:
         raise ValueError(f"event at tombstoned node {format_address(addr)}")
     kind = state.alive.get(addr)
     if kind is None:
-        raise ValueError(f"event at unknown node {format_address(addr)}")
-    if kind not in ("open",):
+        if addr and not (
+            state.alive.get(addr[:-1]) == SPINE and addr[-1] in (0, 1)
+        ):
+            raise ValueError(
+                f"event target {format_address(addr)} neither exists "
+                f"statically nor is created by an earlier event"
+            )
+        kind = state.alive[addr] = "open"
+        state.born[addr] = 0
+    if kind != "open":
         raise ValueError(
             f"event at {kind} node {format_address(addr)}; only nodes "
             f"opened for splitting accept events"
@@ -267,37 +242,66 @@ def apply_event(state: ScriptState, event: Event) -> None:
             )
         state.pairs[addr] = 0
     else:
-        if addr not in state.has_pair:
+        if addr not in state.pairs:
             raise ValueError(
                 f"replace at {format_address(addr)} with no live pair"
             )
-        old = split_children(addr, state.pairs[addr])
-        for child in old:
+        for child in split_children(addr, state.pairs[addr]):
             _tombstone(state, child)
         state.pairs[addr] += 1
+        state.replacements.append((t, addr, state.pairs[addr]))
     for child in split_children(addr, state.pairs[addr]):
+        if child in state.alive:
+            raise ValueError(
+                f"{event.kind} event at {format_address(addr)} re-creates "
+                f"static node {format_address(child)}"
+            )
         state.alive[child] = "open"
-    state.has_pair.add(addr)
+        state.born[child] = t
 
 
 def _tombstone(state: ScriptState, root: Address) -> None:
     doomed = [a for a in state.alive if a[: len(root)] == root]
     for a in doomed:
         del state.alive[a]
+        del state.born[a]
         state.dead.add(a)
         state.pairs.pop(a, None)
-        state.has_pair.discard(a)
+
+
+def _check_stage_zero(skeleton: Mapping[Address, Node], state: ScriptState) -> None:
+    """The stage-0 tree, static nodes plus the targets opened at stage 0,
+    is rooted and prefix-closed, and fills both slots of every spine."""
+    tree = set(skeleton).union(a for a, t in state.born.items() if not t)
+    if () not in tree:
+        raise ValueError("script has an empty stage-0 tree")
+    for addr in tree:
+        if addr and addr[:-1] not in tree:
+            raise ValueError(
+                f"stage-0 tree not prefix-closed at {format_address(addr)}"
+            )
+    spines = [a for a, node in skeleton.items() if node.kind == SPINE]
+    for addr in spines:
+        if {a for a in tree if a and a[:-1] == addr} != {addr + (0,), addr + (1,)}:
+            raise ValueError(
+                f"spine at {format_address(addr)} needs both slots filled"
+            )
 
 
 def replay_script(script: StageScript) -> ScriptState:
-    state = initial_state(script)
-    for event in script.events:
-        apply_event(state, event)
-    bare = {
-        a
-        for a, kind in state.alive.items()
-        if kind == "open" and a not in state.has_pair
-    }
+    state = ScriptState(
+        alive={a: n.kind for a, n in script.skeleton.items()},
+        born=dict.fromkeys(script.skeleton, 0),
+        pairs={},
+        replacements=[],
+        dead=set(),
+    )
+    for t, event in enumerate(script.events, 1):
+        apply_event(state, event, t)
+    _check_stage_zero(script.skeleton, state)
+    for addr in state.pairs:
+        state.alive[addr] = SPLIT
+    bare = {a for a, kind in state.alive.items() if kind == "open"}
     labelled = set(script.final_labels)
     if bare != labelled:
         missing = ", ".join(format_address(a) for a in sorted(bare - labelled))
@@ -307,6 +311,7 @@ def replay_script(script: StageScript) -> ScriptState:
             f"{'; missing: ' + missing if missing else ''}"
             f"{'; spurious: ' + extra if extra else ''}"
         )
+    state.alive.update(script.final_labels)
     return state
 
 
@@ -315,12 +320,9 @@ def limit_tree(script: StageScript) -> LabelledTree:
     state = replay_script(script)
     nodes: dict[Address, Node] = {}
     for addr, kind in state.alive.items():
-        if kind == "open":
-            if addr in state.has_pair:
-                r = state.pairs[addr]
-                nodes[addr] = Node(SPLIT, m=r, r=r, ever_terminal=True)
-            else:
-                nodes[addr] = Node(script.final_labels[addr])
+        if kind == SPLIT:
+            r = state.pairs[addr]
+            nodes[addr] = Node(SPLIT, m=r, r=r, ever_terminal=True)
         else:
             nodes[addr] = Node(kind)
     return LabelledTree(nodes)
@@ -369,11 +371,14 @@ def _parse_node_line(line: str, rest: list[str]) -> tuple[Address, Node]:
         opts = dict(part.partition("=")[::2] for part in rest[2:])
         if not {"m", "r"} <= opts.keys() <= {"m", "r", "et"}:
             raise ValueError(f"split needs m= and r= (and at most et=): {line!r}")
+        et = opts.get("et", "1")
+        if et not in ("0", "1"):
+            raise ValueError(f"et= must be 0 or 1: {line!r}")
         return addr, Node(
             SPLIT,
             m=parse_field(int, opts["m"], line),
             r=parse_field(int, opts["r"], line),
-            ever_terminal=opts.get("et", "1") == "1",
+            ever_terminal=et == "1",
         )
     if rest[2:]:
         raise ValueError(f"unexpected options on {kind} node line")
@@ -386,8 +391,7 @@ def parse_tree(text: str) -> LabelledTree:
         parts = line.split()
         if parts[0] != "node":
             raise ValueError(f"unexpected line in tree file: {line!r}")
-        addr, node = _parse_node_line(line, parts[1:])
-        nodes[addr] = node
+        _put_once(nodes, *_parse_node_line(line, parts[1:]), line)
     return LabelledTree(nodes)
 
 
@@ -399,19 +403,29 @@ def parse_script(text: str) -> StageScript:
     for line in _format_lines(text, "tree v1"):
         parts = line.split()
         if parts[0] == "node":
-            addr, node = _parse_node_line(line, parts[1:])
-            skeleton[addr] = node
+            _put_once(skeleton, *_parse_node_line(line, parts[1:]), line)
         elif parts[0] == "event" and len(parts) == 3:
             events.append(Event(parts[1], parse_field(parse_address, parts[2], line)))
         elif parts[0] == "label" and len(parts) == 3:
-            labels[parse_field(parse_address, parts[1], line)] = parts[2]
+            addr = parse_field(parse_address, parts[1], line)
+            _put_once(labels, addr, parts[2], line)
         elif parts[0] == "stop" and len(parts) == 2:
+            if stop is not None:
+                raise ValueError(f"second stop line: {line!r}")
             stop = parse_field(int, parts[1], line)
         else:
             raise ValueError(f"unexpected line in script file: {line!r}")
     return StageScript(
         skeleton=skeleton, events=tuple(events), final_labels=labels, stop=stop
     )
+
+
+def _put_once(table: dict, addr: Address, value: object, line: str) -> None:
+    """table[addr] = value, read from line; a second line for addr is an
+    error, not a silent overwrite."""
+    if addr in table:
+        raise ValueError(f"address {format_address(addr)} given twice: {line!r}")
+    table[addr] = value
 
 
 def _format_lines(text: str, header: str) -> Iterable[str]:

@@ -289,6 +289,20 @@ def test_usage_failure_exits_two(run, capsys) -> None:
         ("construct", "x.tree", "tree v1\nnode 1.x terminal\n"),
         ("simulate", "x.script", "tree v1\nevent fresh -\nstop x\n"),
         ("simulate", "x.script", "tree v1\nevent fresh 1.y\n"),
+        ("construct", "x.tree", "tree v1\nnode - eta\nnode - terminal\n"),
+        ("simulate", "x.script", "tree v1\nnode - eta\nnode - terminal\n"),
+        (
+            "simulate",
+            "x.script",
+            "tree v1\nevent fresh -\nlabel 1 terminal\nlabel 2 eta\nlabel 1 eta\n",
+        ),
+        ("simulate", "x.script", "tree v1\nnode - eta\nstop 1\nstop 2\n"),
+        (
+            "construct",
+            "x.tree",
+            "tree v1\nnode 1 terminal\nnode 2 eta\nnode - split m=0 r=0 et=7\n",
+        ),
+        ("derive", "x.compactum", "compactum v1\ninterval 1/2^1 0/2^0\n"),
     ],
 )
 def test_malformed_line_exits_two(run, tmp_path, command, name, text) -> None:
@@ -297,6 +311,28 @@ def test_malformed_line_exits_two(run, tmp_path, command, name, text) -> None:
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(text.splitlines()[-1]) in err
+
+
+def test_malformed_quotient_map_exits_two(run, tmp_path) -> None:
+    b0 = put(tmp_path, "b0.ba", B0)
+    b1 = put(tmp_path, "b1.ba", B1)
+    qmap = put(tmp_path, "q.map", "pair x 1\n")
+    rc, out, err = run("iso", b0, b1, qmap)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: invalid literal for int() with base 10: 'x' in line 'pair x 1'\n"
+    )
+
+
+def test_stage_too_large_is_refused_up_front(run, tmp_path) -> None:
+    # The terminal leaf born at stage 2 needs 2^39 - 1 points at stage 40,
+    # the root's seed point and the two bridges 3 more.
+    script = put(tmp_path, "ex.script", SCRIPT)
+    rc, out, err = run("simulate", script, "--stage", "40")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: stage 40 needs 549755813890 points, more than 1048576\n"
 
 
 def test_malformed_plf_exits_two(run, tmp_path) -> None:

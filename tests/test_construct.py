@@ -27,6 +27,7 @@ from compacta.compactum import (
     check_property_in,
     compactum,
 )
+from compacta import construct
 from compacta.construct import (
     EnumerationState,
     construct_limit,
@@ -49,6 +50,7 @@ from compacta.trees import (
     limit_tree,
     single_node_tree,
 )
+from test_stage_grid import stratified_scripts
 
 D = Dyadic
 
@@ -258,6 +260,28 @@ def test_hard_stop_enforced():
     enumerate_stage(script, 3)
     with pytest.raises(ValueError):
         enumerate_stage(script, 4)
+
+
+def test_stage_budget_counts_points_exactly(monkeypatch):
+    """The closed-form count is the stage's point count: a budget of
+    exactly that many builds the stage, one point less refuses it."""
+    counts = [
+        (script, s, len(enumerate_stage(script, s).points))
+        for script in stratified_scripts()
+        for s in (0, 4, 8)
+    ]
+    for script, s, n in counts:
+        monkeypatch.setattr(construct, "MAX_POINTS", n - 1)
+        with pytest.raises(ValueError) as exc:
+            enumerate_stage(script, s)
+        assert str(exc.value) == f"stage {s} needs {n} points, more than {n - 1}"
+        monkeypatch.setattr(construct, "MAX_POINTS", n)
+        assert len(enumerate_stage(script, s).points) == n
+
+
+def test_stage_far_past_the_budget_is_refused_without_counting_up():
+    with pytest.raises(ValueError, match=r"^stage 1000000000 needs over \d+ points"):
+        enumerate_stage(bare_terminal_script(), 10**9)
 
 
 def test_spine_slot_script():

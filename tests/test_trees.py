@@ -236,6 +236,12 @@ def test_event_on_static_leaf_rejected():
         StageScript(skeleton={(): Node(TERMINAL)}, events=(Event("fresh", ()),))
 
 
+def test_event_recreating_static_node_rejected():
+    text = "tree v1\nnode 1 eta\nevent fresh -\nlabel 1 terminal\nlabel 2 terminal\n"
+    with pytest.raises(ValueError, match="fresh event at - re-creates static node 1$"):
+        parse_script(text)
+
+
 def test_event_on_uncreated_child_rejected():
     with pytest.raises(ValueError):
         StageScript(
