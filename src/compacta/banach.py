@@ -34,7 +34,7 @@ from .compactum import (
     compactum_contains,
     max_exp,
 )
-from .dyadic import Dyadic
+from .dyadic import Dyadic, parse_fraction, read_lines
 
 Rational = Fraction | Dyadic | int
 
@@ -266,19 +266,20 @@ def print_plf(f: PLFunction) -> str:
     return f"plf\n{pairs}\n"
 
 
-def parse_plf(text: str) -> PLFunction:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "plf":
-        raise ValueError("missing 'plf' header")
-    if len(lines) != 2:
-        raise ValueError("expected a single breakpoint line")
-    points = []
-    for token in lines[1].split():
-        if not (token.startswith("(") and token.endswith(")")):
-            raise ValueError(f"bad breakpoint token {token!r}")
-        a, _, b = token[1:-1].partition(",")
+def _breakpoint(token: str) -> tuple[Fraction, Fraction]:
+    if token.startswith("(") and token.endswith(")"):
+        x, _, y = token[1:-1].partition(",")
         try:
-            points.append((Fraction(a), Fraction(b)))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad breakpoint token {token!r}") from None
-    return PLFunction(tuple(points))
+            return parse_fraction(x), parse_fraction(y)
+        except ValueError:
+            pass
+    raise ValueError(f"bad breakpoint token {token!r}")
+
+
+def parse_plf(text: str) -> PLFunction:
+    funcs = read_lines(text, "plf", {
+        None: lambda *tokens: PLFunction(tuple(map(_breakpoint, tokens)))
+    })
+    if len(funcs) != 1:
+        raise ValueError("expected a single breakpoint line")
+    return funcs[0]

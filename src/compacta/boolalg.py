@@ -36,7 +36,7 @@ from .compactum import (
     SymbolicCompactum,
     compactum,
 )
-from .dyadic import interval_of
+from .dyadic import interval_of, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
 
 
@@ -765,32 +765,16 @@ def print_ba(b: LabelledBA) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cluster_line(**opts: str) -> Cluster:
+    if len(opts) != 3 or opts["atomless"] not in ("0", "1"):
+        raise ValueError("cluster needs in=, junk= and atomless= of 0 or 1")
+    n_in, n_junk = parse_symcard(opts["in"]), parse_symcard(opts["junk"])
+    return Cluster(n_in, n_junk, opts["atomless"] == "1")
+
+
 def parse_ba(text: str) -> LabelledBA:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "ba v1":
-        raise ValueError("missing 'ba v1' header")
-    clusters = []
-    for line in lines[1:]:
-        parts = line.split()
-        opts = dict(p.partition("=")[::2] for p in parts[1:])
-        if (
-            parts[0] != "cluster"
-            or len(parts) != 4
-            or opts.keys() != {"in", "junk", "atomless"}
-            or opts["atomless"] not in ("0", "1")
-        ):
-            raise ValueError(f"unexpected line in algebra file: {line!r}")
-        try:
-            clusters.append(
-                Cluster(
-                    parse_symcard(opts["in"]),
-                    parse_symcard(opts["junk"]),
-                    opts["atomless"] == "1",
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"bad cluster line {line!r}: {exc}") from None
-    return LabelledBA(tuple(clusters))
+    cluster = (0, _cluster_line, "in", "junk", "atomless")
+    return LabelledBA(tuple(read_lines(text, "ba v1", {"cluster": cluster})))
 
 
 def print_iso(iso: AtomIso) -> str:

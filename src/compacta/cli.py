@@ -40,7 +40,7 @@ from .construct import (
     hausdorff_gap,
     print_state,
 )
-from .dyadic import parse_field
+from .dyadic import read_lines
 from .randgen import random_tree
 from .svg import render_tree_svg
 from .trees import limit_tree, parse_script, parse_tree
@@ -143,16 +143,8 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def _parse_quotient_map(text: str) -> QuotientIso:
-    pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "pair":
-            raise ValueError(f"bad quotient map line: {line!r}")
-        pairs.append(tuple(parse_field(int, part, line) for part in parts[1:]))
-    return QuotientIso(tuple(pairs))
+    pair = (2, lambda i, j: (int(i), int(j)))
+    return QuotientIso(tuple(read_lines(text, None, {"pair": pair})))
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:

@@ -43,6 +43,7 @@ from .compactum import (
     max_exp,
     succ,
 )
+from .dyadic import parse_fraction, read_lines
 
 
 @dataclass(frozen=True)
@@ -400,22 +401,8 @@ def print_cover(cert: CoverCertificate) -> str:
 
 
 def parse_cover(text: str) -> CoverCertificate:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("cover n="):
-        raise ValueError("missing 'cover n=' header")
-    try:
-        n = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"bad precision in cover header: {lines[0]!r}")
-    balls = []
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] != "ball" or len(parts) != 3:
-            raise ValueError(f"unexpected line in cover file: {line!r}")
-        try:
-            balls.append(Ball(Fraction(parts[1]), Fraction(parts[2])))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad ball in cover file: {line!r}") from None
+    def ball(center: str, radius: str) -> Ball:
+        return Ball(parse_fraction(center), parse_fraction(radius))
+
+    n, *balls = read_lines(text, "cover n=", {"ball": (2, ball)})
     return CoverCertificate(n, tuple(balls), None)

@@ -27,9 +27,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from numbers import Rational
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
-from .dyadic import Dyadic, ONE, ZERO, midpoint, parse_dyadic, parse_field
+from .dyadic import Dyadic, ONE, ZERO, midpoint, parse_dyadic, read_lines
 
 
 @dataclass(frozen=True)
@@ -498,26 +498,18 @@ def print_compactum(s: SymbolicCompactum) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A text line's kind and field count, and the component it builds.
-_KINDS = {
-    ("point", 1): Point,
-    ("interval", 2): Interval,
-    ("cantor", 2): Cantor,
-    ("seq", 3): PointSeq,
+def _dyadics(make: type) -> Callable[..., Component]:
+    return lambda *fields: make(*map(parse_dyadic, fields))
+
+
+# A text line's keyword, its field count and the component it builds.
+_LINES = {
+    "point": (1, _dyadics(Point)),
+    "interval": (2, _dyadics(Interval)),
+    "cantor": (2, _dyadics(Cantor)),
+    "seq": (3, _dyadics(PointSeq)),
 }
 
 
 def parse_compactum(text: str) -> SymbolicCompactum:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "compactum v1":
-        raise ValueError("missing 'compactum v1' header")
-    comps: list[Component] = []
-    for line in lines[1:]:
-        kind, *fields = line.split()
-        make = _KINDS.get((kind, len(fields)))
-        if make is None:
-            raise ValueError(f"unexpected line in compactum file: {line!r}")
-        comps.append(parse_field(
-            lambda text: make(*map(parse_dyadic, text.split())), " ".join(fields), line
-        ))
-    return compactum(comps)
+    return compactum(read_lines(text, "compactum v1", _LINES))

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, TypeVar
+from typing import Mapping
 
 Address = tuple[int, ...]
-T = TypeVar("T")
 
 ROOT: Address = ()
 
@@ -265,10 +264,60 @@ def parse_address(text: str) -> Address:
     return addr
 
 
-def parse_field(parse: Callable[[str], T], text: str, line: str) -> T:
-    """parse(text) for one field of a text-format line; a failure names
-    the line as well as the literal."""
+def parse_natural(text: str) -> int:
+    if (n := int(text)) < 0:
+        raise ValueError(f"not a natural number: {text!r}")
+    return n
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text); a zero denominator is a bad literal too."""
     try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{exc} in line {line!r}") from None
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational literal: {text!r}") from None
+
+
+def read_lines(text: str, header: str | None, kinds: Mapping) -> list:
+    """The values built by the lines of a text format, blank ones skipped.
+
+    The first line is `header` (if not None); one ending in `=`, like
+    `cover n=`, carries a natural number that leads the values.  Later
+    lines read `keyword field... key=value...`: kinds[keyword] is (count,
+    build, *names), and build(*fields, **options) the line's value, with
+    option keys from names.  Without keywords, kinds[None] builds a line
+    from all its tokens.  A ValueError names its line: `... in line '<line>'`.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if header is not None and not lines:
+        raise ValueError(f"missing {header!r} header")
+    values = []
+    for i, line in enumerate(lines):
+        try:
+            if i or header is None:
+                values.append(_line_value(line.split(), kinds))
+            elif header.endswith("=") and line.startswith(header):
+                values.append(parse_natural(line[len(header):]))
+            elif line != header:
+                raise ValueError(f"missing {header!r} header")
+        except ValueError as exc:
+            raise ValueError(f"{exc} in line {line!r}") from None
+    return values
+
+
+def _line_value(tokens: list[str], kinds: Mapping) -> object:
+    if None in kinds:
+        return kinds[None](*tokens)
+    keyword = tokens.pop(0)
+    if keyword not in kinds:
+        raise ValueError(f"unknown keyword {keyword!r}")
+    count, build, *names = kinds[keyword]
+    fields, opts = tokens[:count], {}
+    if len(fields) < count:
+        raise ValueError(f"expected {count} fields, got {len(fields)}")
+    for token in tokens[len(fields):]:
+        key, eq, value = token.partition("=")
+        if not eq or key not in names or key in opts:
+            raise ValueError(f"unexpected {token!r}")
+        opts[key] = value
+    return build(*fields, **opts)

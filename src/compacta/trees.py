@@ -23,9 +23,15 @@ terminality is never visible in a finite prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
-from .dyadic import Address, format_address, parse_address, parse_field
+from .dyadic import (
+    Address,
+    format_address,
+    parse_address,
+    parse_natural,
+    read_lines,
+)
 
 SPLIT = "split"
 TERMINAL = "terminal"
@@ -190,11 +196,16 @@ class StageScript:
                     "splits arise from events only"
                 )
         for label in self.final_labels.values():
-            if label not in LEAF_KINDS:
-                raise ValueError(f"final label must be terminal or eta: {label!r}")
+            _leaf_label(label)
         if self.stop is not None and self.stop < 0:
             raise ValueError("stop horizon must be >= 0")
         replay_script(self)  # validates everything else
+
+
+def _leaf_label(kind: str) -> str:
+    if kind not in LEAF_KINDS:
+        raise ValueError(f"final label must be terminal or eta: {kind!r}")
+    return kind
 
 
 @dataclass
@@ -334,25 +345,21 @@ def limit_tree(script: StageScript) -> LabelledTree:
 
 
 def print_tree(tree: LabelledTree) -> str:
+    return "\n".join(_node_lines(tree.nodes)) + "\n"
+
+
+def _node_lines(nodes: Mapping[Address, Node]) -> list[str]:
     lines = ["tree v1"]
-    for addr in sorted(tree.nodes):
-        lines.append(f"node {format_address(addr)} {_node_text(tree.nodes[addr])}")
-    return "\n".join(lines) + "\n"
-
-
-def _node_text(node: Node) -> str:
-    if node.kind == SPLIT:
-        et = 1 if node.ever_terminal else 0
-        return f"split m={node.m} r={node.r} et={et}"
-    return node.kind
+    for addr, node in sorted(nodes.items()):
+        text = node.kind
+        if node.kind == SPLIT:
+            text += f" m={node.m} r={node.r} et={int(node.ever_terminal)}"
+        lines.append(f"node {format_address(addr)} {text}")
+    return lines
 
 
 def print_script(script: StageScript) -> str:
-    lines = ["tree v1"]
-    for addr in sorted(script.skeleton):
-        lines.append(
-            f"node {format_address(addr)} {_node_text(script.skeleton[addr])}"
-        )
+    lines = _node_lines(script.skeleton)
     for ev in script.events:
         lines.append(f"event {ev.kind} {format_address(ev.addr)}")
     for addr in sorted(script.final_labels):
@@ -362,75 +369,60 @@ def print_script(script: StageScript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_node_line(line: str, rest: list[str]) -> tuple[Address, Node]:
-    if len(rest) < 2:
-        raise ValueError(f"node line needs an address and a kind: {line!r}")
-    addr = parse_field(parse_address, rest[0], line)
-    kind = rest[1]
-    if kind == SPLIT:
-        opts = dict(part.partition("=")[::2] for part in rest[2:])
-        if not {"m", "r"} <= opts.keys() <= {"m", "r", "et"}:
-            raise ValueError(f"split needs m= and r= (and at most et=): {line!r}")
-        et = opts.get("et", "1")
-        if et not in ("0", "1"):
-            raise ValueError(f"et= must be 0 or 1: {line!r}")
-        return addr, Node(
-            SPLIT,
-            m=parse_field(int, opts["m"], line),
-            r=parse_field(int, opts["r"], line),
-            ever_terminal=et == "1",
-        )
-    if rest[2:]:
-        raise ValueError(f"unexpected options on {kind} node line")
-    return addr, Node(kind)
+def _node_line(addr: str, kind: str, **opts: str) -> tuple[Address, Node]:
+    if kind != SPLIT:
+        if opts:
+            raise ValueError(f"{kind} node takes no options")
+        return parse_address(addr), Node(kind)
+    if not {"m", "r"} <= opts.keys() or opts.get("et", "1") not in ("0", "1"):
+        raise ValueError("split needs m=, r= and at most et= of 0 or 1")
+    node = Node(SPLIT, int(opts["m"]), int(opts["r"]), opts.get("et") != "0")
+    return parse_address(addr), node
+
+
+_NODE = (2, _node_line, "m", "r", "et")  # the options are a split's
 
 
 def parse_tree(text: str) -> LabelledTree:
     nodes: dict[Address, Node] = {}
-    for line in _format_lines(text, "tree v1"):
-        parts = line.split()
-        if parts[0] != "node":
-            raise ValueError(f"unexpected line in tree file: {line!r}")
-        _put_once(nodes, *_parse_node_line(line, parts[1:]), line)
+    read_lines(text, "tree v1", {"node": _put_once(nodes, *_NODE)})
     return LabelledTree(nodes)
 
 
 def parse_script(text: str) -> StageScript:
     skeleton: dict[Address, Node] = {}
-    events: list[Event] = []
     labels: dict[Address, str] = {}
-    stop: int | None = None
-    for line in _format_lines(text, "tree v1"):
-        parts = line.split()
-        if parts[0] == "node":
-            _put_once(skeleton, *_parse_node_line(line, parts[1:]), line)
-        elif parts[0] == "event" and len(parts) == 3:
-            events.append(Event(parts[1], parse_field(parse_address, parts[2], line)))
-        elif parts[0] == "label" and len(parts) == 3:
-            addr = parse_field(parse_address, parts[1], line)
-            _put_once(labels, addr, parts[2], line)
-        elif parts[0] == "stop" and len(parts) == 2:
-            if stop is not None:
-                raise ValueError(f"second stop line: {line!r}")
-            stop = parse_field(int, parts[1], line)
-        else:
-            raise ValueError(f"unexpected line in script file: {line!r}")
+    stop: list[int] = []
+
+    def stop_line(n: str) -> None:
+        if stop:
+            raise ValueError("second stop line")
+        stop.append(parse_natural(n))
+
+    values = read_lines(text, "tree v1", {
+        "node": _put_once(skeleton, *_NODE),
+        "event": (2, lambda kind, addr: Event(kind, parse_address(addr))),
+        "label": _put_once(
+            labels, 2, lambda addr, kind: (parse_address(addr), _leaf_label(kind))
+        ),
+        "stop": (1, stop_line),
+    })
     return StageScript(
-        skeleton=skeleton, events=tuple(events), final_labels=labels, stop=stop
+        skeleton=skeleton,
+        events=tuple(v for v in values if isinstance(v, Event)),
+        final_labels=labels,
+        stop=stop[0] if stop else None,
     )
 
 
-def _put_once(table: dict, addr: Address, value: object, line: str) -> None:
-    """table[addr] = value, read from line; a second line for addr is an
-    error, not a silent overwrite."""
-    if addr in table:
-        raise ValueError(f"address {format_address(addr)} given twice: {line!r}")
-    table[addr] = value
+def _put_once(table: dict, count: int, read: Callable, *names: str) -> tuple:
+    """The line kind of read, filing its (address, value) in table; a second
+    line for an address is an error, not a silent overwrite."""
 
+    def put(*fields: str, **opts: str) -> None:
+        addr, value = read(*fields, **opts)
+        if addr in table:
+            raise ValueError(f"address {format_address(addr)} given twice")
+        table[addr] = value
 
-def _format_lines(text: str, header: str) -> Iterable[str]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != header:
-        raise ValueError(f"missing {header!r} header")
-    return lines[1:]
+    return count, put, *names

@@ -1,8 +1,12 @@
 """End-to-end runs of every subcommand through the in-process entry point."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compacta.cli import main
 from compacta.boolalg import parse_ba
@@ -47,6 +51,16 @@ def put(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def argv_for(tmp_path: Path, command: str, path: str) -> list[str]:
+    """argv that runs command on the file at path: a plf goes with a host
+    compactum, a quotient map after two algebras."""
+    if command == "supnorm":
+        return [command, path, put(tmp_path, "unit.comp", UNIT)]
+    if command == "iso":
+        return [command, put(tmp_path, "b0.ba", B0), put(tmp_path, "b1.ba", B1), path]
+    return [command, path]
 
 
 def test_construct_single_eta(run, tmp_path) -> None:
@@ -303,10 +317,15 @@ def test_usage_failure_exits_two(run, capsys) -> None:
             "tree v1\nnode 1 terminal\nnode 2 eta\nnode - split m=0 r=0 et=7\n",
         ),
         ("derive", "x.compactum", "compactum v1\ninterval 1/2^1 0/2^0\n"),
+        ("construct", "x.tree", "tree v1\nnode - terminal foo\n"),
+        ("construct", "x.tree", "tree v1\nnode - bogus\n"),
+        ("simulate", "x.script", "tree v1\nevent fresh -\nlabel 2 leaf\n"),
+        ("supnorm", "x.plf", "plf\n(0,0) (1/2,x) (1,0)\n"),
+        ("iso", "q.map", "pair 0\n"),
     ],
 )
 def test_malformed_line_exits_two(run, tmp_path, command, name, text) -> None:
-    rc, out, err = run(command, put(tmp_path, name, text))
+    rc, out, err = run(*argv_for(tmp_path, command, put(tmp_path, name, text)))
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -340,9 +359,91 @@ def test_malformed_plf_exits_two(run, tmp_path) -> None:
     rc, out, err = run("supnorm", plf, put(tmp_path, "unit.comp", UNIT))
     assert rc == 2
     assert out == ""
-    assert err == "error: bad breakpoint token '(1/0,1)'\n"
+    assert err == (
+        "error: bad breakpoint token '(1/0,1)' in line '(0,0) (1/0,1) (1,0)'\n"
+    )
 
 
 def test_malformed_cover_ball_is_a_value_error() -> None:
     with pytest.raises(ValueError, match="'ball 1/0 1/4'"):
         parse_cover("cover n=2\nball 1/0 1/4\n")
+
+
+# A valid file per subcommand whose work is bounded by its input's size;
+# fuzzed copies of them must never crash the reader.
+COMPACTUM = (
+    "compactum v1\npoint 0/2^0\ninterval 1/2^3 1/2^2\ncantor 3/2^3 1/2^1\n"
+    "seq 1/2^0 3/2^2 1/2^0\n"
+)
+FUZZED = {
+    "construct": EXAMPLE_TREE,
+    "simulate": SCRIPT,
+    "derive": COMPACTUM,
+    "reduce": COMPACTUM,
+    "algebra": COMPACTUM,
+    "quotient": B0,
+    "supnorm": HAT,
+    "iso": "pair 1 1\n",
+}
+JUNK = [
+    "x", "-", "-1", "0", "w", "=", "m=", "et=2", "1/0", "1/2^3", "(0,0)", "(1,", "node"
+]
+EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.sampled_from(["drop", "dup", "junk"]),
+        st.sampled_from(JUNK),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def fuzz(text: str, edits: list[tuple[int, int, str, str]]) -> str:
+    """text with tokens dropped, duplicated or swapped for junk."""
+    lines = [line.split() for line in text.splitlines()]
+    for i, j, op, junk in edits:
+        tokens = lines[i % len(lines)]
+        if not tokens:
+            continue
+        j %= len(tokens)
+        if op == "drop":
+            del tokens[j]
+        elif op == "dup":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j] = junk
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED))
+def test_fuzzed_input_exits_cleanly(tmp_path_factory, command) -> None:
+    tmp_path = tmp_path_factory.mktemp(command)
+
+    @settings(max_examples=30, deadline=None)
+    @given(EDITS)
+    def check(edits) -> None:
+        path = put(tmp_path, "fuzzed", fuzz(FUZZED[command], edits))
+        argv = argv_for(tmp_path, command, path)
+        if command == "simulate":
+            argv += ["--stage", "2"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(EDITS)
+def test_fuzzed_cover_raises_only_value_errors(edits) -> None:
+    text = fuzz("cover n=2\nball 0 1/4\nball 1/2 1/4\nball 1 1/4\n", edits)
+    try:
+        parse_cover(text)
+    except ValueError as exc:
+        assert "\n" not in str(exc)

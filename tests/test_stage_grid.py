@@ -24,10 +24,17 @@ from compacta.construct import (
     construct_limit,
     enumerate_stage,
     hausdorff_gap,
+    print_state,
 )
-from compacta.dyadic import DyInterval, Dyadic
+from compacta.dyadic import DyInterval, Dyadic, dyadic_ceil
 from compacta.randgen import random_script
-from compacta.trees import TERMINAL, limit_tree
+from compacta.trees import (
+    ETA,
+    TERMINAL,
+    StageScript,
+    limit_tree,
+    single_node_tree,
+)
 from test_acceptance import SUITE_SEED
 
 D = Dyadic
@@ -161,3 +168,33 @@ def test_no_components():
     assert hausdorff_gap(EnumerationState(0, ()), empty) == D(0)
     with pytest.raises(ValueError):
         hausdorff_gap(EnumerationState(0, (D(1, 1),)), empty)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(D(0), D(1)), (D(1, 2), D(3, 2)), (D(3, 7), D(5, 7)), (D(0), D(1, 79))]
+)
+def test_capped_net_bound_matches_uncapped(lo, hi):
+    """An eta net's bound raises 3 to min(level + 1, b), with b the bit
+    length of the span on the query grid (2^-80 apart for these copies).
+    At levels b - 2 .. b + 2 it equals the uncapped formula,
+    dyadic_ceil(span / 3^(level+1)) at 80 bits."""
+    limit = compactum([Cantor(lo, hi)])
+    span = (hi - lo).as_fraction()
+    bits = (span * 2**80).numerator.bit_length()
+    for level in range(bits - 2, bits + 3):
+        state = EnumerationState(0, (), {}, {(): (DyInterval(lo, hi), level)})
+        uncapped = dyadic_ceil(span / 3 ** (level + 1), 80)
+        assert hausdorff_gap(state, limit) == uncapped
+
+
+def test_far_eta_stage_keeps_its_gap():
+    """An eta net at stage 16,000,000 still bounds the gap by one unit of
+    2^-80, now without building 3^16000001."""
+    script = StageScript(single_node_tree(ETA).nodes)
+    state = enumerate_stage(script, 16_000_000)
+    gap = hausdorff_gap(state, construct_limit(limit_tree(script)))
+    assert print_state(state, gap).splitlines() == [
+        "stage 16000000",
+        "net - level=16000000",
+        "gap 1/2^80",
+    ]
