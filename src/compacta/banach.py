@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from typing import Iterable, Iterator
 
 from .compactum import (
@@ -277,9 +277,14 @@ def _breakpoint(token: str) -> tuple[Fraction, Fraction]:
 
 
 def parse_plf(text: str) -> PLFunction:
-    funcs = read_lines(text, "plf", {
-        None: lambda *tokens: PLFunction(tuple(map(_breakpoint, tokens)))
-    })
-    if len(funcs) != 1:
+    lines = count()
+
+    def breakpoints(*tokens: str) -> PLFunction:
+        if next(lines):
+            raise ValueError("expected a single breakpoint line")
+        return PLFunction(tuple(map(_breakpoint, tokens)))
+
+    funcs = read_lines(text, "plf", {None: breakpoints})
+    if not funcs:
         raise ValueError("expected a single breakpoint line")
     return funcs[0]

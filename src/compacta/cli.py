@@ -4,11 +4,16 @@ Exit codes: 0 when the requested work (and any check it implies) passed,
 1 when a check failed, 2 on usage or input-parse problems.  Failures
 print a single `error: ...` line to stderr.  Output is byte-identical
 for identical inputs and flags, including the SVG diagrams.
+
+The argument parser is built once per process, so `main` may be called
+repeatedly in one process, with the same results as each call made alone
+in a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -25,7 +30,14 @@ from .boolalg import (
     tree_algebra,
 )
 from .boolalg import canonical_form as ba_form
-from .compact import clopen_partitions, cover, print_cover
+from .compact import (
+    MAX_PARTITIONS,
+    atom_count,
+    bell_number,
+    clopen_partitions,
+    cover,
+    print_cover,
+)
 from .compactum import (
     canonical_form,
     cb_derivative,
@@ -176,9 +188,22 @@ def _format_atom(atom: tuple[int, str]) -> str:
     return f"{atom[0]}:{atom[1]}"
 
 
+# Partitions are counted exactly up to this many atoms; a host with more is
+# far over budget ("needs over").  Capping the depth at it keeps 2^depth
+# small, since a Cantor group then already has more atoms than this.
+_COUNTED_ATOMS = 64
+
+
 def _cmd_partitions(args: argparse.Namespace) -> int:
     depth = _check_natural("--depth", args.depth)
     s = parse_compactum(_read(args.compactum))
+    atoms = atom_count(s, min(depth, _COUNTED_ATOMS))
+    need = bell_number(min(atoms, _COUNTED_ATOMS))
+    if need > MAX_PARTITIONS:
+        over = "over " if atoms > _COUNTED_ATOMS else ""
+        raise ValueError(
+            f"depth {depth} needs {over}{need} partitions, more than {MAX_PARTITIONS}"
+        )
     lines = [f"partitions depth={depth}"]
     for parts in clopen_partitions(s, depth):
         blocks = ["+".join(_format_atom(a) for a in sorted(p)) for p in parts]
@@ -203,11 +228,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     passed = 0
     for i in range(count):
         tree = random_tree(rng, max_depth=depth)
-        space_form = canonical_form(reduction(construct_limit(tree)))
+        limit = construct_limit(tree)
+        space_form = canonical_form(reduction(limit))
         tree_form = canonical_form(stone_space(tree))
-        algebra_form = ba_form(
-            quotient_by_junk(clopen_algebra(construct_limit(tree)))
-        )
+        algebra_form = ba_form(quotient_by_junk(clopen_algebra(limit)))
         dual_form = ba_form(tree_algebra(tree))
         ok = space_form == tree_form and algebra_form == dual_form
         passed += ok
@@ -230,6 +254,7 @@ def _cmd_render_svg(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compacta",

@@ -270,6 +270,11 @@ def balls_intersect(
 # Clopen partitions
 # ---------------------------------------------------------------------------
 
+# The most partitions the `partitions` command prints: a deeper request is
+# refused from the Bell number of its atom count before any is built.  The
+# stream of `clopen_partitions` itself stays lazy and unbounded.
+MAX_PARTITIONS = 1 << 20
+
 # An atom is (glue-group index, refinement word); the word is nonempty only
 # for groups hosted by a Cantor component, whose level-d pieces it names.
 PartitionAtom = tuple[int, str]
@@ -300,6 +305,26 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
         else:
             atoms.append((gid, ""))
     return atoms
+
+
+def atom_count(s: SymbolicCompactum, depth: int) -> int:
+    """len(atoms_at_depth(s, depth)), counted in closed form."""
+    return sum(
+        2**depth if depth and isinstance(_group_host(s, group), Cantor) else 1
+        for group in s.glue_groups()
+    )
+
+
+def bell_number(n: int) -> int:
+    """The number of set partitions of n items, by the Bell triangle: each
+    row starts with the last entry of the row before."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,13 @@ from hypothesis import strategies as st
 
 from compacta.cli import main
 from compacta.boolalg import parse_ba
-from compacta.compact import parse_cover
+from compacta.compact import (
+    MAX_PARTITIONS,
+    atom_count,
+    atoms_at_depth,
+    bell_number,
+    parse_cover,
+)
 from compacta.compactum import parse_compactum
 
 ETA_TREE = "tree v1\nnode - eta\n"
@@ -35,6 +44,11 @@ B1 = "ba v1\ncluster in=3 junk=2 atomless=0\ncluster in=w junk=w atomless=0\n"
 
 HAT = "plf\n(0,0) (1/2,1) (1,0)\n"
 UNIT = "compactum v1\ninterval 0/2^0 1/2^0\n"
+CANTOR = "compactum v1\ncantor 0/2^0 1/2^0\n"
+COMPACTUM = (
+    "compactum v1\npoint 0/2^0\ninterval 1/2^3 1/2^2\ncantor 3/2^3 1/2^1\n"
+    "seq 1/2^0 3/2^2 1/2^0\n"
+)
 
 
 @pytest.fixture
@@ -236,6 +250,50 @@ def test_partitions_output(run, tmp_path) -> None:
     assert lines[1] == "part 0:"
 
 
+@pytest.mark.parametrize(
+    "text, depths",
+    [
+        (UNIT, range(3)),
+        (CANTOR, range(4)),
+        ("compactum v1\npoint 0/2^0\npoint 1/2^1\npoint 1/2^0\n", range(2)),
+        (COMPACTUM, range(3)),
+        ("compactum v1\ncantor 0/2^0 1/2^1\nseq 1/2^1 1/2^1 1/2^0\n", range(4)),
+    ],
+)
+def test_partition_count_is_lines_emitted(run, tmp_path, text, depths) -> None:
+    comp = put(tmp_path, "host.comp", text)
+    host = parse_compactum(text)
+    for depth in depths:
+        atoms = atom_count(host, depth)
+        assert atoms == len(atoms_at_depth(host, depth))
+        rc, out, err = run("partitions", comp, "--depth", str(depth))
+        assert rc == 0 and err == ""
+        assert out.count("\npart ") == bell_number(atoms)
+
+
+def test_bell_numbers() -> None:
+    assert [bell_number(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    assert bell_number(16) == 10480142147
+
+
+@pytest.mark.parametrize(
+    "depth, need",
+    [
+        ("4", "10480142147"),
+        ("64", f"over {bell_number(64)}"),
+        ("1000000000", f"over {bell_number(64)}"),
+    ],
+)
+def test_partitions_too_many_are_refused_up_front(run, tmp_path, depth, need) -> None:
+    comp = put(tmp_path, "cantor.comp", CANTOR)
+    rc, out, err = run("partitions", comp, "--depth", depth)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        f"error: depth {depth} needs {need} partitions, more than {MAX_PARTITIONS}\n"
+    )
+
+
 def test_supnorm(run, tmp_path) -> None:
     plf = put(tmp_path, "hat.plf", HAT)
     comp = put(tmp_path, "unit.comp", UNIT)
@@ -291,6 +349,53 @@ def test_usage_failure_exits_two(run, capsys) -> None:
     assert rc == 2
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+FRESH = "import sys; from compacta.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, monkeypatch) -> None:
+    """One process reuses the parser across calls; every call's stdout,
+    stderr and exit code must match the same argv run alone."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    tree = put(tmp_path, "ex.tree", EXAMPLE_TREE)
+    junk = put(tmp_path, "junk.tree", "not a tree\n")
+    bad = put(tmp_path, "bad.ba", "ba v1\ncluster in=w junk=2 atomless=0\n")
+    comp = put(tmp_path, "unit.comp", UNIT)
+    suite = ["suite", "--count", "3"]
+    calls = [
+        (["construct", tree], 0),
+        (["--help"], 0),
+        (["cover", "--help"], 0),
+        (["construct"], 2),
+        (["construct", tree], 0),
+        (suite, 0),
+        (["construct", junk], 2),
+        (["cover", comp, "--precision", "1"], 0),
+        (["iso", bad, bad], 1),
+        (["--help"], 0),
+        (["cover", "--help"], 0),
+        (["construct"], 2),
+        (suite, 0),
+        (["cover", comp, "--precision", "1"], 0),
+    ]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv, code in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert rc == fresh.returncode == code, argv
+        assert out.getvalue() == fresh.stdout, argv
+        assert err.getvalue() == fresh.stderr, argv
+        assert out.getvalue() or err.getvalue(), argv
+
+
 @pytest.mark.parametrize(
     "command, name, text",
     [
@@ -321,6 +426,7 @@ def test_usage_failure_exits_two(run, capsys) -> None:
         ("construct", "x.tree", "tree v1\nnode - bogus\n"),
         ("simulate", "x.script", "tree v1\nevent fresh -\nlabel 2 leaf\n"),
         ("supnorm", "x.plf", "plf\n(0,0) (1/2,x) (1,0)\n"),
+        ("supnorm", "x.plf", "plf\n(0,0) (1,0)\n(0,0) (1,0)\n"),
         ("iso", "q.map", "pair 0\n"),
     ],
 )
@@ -371,10 +477,6 @@ def test_malformed_cover_ball_is_a_value_error() -> None:
 
 # A valid file per subcommand whose work is bounded by its input's size;
 # fuzzed copies of them must never crash the reader.
-COMPACTUM = (
-    "compactum v1\npoint 0/2^0\ninterval 1/2^3 1/2^2\ncantor 3/2^3 1/2^1\n"
-    "seq 1/2^0 3/2^2 1/2^0\n"
-)
 FUZZED = {
     "construct": EXAMPLE_TREE,
     "simulate": SCRIPT,
