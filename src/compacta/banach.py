@@ -32,7 +32,6 @@ from .compactum import (
     cantor_net,
     compactum,
     compactum_contains,
-    max_exp,
 )
 from .dyadic import Dyadic, parse_fraction, read_lines
 
@@ -139,7 +138,7 @@ def unit_sup(f: PLFunction) -> Fraction:
 def sup_norm(hf: HostedFunction) -> Fraction:
     """Exact sup of |f| over the host set."""
     pts = hf.f.breakpoints
-    d = math.lcm(1 << max_exp(hf.host), *(x.denominator for x, _ in pts))
+    d = math.lcm(1 << hf.host.exp, *(x.denominator for x, _ in pts))
     grid = Grid(hf.host, d)
     best = Fraction(0)
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -204,7 +203,7 @@ def generalized_tooth(
 def stage_points(host: SymbolicCompactum, n: int) -> list[Fraction]:
     """The host's dense points at resolution stage n, sorted."""
     # level-n Cantor pieces and n halvings of any span fall on this grid
-    grid = Grid(host, 3**n << (max_exp(host) + n))
+    grid = Grid(host, 3**n << (host.exp + n))
     pts: set[int] = set()
     for kind, lo, hi, limit in grid.comps:
         if kind is Interval:

@@ -36,7 +36,7 @@ from .compactum import (
     SymbolicCompactum,
     compactum,
 )
-from .dyadic import interval_of, read_lines
+from .dyadic import Dyadic, address_ends, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
 
 
@@ -446,20 +446,19 @@ def clopen_algebra(s: SymbolicCompactum) -> LabelledBA:
     n_junk = 0
     extra: list[Cluster] = []
     for group in s.glue_groups():
-        comps = [s.components[i] for i in group]
+        kinds = [s.ends[i][0] for i in group]
         if len(group) == 1:
-            comp = comps[0]
-            if isinstance(comp, Point):
+            kind = kinds[0]
+            if kind is Point:
                 n_junk += 1
-            elif isinstance(comp, Interval):
+            elif kind is Interval:
                 n_in += 1
-            elif isinstance(comp, Cantor):
+            elif kind is Cantor:
                 extra.append(cluster(0, 0, True))
-            elif isinstance(comp, PointSeq):
+            elif kind is PointSeq:
                 extra.append(cluster(0, None))
         else:
-            atomless = any(isinstance(c, Cantor) for c in comps)
-            extra.append(Cluster(SymCard(0), OMEGA, atomless))
+            extra.append(Cluster(SymCard(0), OMEGA, Cantor in kinds))
     clusters: list[Cluster] = []
     if n_in or n_junk:
         clusters.append(cluster(n_in, n_junk))
@@ -486,11 +485,12 @@ def stone_space(t: LabelledTree) -> SymbolicCompactum:
     midpoints of their intervals, eta leaves become Cantor copies."""
     comps = []
     for addr, node in t.nodes.items():
-        iv = interval_of(addr)
-        if node.kind == TERMINAL:
-            comps.append(Point(iv.mid))
-        elif node.kind == ETA:
-            comps.append(Cantor(iv.lo, iv.hi))
+        if node.kind in (TERMINAL, ETA):
+            lo, e = address_ends(addr)
+            if node.kind == TERMINAL:
+                comps.append(Point(Dyadic(lo + 1, e)))
+            else:
+                comps.append(Cantor(Dyadic(lo, e), Dyadic(lo + 2, e)))
     return compactum(comps)
 
 

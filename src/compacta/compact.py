@@ -32,7 +32,6 @@ from typing import Iterable, Iterator
 
 from .compactum import (
     Cantor,
-    Component,
     Grid,
     GridComponent,
     GridPoint,
@@ -40,7 +39,6 @@ from .compactum import (
     PointSeq,
     SymbolicCompactum,
     cantor_net,
-    max_exp,
     succ,
 )
 from .dyadic import parse_fraction, read_lines
@@ -114,15 +112,12 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
     """Greedy per-component cover by balls of radius exactly 2^{-n}."""
     if n < 0:
         raise ValueError("precision must be a natural number")
-    e = max_exp(s) + n + 1
+    e = s.exp + n + 1
     k = max(
         (
-            _cantor_level(
-                (c.hi.num << (e - c.hi.exp)) - (c.lo.num << (e - c.lo.exp)),
-                1 << (e - n),
-            )
-            for c in s.components
-            if type(c) is Cantor
+            _cantor_level((hi - lo) << (n + 1), 1 << (e - n))
+            for kind, lo, hi, _ in s.ends
+            if kind is Cantor
         ),
         default=0,
     )
@@ -220,7 +215,7 @@ def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
     ):
         return False
     denominators = {b.center.denominator for b in cert.balls}
-    grid = Grid(s, math.lcm(1 << max(max_exp(s), n), *denominators))
+    grid = Grid(s, math.lcm(1 << max(s.exp, n), *denominators))
     r = grid.d >> n
     centers = sorted(grid.at(b.center) for b in cert.balls)
     if not all(grid.contains(x) for x in centers):
@@ -249,7 +244,7 @@ def balls_intersect(
     Open balls by default; pass closed=True for the closed variant.
     """
     d = math.lcm(
-        1 << max_exp(s),
+        1 << s.exp,
         b1.center.denominator,
         b1.radius.denominator,
         b2.center.denominator,
@@ -280,13 +275,11 @@ MAX_PARTITIONS = 1 << 20
 PartitionAtom = tuple[int, str]
 
 
-def _group_host(s: SymbolicCompactum, group: tuple[int, ...]) -> Component:
-    if len(group) == 1:
-        return s.components[group[0]]
-    for i in group:
-        if not isinstance(s.components[i], PointSeq):
-            return s.components[i]
-    raise AssertionError("glue group without a host component")
+def _host_kind(s: SymbolicCompactum, group: list[int]) -> type:
+    """The kind of a glue group's one component that is not a glued
+    sequence (of its only component, when it has one)."""
+    kinds = [s.ends[i][0] for i in group]
+    return next((k for k in kinds if k is not PointSeq), kinds[0])
 
 
 def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
@@ -297,8 +290,7 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
         raise ValueError(f"depth must be a natural number, got {depth}")
     atoms: list[PartitionAtom] = []
     for gid, group in enumerate(s.glue_groups()):
-        host = _group_host(s, group)
-        if isinstance(host, Cantor) and depth > 0:
+        if _host_kind(s, group) is Cantor and depth > 0:
             atoms.extend(
                 (gid, format(w, f"0{depth}b")) for w in range(2 ** depth)
             )
@@ -310,7 +302,7 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
 def atom_count(s: SymbolicCompactum, depth: int) -> int:
     """len(atoms_at_depth(s, depth)), counted in closed form."""
     return sum(
-        2**depth if depth and isinstance(_group_host(s, group), Cantor) else 1
+        2**depth if depth and _host_kind(s, group) is Cantor else 1
         for group in s.glue_groups()
     )
 

@@ -11,12 +11,16 @@ analysis has to detect and reject, so it must be representable.
 Clopen subsets are selections of component indices; a selection is clopen
 precisely when it never separates a glued pair.
 
-`Grid` puts the components on the integers, as multiples of 1/d for one
-d per query.  Every question that depends on a component's kind goes
-through one walk per kind there: `succ(comp, x, strict)` is the least
-member at or after x (after x when strict), `pred` is `succ` on the
-mirror image, and `cantor_net` lists the endpoints of a Cantor copy's
-pieces at one level.  Membership, the region tests of `compact`, the
+A compactum computes its grid once, at validation: its endpoints as ints
+over 2^exp, exp the largest dyadic exponent among them (n components
+times exp bits).  Operators and queries read those ints; the ones that
+keep order and validity (`select`, `cb_derivative`, `reduce_intoms`)
+carry the grid forward unvalidated.  `Grid` rescales it to multiples of
+1/d for one d per query.  Every question that depends on a component's
+kind goes through one walk per kind there: `succ(comp, x, strict)` is
+the least member at or after x (after x when strict), `pred` is `succ`
+on the mirror image, and `cantor_net` lists the endpoints of a Cantor
+copy's pieces at one level.  Membership, the region tests of `compact`, the
 sup norms and stage points of `banach` and `construct.hausdorff_gap`
 are built on them with int comparisons.
 """
@@ -26,10 +30,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from numbers import Rational
-from typing import Callable, Iterable, Union
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Sequence, Union
 
-from .dyadic import Dyadic, ONE, ZERO, midpoint, parse_dyadic, read_lines
+from .dyadic import Dyadic, parse_dyadic, read_lines
 
 
 @dataclass(frozen=True)
@@ -92,41 +99,70 @@ class PointSeq:
 Component = Union[Point, Interval, Cantor, PointSeq]
 
 
-def _glue_ok(left: Component, right: Component) -> bool:
-    if isinstance(left, PointSeq) and left.limit == left.hi:
-        return isinstance(right, (Interval, Cantor))
-    if isinstance(right, PointSeq) and right.limit == right.lo:
-        return isinstance(left, (Interval, Cantor))
+# A component on a grid: (kind, lo, hi, limit), where kind is the
+# component's class and limit is a sequence's limit (lo for the others).
+GridComponent = tuple[type, int, int, int]
+# An exact position n/m in grid units.  m is 1, a power of 2 (a sequence
+# member finer than the grid) or a power of 3 (a Cantor point below it).
+GridPoint = tuple[int, int]
+
+_HOSTS = (Interval, Cantor)  # the kinds a sequence may glue to
+_set = object.__setattr__
+
+
+def _on_grid(c: Component, e: int) -> GridComponent:
+    """The component in units of 1/2^e, e at least each endpoint's exp."""
+    lo = c.lo.num << (e - c.lo.exp)
+    hi = c.hi.num << (e - c.hi.exp)
+    kind = type(c)
+    return kind, lo, hi, hi if kind is PointSeq and c.limit == c.hi else lo
+
+
+def _glue_ok(left: GridComponent, right: GridComponent) -> bool:
+    if left[0] is PointSeq and left[3] == left[2]:
+        return right[0] in _HOSTS
+    if right[0] is PointSeq and right[3] == right[1]:
+        return left[0] in _HOSTS
     return False
 
 
 @dataclass(frozen=True)
 class SymbolicCompactum:
+    """Components sorted by (lo, hi), pairwise apart or glued.  Validation
+    sets `exp` and `ends`, the components as `GridComponent`s at d = 2^exp;
+    they are not fields, so ==, hash and repr read the components alone."""
+
     components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(sorted(self.components, key=lambda c: (c.lo, c.hi)))
-        object.__setattr__(self, "components", comps)
-        if comps:
-            if comps[0].lo < ZERO or comps[-1].hi > ONE:
-                raise ValueError("compactum must live inside [0,1]")
-        for a, b in zip(comps, comps[1:]):
-            if a.hi > b.lo:
+        comps = self.components
+        e = max((x.exp for c in comps for x in (c.lo, c.hi)), default=0)
+        pairs = sorted(((_on_grid(c, e), c) for c in comps), key=lambda p: p[0][1:3])
+        ends = tuple(end for end, _ in pairs)
+        comps = tuple(c for _, c in pairs)
+        if ends and (ends[0][1] < 0 or ends[-1][2] > 1 << e):
+            raise ValueError("compactum must live inside [0,1]")
+        for (ea, a), (eb, b) in zip(pairs, pairs[1:]):
+            if ea[2] > eb[1]:
                 raise ValueError(
                     f"components overlap near {a.hi}: {a} and {b}"
                 )
-            if a.hi == b.lo and not _glue_ok(a, b):
+            if ea[2] == eb[1] and not _glue_ok(ea, eb):
                 raise ValueError(
                     f"components touch at {a.hi} without a sequence limit "
                     f"sanctioning it: {a} and {b}"
                 )
+        _set(self, "components", comps)
+        _set(self, "ends", ends)
+        _set(self, "exp", e)
 
     def glue_groups(self) -> list[list[int]]:
         """Maximal runs of components chained by coinciding endpoints."""
         groups: list[list[int]] = []
         current: list[int] = []
-        for i, comp in enumerate(self.components):
-            if current and self.components[i - 1].hi == comp.lo:
+        ends = self.ends
+        for i, end in enumerate(ends):
+            if current and ends[i - 1][2] == end[1]:
                 current.append(i)
             else:
                 if current:
@@ -146,6 +182,23 @@ class SymbolicCompactum:
         return True
 
 
+def _carried(
+    comps: list[Component], ends: list[GridComponent], e: int
+) -> SymbolicCompactum:
+    """A compactum from components already sorted and valid, with their
+    ends on 2^e: no sort and no checks.  Trailing zero bits that all the
+    ends share are stripped, so exp stays the largest dyadic exponent."""
+    bits = reduce(or_, (lo | hi for _, lo, hi, _ in ends), 0)
+    shift = (bits & -bits).bit_length() - 1 if bits else e
+    if shift:
+        ends = [(k, lo >> shift, hi >> shift, at >> shift) for k, lo, hi, at in ends]
+    s = object.__new__(SymbolicCompactum)
+    _set(s, "components", tuple(comps))
+    _set(s, "ends", tuple(ends))
+    _set(s, "exp", e - shift)
+    return s
+
+
 EMPTY = SymbolicCompactum(())
 
 
@@ -160,7 +213,10 @@ def _require_clopen(s: SymbolicCompactum, sel: frozenset[int]) -> None:
 
 def select(s: SymbolicCompactum, sel: frozenset[int]) -> SymbolicCompactum:
     _require_clopen(s, sel)
-    return compactum(s.components[i] for i in sorted(sel))
+    keep = sorted(sel)
+    return _carried(
+        [s.components[i] for i in keep], [s.ends[i] for i in keep], s.exp
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,47 +226,38 @@ def select(s: SymbolicCompactum, sel: frozenset[int]) -> SymbolicCompactum:
 
 def _derivative_images(
     s: SymbolicCompactum,
-) -> list[tuple[int, Component] | None]:
+) -> list[tuple[Component, GridComponent] | None]:
     """Per input component: its surviving image, or None if it vanishes.
 
     A sequence turns into its limit point; when the limit already lies on a
     neighbouring interval or Cantor copy, the point is absorbed there and
     the sequence contributes nothing of its own.
     """
-    endpoints: set[Dyadic] = set()
-    for comp in s.components:
-        if isinstance(comp, (Interval, Cantor)):
-            endpoints.add(comp.lo)
-            endpoints.add(comp.hi)
-    images: list[Component | None] = []
-    for comp in s.components:
-        if isinstance(comp, Point):
+    endpoints = {x for k, lo, hi, _ in s.ends if k in _HOSTS for x in (lo, hi)}
+    images: list[tuple[Component, GridComponent] | None] = []
+    for comp, end in zip(s.components, s.ends):
+        kind, at = end[0], end[3]
+        if kind is Point or (kind is PointSeq and at in endpoints):
             images.append(None)
-        elif isinstance(comp, PointSeq):
-            images.append(None if comp.limit in endpoints else Point(comp.limit))
+        elif kind is PointSeq:
+            images.append((Point(comp.limit), (Point, at, at, at)))
         else:
-            images.append(comp)
-    out: list[tuple[int, Component] | None] = []
-    next_idx = 0
-    for img in images:
-        if img is None:
-            out.append(None)
-        else:
-            out.append((next_idx, img))
-            next_idx += 1
-    return out
+            images.append((comp, end))
+    return images
 
 
 def cb_derivative(s: SymbolicCompactum) -> SymbolicCompactum:
     """Remove the isolated points; sequences collapse to their limits."""
-    return compactum(img[1] for img in _derivative_images(s) if img is not None)
+    kept = [img for img in _derivative_images(s) if img is not None]
+    return _carried([c for c, _ in kept], [end for _, end in kept], s.exp)
 
 
 def derived_selector(s: SymbolicCompactum, sel: frozenset[int]) -> frozenset[int]:
     """Image of a clopen selection inside cb_derivative(s)."""
     _require_clopen(s, sel)
     images = _derivative_images(s)
-    return frozenset(images[i][0] for i in sel if images[i] is not None)
+    rank = list(accumulate((img is not None for img in images), initial=0))
+    return frozenset(rank[i] for i in sel if images[i] is not None)
 
 
 def is_intom(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
@@ -219,31 +266,32 @@ def is_intom(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
     if len(sel) != 1:
         return False
     (i,) = sel
-    return isinstance(s.components[i], Interval)
+    return s.ends[i][0] is Interval
 
 
 def cb_equiv(s: SymbolicCompactum, x: frozenset[int], y: frozenset[int]) -> bool:
     """Selections agreeing up to isolated points."""
     _require_clopen(s, x)
     _require_clopen(s, y)
-    keep_x = {i for i in x if not isinstance(s.components[i], Point)}
-    keep_y = {i for i in y if not isinstance(s.components[i], Point)}
+    keep_x = {i for i in x if s.ends[i][0] is not Point}
+    keep_y = {i for i in y if s.ends[i][0] is not Point}
     return keep_x == keep_y
 
 
 def reduce_intoms(s: SymbolicCompactum) -> SymbolicCompactum:
-    """Collapse every clopen interval component to its midpoint."""
-    glued: set[int] = set()
-    for group in s.glue_groups():
-        if len(group) > 1:
-            glued.update(group)
-    out: list[Component] = []
-    for i, comp in enumerate(s.components):
-        if isinstance(comp, Interval) and i not in glued:
-            out.append(Point(midpoint(comp.lo, comp.hi)))
+    """Collapse every clopen interval component to its midpoint.  The
+    midpoints are on the grid one bit finer."""
+    glued = {i for group in s.glue_groups() if len(group) > 1 for i in group}
+    comps: list[Component] = []
+    ends: list[GridComponent] = []
+    for i, (comp, (kind, lo, hi, at)) in enumerate(zip(s.components, s.ends)):
+        if kind is Interval and i not in glued:
+            comps.append(Point(Dyadic(lo + hi, s.exp + 1)))
+            ends.append((Point, lo + hi, lo + hi, lo + hi))
         else:
-            out.append(comp)
-    return compactum(out)
+            comps.append(comp)
+            ends.append((kind, 2 * lo, 2 * hi, 2 * at))
+    return _carried(comps, ends, s.exp + 1)
 
 
 def reduction(s: SymbolicCompactum) -> SymbolicCompactum:
@@ -254,9 +302,7 @@ def reduction(s: SymbolicCompactum) -> SymbolicCompactum:
 def satisfies_inf(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
     """Infinitely many distinct clopen splits inside the selection."""
     _require_clopen(s, sel)
-    return any(
-        isinstance(s.components[i], (Cantor, PointSeq)) for i in sel
-    )
+    return any(s.ends[i][0] in (Cantor, PointSeq) for i in sel)
 
 
 def is_atomless_after_derivative(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
@@ -264,16 +310,16 @@ def is_atomless_after_derivative(s: SymbolicCompactum, sel: frozenset[int]) -> b
     _require_clopen(s, sel)
     derived = cb_derivative(s)
     image = derived_selector(s, sel)
-    return all(isinstance(derived.components[i], Cantor) for i in image)
+    return all(derived.ends[i][0] is Cantor for i in image)
 
 
 def check_property_in(s: SymbolicCompactum) -> bool:
     """No interval endpoint doubles as a sequence limit."""
-    limits = {c.limit for c in s.components if isinstance(c, PointSeq)}
-    for comp in s.components:
-        if isinstance(comp, Interval) and (comp.lo in limits or comp.hi in limits):
-            return False
-    return True
+    limits = {at for kind, _, _, at in s.ends if kind is PointSeq}
+    return not any(
+        kind is Interval and (lo in limits or hi in limits)
+        for kind, lo, hi, _ in s.ends
+    )
 
 
 def all_clopen_selectors(s: SymbolicCompactum) -> Iterable[frozenset[int]]:
@@ -310,26 +356,25 @@ class CompactumForm:
 
 
 def canonical_form(s: SymbolicCompactum) -> CompactumForm:
-    points = sum(1 for c in s.components if isinstance(c, Point))
+    kinds = [end[0] for end in s.ends]
+    points = kinds.count(Point)
     intervals = 0
     seqs = 0
     cantor = False
     glue: list[tuple[str, int]] = []
     for group in s.glue_groups():
-        comps = [s.components[i] for i in group]
         if len(group) == 1:
-            comp = comps[0]
-            if isinstance(comp, Interval):
+            kind = kinds[group[0]]
+            if kind is Interval:
                 intervals += 1
-            elif isinstance(comp, PointSeq):
+            elif kind is PointSeq:
                 seqs += 1
-            elif isinstance(comp, Cantor):
+            elif kind is Cantor:
                 cantor = True
         else:
-            host = next(c for c in comps if isinstance(c, (Interval, Cantor)))
-            n_seqs = sum(1 for c in comps if isinstance(c, PointSeq))
-            kind = "interval" if isinstance(host, Interval) else "cantor"
-            glue.append((kind, n_seqs))
+            host = next(kinds[i] for i in group if kinds[i] in _HOSTS)
+            n_seqs = sum(1 for i in group if kinds[i] is PointSeq)
+            glue.append(("interval" if host is Interval else "cantor", n_seqs))
     if seqs or glue:
         points = 0  # a sequence absorbs any finite set of isolated points
     return CompactumForm(
@@ -347,7 +392,7 @@ def canonical_form(s: SymbolicCompactum) -> CompactumForm:
 
 
 def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
-    grid = Grid(s, math.lcm(1 << max_exp(s), x.denominator))
+    grid = Grid(s, math.lcm(1 << s.exp, x.denominator))
     return grid.contains(grid.at(x))
 
 
@@ -355,39 +400,30 @@ def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
 # The integer grid of one query
 # ---------------------------------------------------------------------------
 
-# A component on the grid: (kind, lo, hi, limit), where kind is the
-# component's class and limit is a sequence's limit (lo for the others).
-GridComponent = tuple[type, int, int, int]
-# An exact position n/m in grid units.  m is 1, a power of 2 (a sequence
-# member finer than the grid) or a power of 3 (a Cantor point below it).
-GridPoint = tuple[int, int]
-
-
 def max_exp(s: SymbolicCompactum) -> int:
     """The largest dyadic exponent among the components' endpoints."""
-    return max((x.exp for c in s.components for x in (c.lo, c.hi)), default=0)
+    return s.exp
+
+
+_LO, _HI = itemgetter(1), itemgetter(2)
 
 
 class Grid:
     """The components of one compactum as integers on the grid of
-    multiples of 1/d, where d is a multiple of 2^max_exp(s).
+    multiples of 1/d, where d is a multiple of 2^max_exp(s): the stored
+    `ends`, rescaled by d / 2^exp.
 
     A query that puts all of its coordinates on one such grid decides
     order and membership with int comparisons alone."""
 
-    __slots__ = ("d", "comps", "lows", "his")
+    __slots__ = ("d", "comps")
 
     def __init__(self, s: SymbolicCompactum, d: int) -> None:
         self.d = d
-        comps = []
-        for c in s.components:
-            lo = c.lo.num * (d >> c.lo.exp)
-            hi = c.hi.num * (d >> c.hi.exp)
-            limit = hi if type(c) is PointSeq and c.limit == c.hi else lo
-            comps.append((type(c), lo, hi, limit))
-        self.comps: list[GridComponent] = comps
-        self.lows = [c[1] for c in comps]
-        self.his = [c[2] for c in comps]
+        m = d >> s.exp
+        self.comps: Sequence[GridComponent] = s.ends if m == 1 else [
+            (kind, lo * m, hi * m, at * m) for kind, lo, hi, at in s.ends
+        ]
 
     def at(self, x: Rational) -> int:
         """A rational whose denominator divides d, in grid units."""
@@ -397,12 +433,12 @@ class Grid:
         """`succ` over the whole set: components are sorted and pairwise
         disjoint, so the first one whose hull reaches x (past x when
         strict) holds it."""
-        i = (bisect_right if strict else bisect_left)(self.his, x)
+        i = (bisect_right if strict else bisect_left)(self.comps, x, key=_HI)
         return succ(self.comps[i], x, strict) if i < len(self.comps) else None
 
     def pred(self, x: int) -> GridPoint | None:
         """The greatest member of the set at or before x."""
-        i = bisect_right(self.lows, x) - 1
+        i = bisect_right(self.comps, x, key=_LO) - 1
         return pred(self.comps[i], x) if i >= 0 else None
 
     def contains(self, x: int) -> bool:

@@ -43,13 +43,13 @@ from .compactum import (
     PointSeq,
     SymbolicCompactum,
     compactum,
-    max_exp,
 )
 from .dyadic import (
     Address,
     DyInterval,
     Dyadic,
     ZERO,
+    address_ends,
     format_address,
     interval_of,
     midpoint,
@@ -65,8 +65,10 @@ from .trees import (
 
 
 def seed_point(addr: Address) -> Dyadic:
-    """The junk point every once-bare node drops: midpoint of its 0-slot."""
-    return interval_of(addr + (0,)).mid
+    """The junk point every once-bare node drops: midpoint of its 0-slot,
+    which is [4lo, 4lo + 2] / 2^(e+2) in addr's [lo, lo + 2] / 2^e."""
+    lo, e = address_ends(addr)
+    return Dyadic(4 * lo + 1, e + 2)
 
 
 def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
@@ -74,14 +76,19 @@ def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
 
     The discarded pair is (2j-1, 2j), the incoming pair (2j+1, 2j+2); the
     even child sits left of the center, the odd one right.  Each side gets
-    the midpoint of the gap between the dead interval and the new one.
+    the midpoint of the gap between the dead interval and the new one,
+    summed from the two ends on one grid.
     """
-    left = midpoint(
-        interval_of(addr + (2 * j,)).hi, interval_of(addr + (2 * j + 2,)).lo
-    )
-    right = midpoint(
-        interval_of(addr + (2 * j + 1,)).hi, interval_of(addr + (2 * j - 1,)).lo
-    )
+    node = address_ends(addr)
+    top = node[1] + 2 * j + 4
+
+    def end(m: int, side: int) -> int:
+        """Child m's lo (side 0) or hi (side 2) over 2^top."""
+        lo, e = address_ends((m,), *node)
+        return (lo + side) << (top - e)
+
+    left = Dyadic(end(2 * j, 2) + end(2 * j + 2, 0), top + 1)
+    right = Dyadic(end(2 * j + 1, 2) + end(2 * j - 1, 0), top + 1)
     return left, right
 
 
@@ -98,11 +105,10 @@ def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
 def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
     comps: list[Component] = []
     for addr, node in tree.nodes.items():
-        iv = interval_of(addr)
-        if node.kind == TERMINAL:
-            comps.append(Interval(iv.lo, iv.hi))
-        elif node.kind == ETA:
-            comps.append(Cantor(iv.lo, iv.hi))
+        if node.kind in (TERMINAL, ETA):
+            lo, e = address_ends(addr)
+            kind = Interval if node.kind == TERMINAL else Cantor
+            comps.append(kind(Dyadic(lo, e), Dyadic(lo + 2, e)))
         elif node.kind == SPLIT:
             comps.extend(
                 Point(p) for p in junk_points(addr, node.r, node.ever_terminal)
@@ -229,8 +235,8 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
     endpoints are even there, so half gaps are ints.  A Dyadic is built
     only for the returned bound.
     """
-    kinds = {type(c) for c in limit.components}
-    e = max(max_exp(limit), max((p.exp for p in state.points), default=0))
+    kinds = {end[0] for end in limit.ends}
+    e = max(limit.exp, max((p.exp for p in state.points), default=0))
     if PointSeq in kinds:
         e += _SEQ_CUTOFF + 1
     if Cantor in kinds:

@@ -209,38 +209,39 @@ class DyInterval:
 UNIT = DyInterval(ZERO, ONE)
 
 
-@lru_cache(maxsize=None)
-def base_interval(m: int) -> DyInterval:
-    """The m-th root-level interval.
+def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
+    """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e.  Given
+    the lo and e of a node, addr is read as a path below that node.
 
-    Length is exactly 2^-(m+2).  Even indices 2n are centered in the block
-    [(1-2^-n)/2, (1-2^-(n+1))/2] climbing toward 1/2 from the left; odd
-    indices 2n+1 sit in the mirrored block on the right, descending toward
-    1/2.  Blocks partition each side, so distinct intervals never touch.
+    Each step rescales the root pattern into the current interval.  The
+    m-th root-level interval has length exactly 2^-(m+2).  Even indices 2n
+    are centered in the block [(1-2^-n)/2, (1-2^-(n+1))/2] climbing toward
+    1/2 from the left; odd indices 2n+1 sit in the mirrored block on the
+    right, descending toward 1/2.  Blocks partition each side, so distinct
+    intervals never touch.  In units of 2^-(m+3), the interval starts at
+    2^(m+2) - 1 -+ 3*2^(m-n), minus for even m and plus for odd.
     """
-    if m < 0:
-        raise ValueError("interval index must be a natural number")
-    n, odd = divmod(m, 2)
-    block_lo = HALF * (ONE - Dyadic(1, n))
-    block_hi = HALF * (ONE - Dyadic(1, n + 1))
-    center = midpoint(block_lo, block_hi)
-    if odd:
-        center = ONE - center
-    half_len = Dyadic(1, m + 3)
-    return DyInterval(center - half_len, center + half_len)
+    for m in addr:
+        if m < 0:
+            raise ValueError("interval index must be a natural number")
+        t = 3 << (m - (m >> 1))
+        lo = ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t)
+        e += m + 2
+    return lo, e
 
 
-@lru_cache(maxsize=None)
+def base_interval(m: int) -> DyInterval:
+    """The m-th root-level interval (see `address_ends`)."""
+    return interval_of((m,))
+
+
+# The stage enumerator asks for the same few leaf intervals at every stage;
+# a bounded cache spares it the Dyadic construction.
+@lru_cache(maxsize=1024)
 def interval_of(addr: Address) -> DyInterval:
-    """Nested interval for an address: each step rescales the root pattern."""
-    if not addr:
-        return UNIT
-    outer = interval_of(addr[:-1])
-    inner = base_interval(addr[-1])
-    scale = outer.length
-    return DyInterval(
-        outer.lo + scale * inner.lo, outer.lo + scale * inner.hi
-    )
+    """Nested interval for an address (see `address_ends`)."""
+    lo, e = address_ends(addr)
+    return DyInterval(Dyadic(lo, e), Dyadic(lo + 2, e))
 
 
 def concentration_point(addr: Address) -> Dyadic:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -473,6 +474,113 @@ def test_malformed_plf_exits_two(run, tmp_path) -> None:
 def test_malformed_cover_ball_is_a_value_error() -> None:
     with pytest.raises(ValueError, match="'ball 1/0 1/4'"):
         parse_cover("cover n=2\nball 1/0 1/4\n")
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        (
+            ["interval 1/2^1 3/2^1"],
+            "compactum must live inside [0,1]",
+        ),
+        (
+            ["point 1/2^1", "point -1/2^2"],
+            "compactum must live inside [0,1]",
+        ),
+        (
+            ["interval 0/2^0 1/2^1", "interval 1/2^2 1/2^0"],
+            "components overlap near 1/2^1: Interval(lo=0/2^0, hi=1/2^1) "
+            "and Interval(lo=1/2^2, hi=1/2^0)",
+        ),
+        (
+            ["point 1/2^1", "interval 0/2^0 1/2^1"],
+            "components touch at 1/2^1 without a sequence limit sanctioning "
+            "it: Interval(lo=0/2^0, hi=1/2^1) and Point(pos=1/2^1)",
+        ),
+        (
+            ["seq 1/2^1 1/2^1 3/2^2", "cantor 3/2^2 1/2^0"],
+            "components touch at 3/2^2 without a sequence limit sanctioning "
+            "it: PointSeq(limit=1/2^1, lo=1/2^1, hi=3/2^2) and "
+            "Cantor(lo=3/2^2, hi=1/2^0)",
+        ),
+    ],
+)
+def test_invalid_compactum_messages(run, tmp_path, components, message) -> None:
+    text = "compactum v1\n" + "".join(f"{c}\n" for c in components)
+    rc, out, err = run("derive", put(tmp_path, "bad.compactum", text))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_sessions() -> list[list[tuple[str, list[str]]]]:
+    """The shell blocks of README.md: per block, each `$ ` command with
+    the lines shown after it, trailing blank lines dropped."""
+    sessions = []
+    for block in README.read_text().split("```")[1::2]:
+        if not block.startswith("\n$ "):
+            continue
+        steps: list[tuple[str, list[str]]] = []
+        for line in block.strip("\n").splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            else:
+                steps[-1][1].append(line)
+        sessions.append(
+            [(cmd, "\n".join(shown).rstrip("\n").split("\n")) for cmd, shown in steps]
+        )
+    return sessions
+
+
+def readme_python() -> str:
+    blocks = README.read_text().split("```")[1::2]
+    (block,) = [b for b in blocks if b.startswith("python\n")]
+    return block[len("python\n") :]
+
+
+def test_readme_examples(run, tmp_path, monkeypatch) -> None:
+    """Each `$ compacta ...` example prints what README.md shows: all of
+    it, the prefix for `| head -N`, the suffix for `| tail -N`, and the
+    lines around a `...`.  `cat` writes the example files shown (or
+    checks one an earlier command wrote); the Python block runs too."""
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for session in readme_sessions():
+        for cmd, shown in session:
+            shown = [] if shown == [""] else shown
+            if cmd.startswith("cat "):
+                path = tmp_path / cmd[4:]
+                if path.exists():
+                    assert path.read_text().splitlines() == shown, cmd
+                else:
+                    path.write_text("\n".join(shown) + "\n")
+                continue
+            if cmd.startswith("printf "):
+                fmt, redirect, name = shlex.split(cmd)[1:]
+                assert redirect == ">"
+                (tmp_path / name).write_text(fmt.replace("\\n", "\n"))
+                continue
+            command, _, pipe = cmd.partition(" | ")
+            argv = shlex.split(command)
+            assert argv[0] == "compacta", cmd
+            rc, out, _ = run(*argv[1:])
+            assert rc == 0, cmd
+            lines = out.splitlines()
+            if pipe:
+                tool, count = pipe.split()
+                n = int(count.lstrip("-"))
+                lines = lines[:n] if tool == "head" else lines[-n:]
+            if "..." in shown:
+                cut = shown.index("...")
+                head, tail = shown[:cut], shown[cut + 1:]
+                assert lines[: len(head)] == head, cmd
+                assert lines[len(lines) - len(tail):] == tail, cmd
+            else:
+                assert lines == shown, cmd
+            ran += 1
+    assert ran == 9
+    exec(compile(readme_python(), str(README), "exec"), {})
 
 
 # A valid file per subcommand whose work is bounded by its input's size;
