@@ -105,7 +105,7 @@ class Cluster:
     has_atomless: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_in == SymCard(0) and self.n_junk == SymCard(0) and not self.has_atomless:
+        if self.n_in.value == 0 and self.n_junk.value == 0 and not self.has_atomless:
             raise ValueError("cluster must carry at least one atom or an atomless part")
 
 

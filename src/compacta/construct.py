@@ -9,11 +9,12 @@ of the gaps separating the discarded child interval from its replacement.
 All junk lands strictly outside the final children and never in the open
 region between them.
 
-The stage enumerator reads one replay of a script (`trees.replay_script`)
-and emits points so that the point set grows monotonically and its
-closure converges to the limit set.  A child installed by an event that a
-later event will tombstone emits nothing: the script is finite and known
-in full, so the enumerator may consult the future.  That choice keeps
+The stage enumerator reads the replay a script keeps from validation
+(`trees.StageScript.replay`) and emits points so that the point set grows
+monotonically and its closure converges to the limit set.  A child
+installed by an event that a later event will tombstone emits nothing:
+the script is finite and known in full, so the enumerator may consult
+the future.  That choice keeps
 every emitted point inside the limit set, which makes the Hausdorff bound
 monotone for free.  Terminal leaves densify their interval by one
 midpoint round per stage since their birth; eta leaves refine their
@@ -22,10 +23,12 @@ endpoints are triadic, not dyadic.  A stage's point count is known in
 closed form from the replay, and a stage of more than `MAX_POINTS`
 points is refused before any point is built.
 
-The Hausdorff gap bound of a stage runs on one integer grid per query
-(`compactum.Grid`): membership of every point, the nearest-point
-distances and the half gaps are int comparisons, and a `Dyadic` is built
-only for the returned bound.
+Points are built as ints (a terminal leaf's in closed form, see
+`_leaf_bucket`) and sorted once as ints over one 2^exp, which a stage
+carries (`EnumerationState.nums`).  The Hausdorff gap bound shifts them
+onto one integer grid per query (`compactum.Grid`): membership of every
+point, the nearest-point distances and the half gaps are int
+comparisons, and a `Dyadic` is built only for the returned bound.
 """
 
 from __future__ import annotations
@@ -52,34 +55,33 @@ from .dyadic import (
     address_ends,
     format_address,
     interval_of,
-    midpoint,
 )
-from .trees import (
-    ETA,
-    SPLIT,
-    TERMINAL,
-    LabelledTree,
-    StageScript,
-    replay_script,
-)
+from .trees import ETA, SPLIT, TERMINAL, LabelledTree, StageScript
+
+Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
+_set = object.__setattr__
 
 
-def seed_point(addr: Address) -> Dyadic:
+def seed_point(addr: Address, node: Ends | None = None) -> Dyadic:
     """The junk point every once-bare node drops: midpoint of its 0-slot,
-    which is [4lo, 4lo + 2] / 2^(e+2) in addr's [lo, lo + 2] / 2^e."""
-    lo, e = address_ends(addr)
+    which is [4lo, 4lo + 2] / 2^(e+2) in addr's [lo, lo + 2] / 2^e.
+    `node` is addr's (lo, e) when the caller has it."""
+    lo, e = node or address_ends(addr)
     return Dyadic(4 * lo + 1, e + 2)
 
 
-def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
-    """Junk pair of the j-th replacement at addr, j >= 1.
+def replacement_bridges(
+    addr: Address, j: int, node: Ends | None = None
+) -> tuple[Dyadic, Dyadic]:
+    """Junk pair of the j-th replacement at addr, j >= 1 (`node` as in
+    `seed_point`).
 
     The discarded pair is (2j-1, 2j), the incoming pair (2j+1, 2j+2); the
     even child sits left of the center, the odd one right.  Each side gets
     the midpoint of the gap between the dead interval and the new one,
     summed from the two ends on one grid.
     """
-    node = address_ends(addr)
+    node = node or address_ends(addr)
     top = node[1] + 2 * j + 4
 
     def end(m: int, side: int) -> int:
@@ -94,11 +96,10 @@ def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
 
 def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
     """Isolated points a split node contributes: count ever_terminal + 2r."""
-    out: list[Dyadic] = []
-    if ever_terminal:
-        out.append(seed_point(addr))
+    node = address_ends(addr)
+    out = [seed_point(addr, node)] if ever_terminal else []
     for j in range(1, r + 1):
-        out.extend(replacement_bridges(addr, j))
+        out.extend(replacement_bridges(addr, j, node))
     return out
 
 
@@ -130,12 +131,28 @@ class EnumerationState:
     schedule.  `nets` maps an eta leaf to (its interval, net level); the
     level-l net consists of both endpoints of all 2^l ternary pieces and is
     never materialized since those endpoints are triadic.
+
+    `exp` and `nums`, not fields, carry the points as sorted ints over
+    2^exp, exp their largest exponent (0 for none).  The enumerator sets
+    them; a state built by hand gets them from a scan, which sorts.
     """
 
     stage: int
     points: tuple[Dyadic, ...]
     leaf_points: dict[Address, tuple[Dyadic, ...]] = field(default_factory=dict)
     nets: dict[Address, tuple[DyInterval, int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        e = max((p.exp for p in self.points), default=0)
+        _set(self, "exp", e)
+        _set(self, "nums", tuple(sorted(p.num << (e - p.exp) for p in self.points)))
+
+
+def _stage_state(**attrs: object) -> EnumerationState:
+    """A state from its fields, `exp` and `nums` all given: no scan."""
+    state = object.__new__(EnumerationState)
+    state.__dict__.update(attrs)
+    return state
 
 
 MAX_POINTS = 2**20
@@ -153,7 +170,7 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
         raise ValueError(
             f"stage {s} exceeds the script's hard stop {script.stop}"
         )
-    final = replay_script(script)
+    final = script.replay
     splits: list[Address] = []
     rounds: dict[Address, int] = {}  # terminal leaf -> midpoint rounds
     nets: dict[Address, tuple[DyInterval, int]] = {}
@@ -179,35 +196,33 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     pts = [seed_point(addr) for addr in splits]
     for addr, j in bridged:
         pts.extend(replacement_bridges(addr, j))
+    buckets = [
+        (addr, *_leaf_bucket(*address_ends(addr), r)) for addr, r in rounds.items()
+    ]
+    e = max([p.exp for p in pts] + [x for _, x, _ in buckets], default=0)
+    nums = [p.num << (e - p.exp) for p in pts]
     leaf_points: dict[Address, tuple[Dyadic, ...]] = {}
-    for addr, r in rounds.items():
-        iv = interval_of(addr)
-        bucket = [seed_point(addr)]
-        for _ in range(r):
-            bucket = _densify(iv, bucket)
-        leaf_points[addr] = tuple(bucket)
+    for addr, x, ys in buckets:
+        bucket = leaf_points[addr] = tuple([Dyadic(y, x) for y in ys])
         pts.extend(bucket)
-    pts.sort()
-    return EnumerationState(
-        stage=s, points=tuple(pts), leaf_points=leaf_points, nets=nets
+        nums.extend([y << (e - x) for y in ys])
+    order = sorted(range(len(nums)), key=nums.__getitem__)
+    return _stage_state(
+        stage=s, points=tuple([pts[i] for i in order]), leaf_points=leaf_points,
+        nets=nets, exp=e, nums=tuple([nums[i] for i in order]),
     )
 
 
-def _densify(iv: DyInterval, pts: list[Dyadic]) -> list[Dyadic]:
-    """One midpoint round over the sorted chain lo, p1, ..., pk, hi.
-
-    The endpoints anchor the chain but are never emitted themselves; the
-    emitted points still close up on the full interval since the largest
-    gap halves every round.  Each midpoint goes between its two
-    neighbours, so the output stays sorted.
-    """
-    chain = [iv.lo] + pts + [iv.hi]
-    out = []
-    for a, b in zip(chain, chain[1:]):
-        out.append(midpoint(a, b))
-        out.append(b)
-    out.pop()  # the anchor hi
-    return out
+def _leaf_bucket(lo: int, e: int, r: int) -> tuple[int, list[int]]:
+    """(x, ys): r midpoint rounds on [lo, lo + 2] / 2^e from the seed, as
+    sorted ints over 2^x.  On that grid, 2^(e+2+r), the interval is
+    [L, L + 8 * 2^r] and the seed S = L + 2^r; the rounds fill the left gap
+    at every unit up to S and cut the right one into 2^r steps of 7, for
+    2^(r+1) - 1 points.  The interval's ends are never points."""
+    left = 4 * lo << r
+    seed = left + (1 << r)
+    hi = left + (8 << r)
+    return e + 2 + r, [*range(left + 1, seed + 1), *range(seed + 7, hi, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +251,14 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
     only for the returned bound.
     """
     kinds = {end[0] for end in limit.ends}
-    e = max(limit.exp, max((p.exp for p in state.points), default=0))
+    e = max(limit.exp, state.exp)
     if PointSeq in kinds:
         e += _SEQ_CUTOFF + 1
     if Cantor in kinds:
         e = max(e, _CEIL_BITS - 1)
     grid = Grid(limit, 2 << e)
-    pts = sorted(p.num << (e + 1 - p.exp) for p in state.points)
+    shift = e + 1 - state.exp
+    pts = [x << shift for x in state.nums]
     for x in pts:
         if not grid.contains(x):
             raise ValueError(

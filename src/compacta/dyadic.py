@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 Address = tuple[int, ...]
@@ -235,9 +234,6 @@ def base_interval(m: int) -> DyInterval:
     return interval_of((m,))
 
 
-# The stage enumerator asks for the same few leaf intervals at every stage;
-# a bounded cache spares it the Dyadic construction.
-@lru_cache(maxsize=1024)
 def interval_of(addr: Address) -> DyInterval:
     """Nested interval for an address (see `address_ends`)."""
     lo, e = address_ends(addr)

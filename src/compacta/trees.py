@@ -16,8 +16,9 @@ come back, and no event may re-create a static node.  Leaves that survive
 all events are assigned their limit label explicitly, because true
 terminality is never visible in a finite prefix.
 
-`replay_script` is the one walk over a script's events; `limit_tree` and
-`construct.enumerate_stage` read its record (`ScriptState`).
+`replay_script` is the one walk over a script's events.  It runs once, at
+validation, whose record (`ScriptState`) `StageScript.replay` keeps for
+`limit_tree` and `construct.enumerate_stage` to read.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ class StageScript:
     The skeleton lists only static nodes (terminal, eta, spine); nodes that
     events split into pairs are implied: the root, or a spine slot, when it
     is an event target and not declared static.  Splits never pre-exist,
-    they only arise from events.
+    they only arise from events.  Validation replays the events once and
+    keeps the record as `replay`, which is not a field, so ==, hash and
+    repr read the fields alone; readers never mutate it.
     """
 
     skeleton: Mapping[Address, Node]
@@ -199,7 +202,7 @@ class StageScript:
             _leaf_label(label)
         if self.stop is not None and self.stop < 0:
             raise ValueError("stop horizon must be >= 0")
-        replay_script(self)  # validates everything else
+        object.__setattr__(self, "replay", replay_script(self))  # checks the rest
 
 
 def _leaf_label(kind: str) -> str:
@@ -221,14 +224,14 @@ class ScriptState:
     born: dict[Address, int]
     pairs: dict[Address, int]  # replacements so far at each split target
     replacements: list[tuple[int, Address, int]]
-    dead: set[Address]
 
 
-def apply_event(state: ScriptState, event: Event, t: int) -> None:
-    """Replay the event of stage t.  A target not yet seen is open from
-    stage 0 when it is the root or a slot of a static spine."""
+def apply_event(state: ScriptState, event: Event, t: int, dead: set[Address]) -> None:
+    """Replay the event of stage t; `dead` collects the tombstoned nodes.
+    A target not yet seen is open from stage 0 when it is the root or a
+    slot of a static spine."""
     addr = event.addr
-    if addr in state.dead:
+    if addr in dead:
         raise ValueError(f"event at tombstoned node {format_address(addr)}")
     kind = state.alive.get(addr)
     if kind is None:
@@ -258,7 +261,7 @@ def apply_event(state: ScriptState, event: Event, t: int) -> None:
                 f"replace at {format_address(addr)} with no live pair"
             )
         for child in split_children(addr, state.pairs[addr]):
-            _tombstone(state, child)
+            _tombstone(state, child, dead)
         state.pairs[addr] += 1
         state.replacements.append((t, addr, state.pairs[addr]))
     for child in split_children(addr, state.pairs[addr]):
@@ -271,12 +274,12 @@ def apply_event(state: ScriptState, event: Event, t: int) -> None:
         state.born[child] = t
 
 
-def _tombstone(state: ScriptState, root: Address) -> None:
+def _tombstone(state: ScriptState, root: Address, dead: set[Address]) -> None:
     doomed = [a for a in state.alive if a[: len(root)] == root]
     for a in doomed:
         del state.alive[a]
         del state.born[a]
-        state.dead.add(a)
+        dead.add(a)
         state.pairs.pop(a, None)
 
 
@@ -305,10 +308,10 @@ def replay_script(script: StageScript) -> ScriptState:
         born=dict.fromkeys(script.skeleton, 0),
         pairs={},
         replacements=[],
-        dead=set(),
     )
+    dead: set[Address] = set()  # needed by the walk alone, so not kept
     for t, event in enumerate(script.events, 1):
-        apply_event(state, event, t)
+        apply_event(state, event, t, dead)
     _check_stage_zero(script.skeleton, state)
     for addr in state.pairs:
         state.alive[addr] = SPLIT
@@ -328,7 +331,7 @@ def replay_script(script: StageScript) -> ScriptState:
 
 def limit_tree(script: StageScript) -> LabelledTree:
     """Tree of never-tombstoned nodes with limit labels applied."""
-    state = replay_script(script)
+    state = script.replay
     nodes: dict[Address, Node] = {}
     for addr, kind in state.alive.items():
         if kind == SPLIT:

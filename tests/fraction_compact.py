@@ -102,9 +102,12 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
                 touch = balls[i].center + r
                 disagree = _point_in_set(s, touch, hulls)
             else:
-                disagree = _balls_meet(
-                    s, balls[i], balls[j], closed=True, hulls=hulls
-                ) != _balls_meet(s, balls[i], balls[j], closed=False, hulls=hulls)
+                # the open region lies inside the closed one, so the two
+                # tests differ exactly when the open one fails and the
+                # closed one holds
+                disagree = not _balls_meet(
+                    s, balls[i], balls[j], closed=False, hulls=hulls
+                ) and _balls_meet(s, balls[i], balls[j], closed=True, hulls=hulls)
             if disagree:
                 found.append((i, j) if i < j else (j, i))
     return CoverCertificate(n, tuple(balls), tuple(sorted(found)))

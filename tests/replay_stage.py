@@ -4,22 +4,26 @@ This is the earlier version of `compacta.trees.replay_script` and
 `compacta.construct.enumerate_stage`: stage-0 open nodes come from a
 walk over the events (`initial_open`), the replay walks them again, and
 the enumerator walks them a third time, advancing its own copy of the
-pair schedule and emitting each node as its event creates it.
-`test_stage_replay` checks that the one-walk replay in `compacta`
-gives the same `EnumerationState` and the same limit tree.
+pair schedule and emitting each node as its event creates it, and it
+densifies each terminal leaf one `Dyadic` midpoint round per stage
+(`_densify`).  `test_stage_replay` checks that the one-walk replay in
+`compacta`, with its closed-form integer leaf buckets, gives the same
+`EnumerationState` and the same limit tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from compacta.construct import (
-    EnumerationState,
-    _densify,
-    replacement_bridges,
-    seed_point,
+from compacta.construct import EnumerationState, replacement_bridges, seed_point
+from compacta.dyadic import (
+    Address,
+    DyInterval,
+    Dyadic,
+    format_address,
+    interval_of,
+    midpoint,
 )
-from compacta.dyadic import Address, Dyadic, format_address, interval_of
 from compacta.trees import (
     ETA,
     FRESH,
@@ -238,3 +242,20 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
         leaf_points={a: tuple(b) for a, b in leaves.items()},
         nets={a: (interval_of(a), s - t0) for a, t0 in nets.items()},
     )
+
+
+def _densify(iv: DyInterval, pts: list[Dyadic]) -> list[Dyadic]:
+    """One midpoint round over the sorted chain lo, p1, ..., pk, hi.
+
+    The endpoints anchor the chain but are never emitted themselves; the
+    emitted points still close up on the full interval since the largest
+    gap halves every round.  Each midpoint goes between its two
+    neighbours, so the output stays sorted.
+    """
+    chain = [iv.lo] + pts + [iv.hi]
+    out = []
+    for a, b in zip(chain, chain[1:]):
+        out.append(midpoint(a, b))
+        out.append(b)
+    out.pop()  # the anchor hi
+    return out

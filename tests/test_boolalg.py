@@ -605,6 +605,23 @@ def test_ba_format_rejects_garbage():
         parse_ba("ba v1\nblob\n")
 
 
+def test_empty_cluster_message():
+    """A cluster with no atoms and no atomless part is refused with one
+    fixed message, built directly and read from text; omega (None) and an
+    atomless part each make it valid."""
+    message = "cluster must carry at least one atom or an atomless part"
+    with pytest.raises(ValueError) as direct:
+        cluster(0, 0)
+    assert str(direct.value) == message
+    with pytest.raises(ValueError) as parsed:
+        parse_ba("ba v1\ncluster in=0 junk=0 atomless=0\n")
+    assert str(parsed.value) == (
+        f"{message} in line 'cluster in=0 junk=0 atomless=0'"
+    )
+    for n_in, n_junk, atomless in ((0, None, False), (None, 0, False), (0, 0, True)):
+        assert cluster(n_in, n_junk, atomless).n_in.value == n_in
+
+
 def test_iso_format_shape():
     b0 = algebra(cluster(3, 1), cluster(None, None))
     b1 = algebra(cluster(3, 2), cluster(None, None))

@@ -26,9 +26,9 @@ from test_trees import random_scripts
 STAGES = range(9)
 
 
-def assert_same(script) -> None:
+def assert_same(script, stages=STAGES) -> None:
     assert limit_tree(script).nodes == ref.limit_tree(script).nodes
-    for s in STAGES:
+    for s in stages:
         assert enumerate_stage(script, s) == ref.enumerate_stage(script, s)
 
 
