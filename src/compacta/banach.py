@@ -79,9 +79,6 @@ def plf(points: Iterable[tuple[Rational, Rational]]) -> PLFunction:
     return PLFunction(tuple((_frac(x), _frac(y)) for x, y in points))
 
 
-ZERO_PL = PLFunction(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
-
-
 @dataclass(frozen=True)
 class HostedFunction:
     f: PLFunction

@@ -32,9 +32,9 @@ from .compactum import (
     Cantor,
     Interval,
     Point,
-    PointSeq,
     SymbolicCompactum,
     compactum,
+    glue_classes,
 )
 from .dyadic import Dyadic, address_ends, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
@@ -445,20 +445,17 @@ def clopen_algebra(s: SymbolicCompactum) -> LabelledBA:
     n_in = 0
     n_junk = 0
     extra: list[Cluster] = []
-    for group in s.glue_groups():
-        kinds = [s.ends[i][0] for i in group]
-        if len(group) == 1:
-            kind = kinds[0]
-            if kind is Point:
-                n_junk += 1
-            elif kind is Interval:
-                n_in += 1
-            elif kind is Cantor:
-                extra.append(cluster(0, 0, True))
-            elif kind is PointSeq:
-                extra.append(cluster(0, None))
+    for kind, n in glue_classes(s):
+        if n:
+            extra.append(Cluster(SymCard(0), OMEGA, kind is Cantor))
+        elif kind is Point:
+            n_junk += 1
+        elif kind is Interval:
+            n_in += 1
+        elif kind is Cantor:
+            extra.append(cluster(0, 0, True))
         else:
-            extra.append(Cluster(SymCard(0), OMEGA, Cantor in kinds))
+            extra.append(cluster(0, None))
     clusters: list[Cluster] = []
     if n_in or n_junk:
         clusters.append(cluster(n_in, n_junk))

@@ -39,6 +39,7 @@ from .compactum import (
     PointSeq,
     SymbolicCompactum,
     cantor_net,
+    glue_classes,
     succ,
 )
 from .dyadic import parse_fraction, read_lines
@@ -275,13 +276,6 @@ MAX_PARTITIONS = 1 << 20
 PartitionAtom = tuple[int, str]
 
 
-def _host_kind(s: SymbolicCompactum, group: list[int]) -> type:
-    """The kind of a glue group's one component that is not a glued
-    sequence (of its only component, when it has one)."""
-    kinds = [s.ends[i][0] for i in group]
-    return next((k for k in kinds if k is not PointSeq), kinds[0])
-
-
 def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
     """Finest clopen pieces at a given Cantor refinement depth.  A glued
     sequence rides with the piece holding its limit, so it never splits
@@ -289,8 +283,8 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
     if depth < 0:
         raise ValueError(f"depth must be a natural number, got {depth}")
     atoms: list[PartitionAtom] = []
-    for gid, group in enumerate(s.glue_groups()):
-        if _host_kind(s, group) is Cantor and depth > 0:
+    for gid, (kind, _) in enumerate(glue_classes(s)):
+        if kind is Cantor and depth > 0:
             atoms.extend(
                 (gid, format(w, f"0{depth}b")) for w in range(2 ** depth)
             )
@@ -302,8 +296,7 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
 def atom_count(s: SymbolicCompactum, depth: int) -> int:
     """len(atoms_at_depth(s, depth)), counted in closed form."""
     return sum(
-        2**depth if depth and _host_kind(s, group) is Cantor else 1
-        for group in s.glue_groups()
+        2**depth if depth and kind is Cantor else 1 for kind, _ in glue_classes(s)
     )
 
 

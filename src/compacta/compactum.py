@@ -9,7 +9,10 @@ That glued shape is exactly the configuration the derivative-based
 analysis has to detect and reject, so it must be representable.
 
 Clopen subsets are selections of component indices; a selection is clopen
-precisely when it never separates a glued pair.
+precisely when it never separates a glued pair.  `glue_classes` reads each
+glue group as (host kind, glued sequences) in one pass; the canonical
+form, `check_property_in`, the clopen algebra and the partition atoms
+read it.
 
 A compactum computes its grid once, at validation: its endpoints as ints
 over 2^exp, exp the largest dyadic exponent among them (n components
@@ -314,12 +317,9 @@ def is_atomless_after_derivative(s: SymbolicCompactum, sel: frozenset[int]) -> b
 
 
 def check_property_in(s: SymbolicCompactum) -> bool:
-    """No interval endpoint doubles as a sequence limit."""
-    limits = {at for kind, _, _, at in s.ends if kind is PointSeq}
-    return not any(
-        kind is Interval and (lo in limits or hi in limits)
-        for kind, lo, hi, _ in s.ends
-    )
+    """No interval endpoint doubles as a sequence limit: no sequence glues
+    to an interval."""
+    return not any(kind is Interval and n for kind, n in glue_classes(s))
 
 
 def all_clopen_selectors(s: SymbolicCompactum) -> Iterable[frozenset[int]]:
@@ -355,34 +355,36 @@ class CompactumForm:
     glue: tuple[tuple[str, int], ...]
 
 
-def canonical_form(s: SymbolicCompactum) -> CompactumForm:
-    kinds = [end[0] for end in s.ends]
-    points = kinds.count(Point)
-    intervals = 0
-    seqs = 0
-    cantor = False
-    glue: list[tuple[str, int]] = []
-    for group in s.glue_groups():
-        if len(group) == 1:
-            kind = kinds[group[0]]
-            if kind is Interval:
-                intervals += 1
-            elif kind is PointSeq:
-                seqs += 1
-            elif kind is Cantor:
-                cantor = True
+def glue_classes(s: SymbolicCompactum) -> list[tuple[type, int]]:
+    """(host kind, glued sequences) per glue group, in order, from one pass
+    over `ends`.  A sequence glues only to an interval or a Cantor copy, so
+    a group is one host with a sequence glued on neither, one or both
+    sides; a lone component is its own host."""
+    classes: list[tuple[type, int]] = []
+    prev_hi = -1
+    for kind, lo, hi, _ in s.ends:
+        if lo == prev_hi:
+            host, n = classes[-1]
+            classes[-1] = (host if kind is PointSeq else kind, n + 1)
         else:
-            host = next(kinds[i] for i in group if kinds[i] in _HOSTS)
-            n_seqs = sum(1 for i in group if kinds[i] is PointSeq)
-            glue.append(("interval" if host is Interval else "cantor", n_seqs))
-    if seqs or glue:
-        points = 0  # a sequence absorbs any finite set of isolated points
+            classes.append((kind, 0))
+        prev_hi = hi
+    return classes
+
+
+def canonical_form(s: SymbolicCompactum) -> CompactumForm:
+    classes = glue_classes(s)
+    seqs = classes.count((PointSeq, 0))
+    glue = sorted(
+        ("interval" if kind is Interval else "cantor", n) for kind, n in classes if n
+    )
     return CompactumForm(
-        points=points,
-        intervals=intervals,
+        # a sequence absorbs any finite set of isolated points
+        points=0 if seqs or glue else classes.count((Point, 0)),
+        intervals=classes.count((Interval, 0)),
         seqs=seqs,
-        cantor=cantor,
-        glue=tuple(sorted(glue)),
+        cantor=(Cantor, 0) in classes,
+        glue=tuple(glue),
     )
 
 
@@ -400,17 +402,12 @@ def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
 # The integer grid of one query
 # ---------------------------------------------------------------------------
 
-def max_exp(s: SymbolicCompactum) -> int:
-    """The largest dyadic exponent among the components' endpoints."""
-    return s.exp
-
-
 _LO, _HI = itemgetter(1), itemgetter(2)
 
 
 class Grid:
     """The components of one compactum as integers on the grid of
-    multiples of 1/d, where d is a multiple of 2^max_exp(s): the stored
+    multiples of 1/d, where d is a multiple of 2^exp: the stored
     `ends`, rescaled by d / 2^exp.
 
     A query that puts all of its coordinates on one such grid decides

@@ -126,11 +126,10 @@ def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
 class EnumerationState:
     """Points emitted by stage `stage`, plus symbolic Cantor nets.
 
-    `points` holds every dyadic point, globally sorted.  `leaf_points`
-    buckets the interior points of each terminal leaf for the densification
-    schedule.  `nets` maps an eta leaf to (its interval, net level); the
-    level-l net consists of both endpoints of all 2^l ternary pieces and is
-    never materialized since those endpoints are triadic.
+    `points` holds every dyadic point, globally sorted.  `nets` maps an eta
+    leaf to (its interval, net level); the level-l net consists of both
+    endpoints of all 2^l ternary pieces and is never materialized since
+    those endpoints are triadic.
 
     `exp` and `nums`, not fields, carry the points as sorted ints over
     2^exp, exp their largest exponent (0 for none).  The enumerator sets
@@ -139,7 +138,6 @@ class EnumerationState:
 
     stage: int
     points: tuple[Dyadic, ...]
-    leaf_points: dict[Address, tuple[Dyadic, ...]] = field(default_factory=dict)
     nets: dict[Address, tuple[DyInterval, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -196,20 +194,16 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     pts = [seed_point(addr) for addr in splits]
     for addr, j in bridged:
         pts.extend(replacement_bridges(addr, j))
-    buckets = [
-        (addr, *_leaf_bucket(*address_ends(addr), r)) for addr, r in rounds.items()
-    ]
-    e = max([p.exp for p in pts] + [x for _, x, _ in buckets], default=0)
+    buckets = [_leaf_bucket(*address_ends(addr), r) for addr, r in rounds.items()]
+    e = max([p.exp for p in pts] + [x for x, _ in buckets], default=0)
     nums = [p.num << (e - p.exp) for p in pts]
-    leaf_points: dict[Address, tuple[Dyadic, ...]] = {}
-    for addr, x, ys in buckets:
-        bucket = leaf_points[addr] = tuple([Dyadic(y, x) for y in ys])
-        pts.extend(bucket)
+    for x, ys in buckets:
+        pts.extend([Dyadic(y, x) for y in ys])
         nums.extend([y << (e - x) for y in ys])
     order = sorted(range(len(nums)), key=nums.__getitem__)
     return _stage_state(
-        stage=s, points=tuple([pts[i] for i in order]), leaf_points=leaf_points,
-        nets=nets, exp=e, nums=tuple([nums[i] for i in order]),
+        stage=s, points=tuple([pts[i] for i in order]), nets=nets, exp=e,
+        nums=tuple([nums[i] for i in order]),
     )
 
 

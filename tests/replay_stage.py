@@ -239,7 +239,6 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     return EnumerationState(
         stage=s,
         points=tuple(pts),
-        leaf_points={a: tuple(b) for a, b in leaves.items()},
         nets={a: (interval_of(a), s - t0) for a, t0 in nets.items()},
     )
 

@@ -39,7 +39,6 @@ from compacta.compactum import (
     PointSeq,
     compactum,
     compactum_contains,
-    max_exp,
     pred,
     succ,
 )
@@ -320,7 +319,7 @@ def assert_walk_matches_reference(comp, x: Fraction, strict: bool) -> None:
     strict, and no member strictly between x and the result.  A strict
     walk returns x only where members pile up at x."""
     s = compactum([comp])
-    grid = Grid(s, math.lcm(1 << max_exp(s), x.denominator))
+    grid = Grid(s, math.lcm(1 << s.exp, x.denominator))
     (gc,) = grid.comps
     lo, hi = comp.lo.as_fraction(), comp.hi.as_fraction()
     for walk, sign in ((succ, 1), (pred, -1)):

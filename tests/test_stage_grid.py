@@ -154,7 +154,7 @@ def test_hand_built_limits_match_reference(comps, points):
     for n in range(len(points) + 1):
         for state_nets in ({}, nets):
             for held in (points[:n], points[len(points) - n :]):
-                assert_same(EnumerationState(0, tuple(held), {}, state_nets), limit)
+                assert_same(EnumerationState(0, tuple(held), state_nets), limit)
     # 1/64 lies off every limit here; 29/64 lies off most, inside some hulls
     for stray in (D(1, 6), D(29, 6)):
         assert_same(EnumerationState(0, tuple(points) + (stray,)), limit)
@@ -182,7 +182,7 @@ def test_capped_net_bound_matches_uncapped(lo, hi):
     span = (hi - lo).as_fraction()
     bits = (span * 2**80).numerator.bit_length()
     for level in range(bits - 2, bits + 3):
-        state = EnumerationState(0, (), {}, {(): (DyInterval(lo, hi), level)})
+        state = EnumerationState(0, (), {(): (DyInterval(lo, hi), level)})
         uncapped = dyadic_ceil(span / 3 ** (level + 1), 80)
         assert hausdorff_gap(state, limit) == uncapped
 

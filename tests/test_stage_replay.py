@@ -3,7 +3,7 @@ and `compacta.construct.enumerate_stage` against the reference kept in
 `replay_stage`.
 
 Both must give the same limit tree and the same `EnumerationState`
-(points, terminal-leaf buckets and Cantor nets) at stages 0..8 on the
+(points and Cantor nets) at stages 0..8 on the
 stratified scripts of `test_stage_grid`, on 500 seeded `random_script`
 draws, and on hypothesis-drawn scripts.
 """

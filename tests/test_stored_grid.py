@@ -1,23 +1,31 @@
 """Differential test: the integer grid a compactum stores when it is
 validated, and that `select`, `cb_derivative` and `reduce_intoms` carry
 forward without validating again, against the validating constructor and
-a `Dyadic` scan of the endpoints; and the closed-form interval addresses
-behind `construct_limit` and `stone_space` against the nested `Dyadic`
-recursion they replaced, kept below as the oracle.
+a `Dyadic` scan of the endpoints; the one-pass `glue_classes` and
+`check_property_in` against the per-group reading and the endpoint-set
+formula they replaced; and the closed-form interval addresses behind
+`construct_limit` and `stone_space` against the nested `Dyadic`
+recursion they replaced.  The replaced versions are kept below as the
+oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from compacta.boolalg import stone_space
 from compacta.compactum import (
+    Cantor,
     Interval,
+    Point,
     PointSeq,
     all_clopen_selectors,
     cb_derivative,
+    check_property_in,
     compactum,
-    max_exp,
+    glue_classes,
     reduce_intoms,
     reduction,
     select,
@@ -99,8 +107,59 @@ def test_stored_grid_matches_validating_constructor_on_suite() -> None:
         assert again == s
         assert (again.exp, again.ends) == (s.exp, s.ends), s
         scan = max((x.exp for c in s.components for x in (c.lo, c.hi)), default=0)
-        assert max_exp(s) == s.exp == scan, s
+        assert s.exp == scan, s
         assert s.ends == scanned_ends(s), s
+
+
+def grouped_classes(s) -> list:
+    """The per-group reading `glue_classes` replaced: each group of
+    `glue_groups()`, hosted by the kind of its one component that is not
+    a glued sequence (of its only component, when it has one)."""
+    out = []
+    for group in s.glue_groups():
+        kinds = [s.ends[i][0] for i in group]
+        host = next((k for k in kinds if k is not PointSeq), kinds[0])
+        out.append((host, len(group) - 1))
+    return out
+
+
+def endpoint_property_in(s) -> bool:
+    """The endpoint-set formula `check_property_in` replaced."""
+    limits = {at for kind, _, _, at in s.ends if kind is PointSeq}
+    return not any(
+        kind is Interval and (lo in limits or hi in limits)
+        for kind, lo, hi, _ in s.ends
+    )
+
+
+def test_glue_classes_match_group_reading_on_suite() -> None:
+    compacta = suite_compacta()
+    seen = set()
+    for s in compacta:
+        classes = glue_classes(s)
+        assert classes == grouped_classes(s), s
+        assert check_property_in(s) == endpoint_property_in(s), s
+        seen.update(classes)
+    assert {(Interval, 1), (Interval, 2), (Cantor, 1), (Cantor, 2)} <= seen
+
+
+D = Dyadic
+LEFT = PointSeq(D(1, 2), D(1, 3), D(1, 2))  # limit 1/4 at its right end
+RIGHT = PointSeq(D(1, 1), D(1, 1), D(5, 3))  # limit 1/2 at its left end
+
+
+@pytest.mark.parametrize("host", [Interval, Cantor])
+@pytest.mark.parametrize(
+    "seqs, n", [((), 0), ((LEFT,), 1), ((RIGHT,), 1), ((LEFT, RIGHT), 2)]
+)
+def test_glue_classes_of_hand_built_hosts(host, seqs, n) -> None:
+    """A host on [1/4, 1/2] with sequences glued on no, one or both
+    sides, between a point and a lone sequence."""
+    lone = PointSeq(D(3, 2), D(11, 4), D(3, 2))
+    s = compactum([Point(D(1, 4)), host(D(1, 2), D(1, 1)), *seqs, lone])
+    assert glue_classes(s) == grouped_classes(s)
+    assert glue_classes(s) == [(Point, 0), (host, n), (PointSeq, 0)]
+    assert check_property_in(s) == endpoint_property_in(s) == (host is Cantor or not n)
 
 
 def nested_interval(addr: tuple[int, ...]) -> DyInterval:
