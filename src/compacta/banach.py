@@ -33,7 +33,7 @@ from .compactum import (
     compactum,
     compactum_contains,
 )
-from .dyadic import Dyadic, parse_fraction, read_lines
+from .dyadic import Dyadic, check_natural, parse_fraction, read_lines
 
 Rational = Fraction | Dyadic | int
 
@@ -199,6 +199,7 @@ def generalized_tooth(
 
 def stage_points(host: SymbolicCompactum, n: int) -> list[Fraction]:
     """The host's dense points at resolution stage n, sorted."""
+    check_natural("n", n)
     # level-n Cantor pieces and n halvings of any span fall on this grid
     grid = Grid(host, 3**n << (host.exp + n))
     pts: set[int] = set()
@@ -215,6 +216,7 @@ def stage_points(host: SymbolicCompactum, n: int) -> list[Fraction]:
 
 
 def stage_values(n: int) -> list[Fraction]:
+    check_natural("n", n)
     vals = {
         Fraction(p, q)
         for q in range(1, 2 ** n + 1)
@@ -238,6 +240,11 @@ def dense_family(host: SymbolicCompactum, n: int) -> Iterator[HostedFunction]:
     """Stage-n slice of the dense family: up to n breakpoints placed on
     the host's stage-n points, values of denominator at most 2^n, flat
     extension to the boundary.  Deterministic lexicographic order."""
+    check_natural("n", n)
+    return _dense_family(host, n)
+
+
+def _dense_family(host: SymbolicCompactum, n: int) -> Iterator[HostedFunction]:
     values = stage_values(n)
     anchors = stage_points(host, n)
     for k in range(n + 1):

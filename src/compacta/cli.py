@@ -52,7 +52,7 @@ from .construct import (
     hausdorff_gap,
     print_state,
 )
-from .dyadic import read_lines
+from .dyadic import check_natural, read_lines
 from .randgen import random_tree
 from .svg import render_tree_svg
 from .trees import limit_tree, parse_script, parse_tree
@@ -80,12 +80,6 @@ def _emit(text: str, out: str | None) -> None:
 def _check_precision(n: int) -> int:
     if not 0 <= n <= 64:
         raise ValueError("precision must be between 0 and 64")
-    return n
-
-
-def _check_natural(name: str, n: int) -> int:
-    if n < 0:
-        raise ValueError(f"{name} must be a natural number, got {n}")
     return n
 
 
@@ -195,7 +189,7 @@ _COUNTED_ATOMS = 64
 
 
 def _cmd_partitions(args: argparse.Namespace) -> int:
-    depth = _check_natural("--depth", args.depth)
+    depth = check_natural("--depth", args.depth)
     s = parse_compactum(_read(args.compactum))
     atoms = atom_count(s, min(depth, _COUNTED_ATOMS))
     need = bell_number(min(atoms, _COUNTED_ATOMS))
@@ -221,8 +215,8 @@ def _cmd_supnorm(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    count = _check_natural("--count", args.count)
-    depth = _check_natural("--depth", args.depth)
+    count = check_natural("--count", args.count)
+    depth = check_natural("--depth", args.depth)
     rng = random.Random(args.seed)
     lines = []
     passed = 0

@@ -42,7 +42,7 @@ from .compactum import (
     glue_classes,
     succ,
 )
-from .dyadic import parse_fraction, read_lines
+from .dyadic import check_natural, parse_fraction, read_lines
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,7 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
     """Finest clopen pieces at a given Cantor refinement depth.  A glued
     sequence rides with the piece holding its limit, so it never splits
     a group on its own."""
-    if depth < 0:
-        raise ValueError(f"depth must be a natural number, got {depth}")
+    check_natural("depth", depth)
     atoms: list[PartitionAtom] = []
     for gid, (kind, _) in enumerate(glue_classes(s)):
         if kind is Cantor and depth > 0:
@@ -295,6 +294,7 @@ def atoms_at_depth(s: SymbolicCompactum, depth: int) -> list[PartitionAtom]:
 
 def atom_count(s: SymbolicCompactum, depth: int) -> int:
     """len(atoms_at_depth(s, depth)), counted in closed form."""
+    check_natural("depth", depth)
     return sum(
         2**depth if depth and kind is Cantor else 1 for kind, _ in glue_classes(s)
     )
@@ -303,6 +303,7 @@ def atom_count(s: SymbolicCompactum, depth: int) -> int:
 def bell_number(n: int) -> int:
     """The number of set partitions of n items, by the Bell triangle: each
     row starts with the last entry of the row before."""
+    check_natural("n", n)
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -370,8 +371,7 @@ def clopen_partitions(
     Lazily enumerated grouped by effective depth, so the stream for depth
     d is a prefix of the stream for depth d+1.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be a natural number, got {depth}")
+    check_natural("depth", depth)
     return _partitions(s, depth)
 
 

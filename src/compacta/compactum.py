@@ -39,7 +39,7 @@ from numbers import Rational
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence, Union
 
-from .dyadic import Dyadic, parse_dyadic, read_lines
+from .dyadic import Dyadic, check_natural, parse_dyadic, read_lines
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ class PointSeq:
         return self.hi if self.limit == self.lo else self.lo
 
     def member(self, i: int) -> Dyadic:
+        check_natural("index", i)
         return self.limit + (self.far - self.limit).scaled_pow2(-i)
 
 

@@ -23,19 +23,31 @@ endpoints are triadic, not dyadic.  A stage's point count is known in
 closed form from the replay, and a stage of more than `MAX_POINTS`
 points is refused before any point is built.
 
-Points are built as ints (a terminal leaf's in closed form, see
-`_leaf_bucket`) and sorted once as ints over one 2^exp, which a stage
-carries (`EnumerationState.nums`).  The Hausdorff gap bound shifts them
-onto one integer grid per query (`compactum.Grid`): membership of every
-point, the nearest-point distances and the half gaps are int
-comparisons, and a `Dyadic` is built only for the returned bound.
+Points are built as ints (seeds and bridges each over its own power of
+2, a terminal leaf's bucket in closed form, see `_leaf_bucket`) and sorted
+once as ints over one 2^exp, which a stage carries
+(`EnumerationState.nums`).  Its `points` is a read-only view over those
+ints (`StagePoints`) that builds a `Dyadic` only for an element read,
+and `print_state` formats the ints directly.  A stage also records where
+its points came from (`EnumerationState.sources`): each junk point, and
+each terminal leaf's bucket as its hull.
+
+The Hausdorff gap bound shifts the ints onto one integer grid per query
+(`compactum.Grid`).  Membership is checked once per source: a junk point
+must be in the limit, a bucket's hull inside one interval component;
+only when a source fails is every point tested, so the error names the
+smallest stray point.  Eta nets are looked up by their ends on the grid,
+the nearest-point distances and the half gaps are int comparisons, and
+a `Dyadic` is built only for the returned bound.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .compactum import (
     Cantor,
@@ -62,26 +74,33 @@ Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
 _set = object.__setattr__
 
 
-def seed_point(addr: Address, node: Ends | None = None) -> Dyadic:
+def seed_point(addr: Address) -> Dyadic:
     """The junk point every once-bare node drops: midpoint of its 0-slot,
-    which is [4lo, 4lo + 2] / 2^(e+2) in addr's [lo, lo + 2] / 2^e.
-    `node` is addr's (lo, e) when the caller has it."""
-    lo, e = node or address_ends(addr)
-    return Dyadic(4 * lo + 1, e + 2)
+    which is [4lo, 4lo + 2] / 2^(e+2) in addr's [lo, lo + 2] / 2^e."""
+    return Dyadic(*_seed(address_ends(addr)))
 
 
-def replacement_bridges(
-    addr: Address, j: int, node: Ends | None = None
-) -> tuple[Dyadic, Dyadic]:
-    """Junk pair of the j-th replacement at addr, j >= 1 (`node` as in
-    `seed_point`).
+def _seed(node: Ends) -> tuple[int, int]:
+    """`seed_point` as (num, exp), num odd, from the node's (lo, e)."""
+    lo, e = node
+    return 4 * lo + 1, e + 2
+
+
+def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
+    """Junk pair of the j-th replacement at addr, j >= 1."""
+    left, right, x = _bridges(address_ends(addr), j)
+    return Dyadic(left, x), Dyadic(right, x)
+
+
+def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
+    """(left, right, x): `replacement_bridges` as ints over 2^x.  left is
+    odd, so x is the larger exponent of the two points.
 
     The discarded pair is (2j-1, 2j), the incoming pair (2j+1, 2j+2); the
     even child sits left of the center, the odd one right.  Each side gets
     the midpoint of the gap between the dead interval and the new one,
     summed from the two ends on one grid.
     """
-    node = node or address_ends(addr)
     top = node[1] + 2 * j + 4
 
     def end(m: int, side: int) -> int:
@@ -89,17 +108,18 @@ def replacement_bridges(
         lo, e = address_ends((m,), *node)
         return (lo + side) << (top - e)
 
-    left = Dyadic(end(2 * j, 2) + end(2 * j + 2, 0), top + 1)
-    right = Dyadic(end(2 * j + 1, 2) + end(2 * j - 1, 0), top + 1)
-    return left, right
+    left = end(2 * j, 2) + end(2 * j + 2, 0)
+    right = end(2 * j + 1, 2) + end(2 * j - 1, 0)
+    return left, right, top + 1
 
 
 def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
     """Isolated points a split node contributes: count ever_terminal + 2r."""
     node = address_ends(addr)
-    out = [seed_point(addr, node)] if ever_terminal else []
+    out = [Dyadic(*_seed(node))] if ever_terminal else []
     for j in range(1, r + 1):
-        out.extend(replacement_bridges(addr, j, node))
+        left, right, x = _bridges(node, j)
+        out += Dyadic(left, x), Dyadic(right, x)
     return out
 
 
@@ -122,32 +142,71 @@ def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
 # ---------------------------------------------------------------------------
 
 
+class StagePoints:
+    """A stage's points as a read-only sequence (length, indexing,
+    iteration) backed by `nums`, the sorted points as ints over 2^`exp`.
+    A `Dyadic` is built only for an element read; the view equals the
+    tuple of the `Dyadic`s it stands for."""
+
+    __slots__ = ("nums", "exp")
+
+    def __init__(self, nums: tuple[int, ...], exp: int) -> None:
+        self.nums = nums
+        self.exp = exp
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i: int | slice) -> Dyadic | tuple[Dyadic, ...]:
+        if isinstance(i, slice):
+            return tuple(map(Dyadic, self.nums[i], repeat(self.exp)))
+        return Dyadic(self.nums[i], self.exp)
+
+    def __iter__(self) -> Iterator[Dyadic]:
+        return map(Dyadic, self.nums, repeat(self.exp))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, StagePoints)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class EnumerationState:
     """Points emitted by stage `stage`, plus symbolic Cantor nets.
 
-    `points` holds every dyadic point, globally sorted.  `nets` maps an eta
-    leaf to (its interval, net level); the level-l net consists of both
-    endpoints of all 2^l ternary pieces and is never materialized since
-    those endpoints are triadic.
+    `points` holds every dyadic point, globally sorted; the enumerator
+    gives a `StagePoints` view, a hand-built state any sequence.  `nets`
+    maps an eta leaf to (its interval, net level); the level-l net
+    consists of both endpoints of all 2^l ternary pieces and is never
+    materialized since those endpoints are triadic.
 
-    `exp` and `nums`, not fields, carry the points as sorted ints over
-    2^exp, exp their largest exponent (0 for none).  The enumerator sets
-    them; a state built by hand gets them from a scan, which sorts.
+    `exp`, `nums` and `sources`, not fields, carry the points as sorted
+    ints over 2^exp, exp their largest exponent (0 for none), and where
+    they came from as int extents (lo, hi) over 2^exp: (v, v) for a junk
+    point, the hull of its bucket for a terminal leaf.  The enumerator
+    sets them; a state built by hand gets them from a scan, which sorts,
+    with one extent per point.
     """
 
     stage: int
-    points: tuple[Dyadic, ...]
+    points: Sequence[Dyadic]
     nets: dict[Address, tuple[DyInterval, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         e = max((p.exp for p in self.points), default=0)
+        nums = tuple(sorted(p.num << (e - p.exp) for p in self.points))
         _set(self, "exp", e)
-        _set(self, "nums", tuple(sorted(p.num << (e - p.exp) for p in self.points)))
+        _set(self, "nums", nums)
+        _set(self, "sources", tuple(zip(nums, nums)))
 
 
 def _stage_state(**attrs: object) -> EnumerationState:
-    """A state from its fields, `exp` and `nums` all given: no scan."""
+    """A state from its fields, `exp`, `nums` and `sources` all given: no
+    scan."""
     state = object.__new__(EnumerationState)
     state.__dict__.update(attrs)
     return state
@@ -191,19 +250,24 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     if need > MAX_POINTS:
         over = "over " if max(rounds.values(), default=0) > _COUNTED_ROUNDS else ""
         raise ValueError(f"stage {s} needs {over}{need} points, more than {MAX_POINTS}")
-    pts = [seed_point(addr) for addr in splits]
+    junk = [_seed(address_ends(addr)) for addr in splits]
     for addr, j in bridged:
-        pts.extend(replacement_bridges(addr, j))
+        left, right, x = _bridges(address_ends(addr), j)
+        junk += (left, x), (right, x)
     buckets = [_leaf_bucket(*address_ends(addr), r) for addr, r in rounds.items()]
-    e = max([p.exp for p in pts] + [x for x, _ in buckets], default=0)
-    nums = [p.num << (e - p.exp) for p in pts]
+    e = max([x for _, x in junk] + [x for x, _ in buckets], default=0)
+    nums = [v << (e - x) for v, x in junk]
+    sources = list(zip(nums, nums))
     for x, ys in buckets:
-        pts.extend([Dyadic(y, x) for y in ys])
-        nums.extend([y << (e - x) for y in ys])
-    order = sorted(range(len(nums)), key=nums.__getitem__)
+        if x < e:
+            ys = [y << (e - x) for y in ys]
+        nums.extend(ys)
+        sources.append((ys[0], ys[-1]))
+    nums.sort()
+    ints = tuple(nums)
     return _stage_state(
-        stage=s, points=tuple([pts[i] for i in order]), nets=nets, exp=e,
-        nums=tuple([nums[i] for i in order]),
+        stage=s, points=StagePoints(ints, e), nets=nets, exp=e, nums=ints,
+        sources=tuple(sources),
     )
 
 
@@ -232,9 +296,12 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
 
     Every point of the state must already belong to the limit set (that is
     what the enumerator guarantees); a stray point means the state and the
-    limit came from different scripts and raises.  The returned bound is
-    therefore the farthest any limit point can be from the emitted set,
-    maximized per component, and it never increases as the stage grows.
+    limit came from different scripts and raises, naming the smallest one.
+    It is checked per source, and point by point only when a source fails
+    (a bucket's hull may span components that hold its points).  The
+    returned bound is therefore the farthest any limit point can be from
+    the emitted set, maximized per component, and it never increases as
+    the stage grows.
 
     The query runs on one integer grid, the multiples of 1/(2D) with
     D = 2^E: E covers every exponent of the points and the limit, plus
@@ -253,26 +320,31 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
     grid = Grid(limit, 2 << e)
     shift = e + 1 - state.exp
     pts = [x << shift for x in state.nums]
-    for x in pts:
-        if not grid.contains(x):
-            raise ValueError(
-                f"state point {Dyadic(x, e + 1)} lies outside the limit set: "
-                f"state and limit do not match"
-            )
-    if not limit.components:
+    if not all(_holds(grid, lo << shift, hi << shift) for lo, hi in state.sources):
+        for x in pts:
+            if not grid.contains(x):
+                raise ValueError(
+                    f"state point {Dyadic(x, e + 1)} lies outside the limit set: "
+                    f"state and limit do not match"
+                )
+    if not grid.comps:
         return ZERO
+    # A net matches a component when its ends are that component's; an
+    # end finer than the grid matches none.
     net_levels = {
-        (iv.lo, iv.hi): level for iv, level in state.nets.values()
+        (iv.lo.num << (e + 1 - iv.lo.exp), iv.hi.num << (e + 1 - iv.hi.exp)): level
+        for iv, level in state.nets.values()
+        if max(iv.lo.exp, iv.hi.exp) <= e + 1
     }
     one = grid.d
     bound = 0
-    for comp, (kind, lo, hi, limit_at) in zip(limit.components, grid.comps):
+    for kind, lo, hi, limit_at in grid.comps:
         if kind is Point:
             d = _dist_to_points(lo, pts, one)
         elif kind is Interval:
             d = _interval_bound(lo, hi, pts, one)
         elif kind is Cantor:
-            level = net_levels.get((comp.lo, comp.hi))
+            level = net_levels.get((lo, hi))
             if level is None:
                 d = _span_bound(lo, hi, pts, one)
             else:
@@ -286,6 +358,21 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
         if d > bound:
             bound = d
     return Dyadic(bound, e + 1)
+
+
+_HI = operator.itemgetter(2)
+
+
+def _holds(grid: Grid, lo: int, hi: int) -> bool:
+    """Whether the limit holds the point lo == hi, or else the whole of
+    [lo, hi] inside one `Interval` component."""
+    if lo == hi:
+        return grid.contains(lo)
+    i = bisect.bisect_left(grid.comps, lo, key=_HI)
+    if i == len(grid.comps):
+        return False
+    kind, start, end, _ = grid.comps[i]
+    return kind is Interval and start <= lo and hi <= end
 
 
 def _dist_to_points(x: int, pts: list[int], one: int) -> int:
@@ -337,9 +424,14 @@ def _seq_bound(lo: int, hi: int, limit: int, pts: list[int], one: int) -> int:
 
 
 def print_state(state: EnumerationState, gap: Dyadic | None = None) -> str:
+    """The stage's points, formatted from the ints, then its nets."""
     lines = [f"stage {state.stage}"]
-    for p in state.points:
-        lines.append(f"point {p}")
+    e = state.exp
+    lines += [  # n / 2^e in lowest terms, as `Dyadic` keeps it
+        f"point {n >> k}/2^{e - k}"
+        for n in state.nums
+        for k in (min((n & -n).bit_length() - 1, e) if n else e,)
+    ]
     for addr in sorted(state.nets):
         _, level = state.nets[addr]
         lines.append(f"net {format_address(addr)} level={level}")

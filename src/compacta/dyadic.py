@@ -261,6 +261,14 @@ def parse_address(text: str) -> Address:
     return addr
 
 
+def check_natural(name: str, n: int) -> int:
+    """n, once it is known to be a natural number; `name` is the caller's
+    name for it."""
+    if n < 0:
+        raise ValueError(f"{name} must be a natural number, got {n}")
+    return n
+
+
 def parse_natural(text: str) -> int:
     if (n := int(text)) < 0:
         raise ValueError(f"not a natural number: {text!r}")

@@ -266,6 +266,21 @@ def test_stage_points_seq_and_point() -> None:
     assert stage_points(POINTS_HOST, 3) == [F(1, 2), F(7, 8)]
 
 
+def test_negative_stage_rejected() -> None:
+    """A negative stage is a ValueError naming n, never a TypeError from
+    3**n or 2**n; dense_family raises on the call, not on the first next."""
+    want = "n must be a natural number, got -1"
+    for host in (UNIT_HOST, CANTOR_HOST, SEQ_HOST):
+        for call in (
+            lambda: stage_points(host, -1),
+            lambda: stage_values(-1),
+            lambda: dense_family(host, -1),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == want
+
+
 def test_dense_family_stage_zero_constants() -> None:
     fams = list(dense_family(UNIT_HOST, 0))
     assert [bp(f) for f in fams] == [

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from compacta.compact import (
     Ball,
     CoverCertificate,
+    atom_count,
     atoms_at_depth,
     atoms_intersect,
     balls_intersect,
+    bell_number,
     clopen_partitions,
     cover,
     cover_is_valid,
@@ -320,6 +322,21 @@ def test_negative_depth_rejected():
             atoms_at_depth(s, -1)
         with pytest.raises(ValueError, match="-1"):
             clopen_partitions(s, -1)
+
+
+def test_negative_counts_rejected():
+    """atom_count and bell_number refuse what atoms_at_depth refuses,
+    instead of counting 2^depth or an empty triangle."""
+    point_too = compactum([Cantor(D(0), D(1, 1)), Point(D(3, 2))])
+    for depth in (-1, -3):
+        with pytest.raises(ValueError) as exc:
+            atom_count(point_too, depth)
+        assert str(exc.value) == f"depth must be a natural number, got {depth}"
+        with pytest.raises(ValueError) as exc:
+            bell_number(depth)
+        assert str(exc.value) == f"n must be a natural number, got {depth}"
+    assert [atom_count(point_too, d) for d in range(4)] == [2, 3, 5, 9]
+    assert [bell_number(n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
 
 
 def test_parts_cover_and_disjoint():

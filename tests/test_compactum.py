@@ -381,6 +381,16 @@ def test_sequence_membership():
     assert not compactum_contains(s, Fraction(5, 8))
 
 
+def test_sequence_members_start_at_the_far_end():
+    """member(0) is the far end and the members close in on the limit; a
+    negative index, which would land beyond the far end, is refused."""
+    assert [SEQ_TO_HALF.member(i) for i in range(3)] == [D(1, 2), D(3, 3), D(7, 4)]
+    for i in (-1, -2):
+        with pytest.raises(ValueError) as exc:
+            SEQ_TO_HALF.member(i)
+        assert str(exc.value) == f"index must be a natural number, got {i}"
+
+
 def test_compactum_contains():
     s = compactum([JUNK, I_A])
     assert compactum_contains(s, Fraction(1, 8))

@@ -6,7 +6,10 @@ Both must return the same `Dyadic` on seeded scripts stratified by their
 terminal-leaf count at stages 0..8, on hypothesis-drawn scripts, and on
 hand-built limits with sequences, glued components, components no point
 reaches, no components at all, and states with no points.  A state
-paired with a limit it does not lie in must raise the same error.
+paired with a limit it does not lie in must raise the same error.  An
+enumerator state is checked per source (a junk point, or a terminal
+leaf's hull inside one interval); a source that fails that check falls
+back to the per-point test, which must still agree with the reference.
 """
 
 from __future__ import annotations
@@ -106,6 +109,53 @@ def test_wrong_limit_raises_like_reference():
                 raised += 1
             assert_same(state, limit)
     assert raised > len(scripts)
+
+
+def _leaf_states() -> list[EnumerationState]:
+    """Enumerator states with a terminal leaf past its first round, so a
+    source is a hull of more than one point."""
+    states = [
+        enumerate_stage(script, s)
+        for script in stratified_scripts()[::3]
+        for s in (1, 2)
+    ]
+    return [st for st in states if any(lo < hi for lo, hi in st.sources)]
+
+
+def test_points_only_limit_fails_the_hull_check_but_holds_every_point():
+    """A limit of `Point`s at exactly the state's points has no interval
+    for a bucket's hull, yet no point is stray: the per-point fallback
+    passes and the bound is the reference's (zero)."""
+    states = _leaf_states()
+    assert len(states) > 5
+    for state in states:
+        limit = compactum([Point(p) for p in state.points])
+        assert_same(state, limit)
+        assert hausdorff_gap(state, limit) == D(0)
+
+
+def test_strays_in_two_sources_name_the_smallest():
+    """Drop the points of two sources from a points-only limit: both
+    sources fail, and the message names the smallest dropped point, as
+    the reference does."""
+    checked = 0
+    for state in _leaf_states():
+        if len(state.sources) < 3:
+            continue
+        e = state.exp
+        for gone in (state.sources[:2], state.sources[-2:], state.sources[::2][:2]):
+            dropped = {x for x in state.nums if any(lo <= x <= hi for lo, hi in gone)}
+            limit = compactum(
+                [Point(D(x, e)) for x in state.nums if x not in dropped]
+            )
+            assert_same(state, limit)
+            with pytest.raises(ValueError) as exc:
+                hausdorff_gap(state, limit)
+            assert str(exc.value).startswith(
+                f"state point {D(min(dropped), e)} lies outside the limit set"
+            )
+            checked += 1
+    assert checked > 10
 
 
 # Hand-built limits: (components, points of the limit that states may hold).
