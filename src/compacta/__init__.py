@@ -1,15 +1,7 @@
 """Exact workbench for labelled trees, their limit compacta in [0,1],
 and the labelled Boolean algebras dual to them."""
 
-from .dyadic import (
-    Address,
-    Dyadic,
-    DyInterval,
-    base_interval,
-    concentration_point,
-    interval_of,
-    midpoint,
-)
+from .dyadic import Address, Dyadic, address_ends, midpoint
 from .trees import (
     ETA,
     Event,

@@ -85,10 +85,6 @@ def _card(x: "SymCard | int") -> SymCard:
 OMEGA = SymCard(None)
 
 
-def fin(n: int) -> SymCard:
-    return SymCard(n)
-
-
 def parse_symcard(text: str) -> SymCard:
     return OMEGA if text == "w" else SymCard(int(text))
 

@@ -30,14 +30,7 @@ from .boolalg import (
     tree_algebra,
 )
 from .boolalg import canonical_form as ba_form
-from .compact import (
-    MAX_PARTITIONS,
-    atom_count,
-    bell_number,
-    clopen_partitions,
-    cover,
-    print_cover,
-)
+from .compact import check_partition_budget, clopen_partitions, cover, print_cover
 from .compactum import (
     canonical_form,
     cb_derivative,
@@ -182,22 +175,10 @@ def _format_atom(atom: tuple[int, str]) -> str:
     return f"{atom[0]}:{atom[1]}"
 
 
-# Partitions are counted exactly up to this many atoms; a host with more is
-# far over budget ("needs over").  Capping the depth at it keeps 2^depth
-# small, since a Cantor group then already has more atoms than this.
-_COUNTED_ATOMS = 64
-
-
 def _cmd_partitions(args: argparse.Namespace) -> int:
     depth = check_natural("--depth", args.depth)
     s = parse_compactum(_read(args.compactum))
-    atoms = atom_count(s, min(depth, _COUNTED_ATOMS))
-    need = bell_number(min(atoms, _COUNTED_ATOMS))
-    if need > MAX_PARTITIONS:
-        over = "over " if atoms > _COUNTED_ATOMS else ""
-        raise ValueError(
-            f"depth {depth} needs {over}{need} partitions, more than {MAX_PARTITIONS}"
-        )
+    check_partition_budget(s, depth)
     lines = [f"partitions depth={depth}"]
     for parts in clopen_partitions(s, depth):
         blocks = ["+".join(_format_atom(a) for a in sorted(p)) for p in parts]

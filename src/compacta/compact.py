@@ -266,10 +266,13 @@ def balls_intersect(
 # Clopen partitions
 # ---------------------------------------------------------------------------
 
-# The most partitions the `partitions` command prints: a deeper request is
-# refused from the Bell number of its atom count before any is built.  The
+# The most partitions `check_partition_budget` lets a depth have.  The
 # stream of `clopen_partitions` itself stays lazy and unbounded.
 MAX_PARTITIONS = 1 << 20
+# Partitions are counted exactly up to this many atoms; a host with more is
+# far over budget ("needs over").  Capping the depth at it keeps 2^depth
+# small, since a Cantor group then already has more atoms than this.
+_COUNTED_ATOMS = 64
 
 # An atom is (glue-group index, refinement word); the word is nonempty only
 # for groups hosted by a Cantor component, whose level-d pieces it names.
@@ -311,6 +314,19 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
+
+
+def check_partition_budget(s: SymbolicCompactum, depth: int) -> None:
+    """Refuse a depth with more than MAX_PARTITIONS clopen partitions, from
+    the Bell number of its atom count, before any partition is built."""
+    check_natural("depth", depth)
+    atoms = atom_count(s, min(depth, _COUNTED_ATOMS))
+    need = bell_number(min(atoms, _COUNTED_ATOMS))
+    if need > MAX_PARTITIONS:
+        over = "over " if atoms > _COUNTED_ATOMS else ""
+        raise ValueError(
+            f"depth {depth} needs {over}{need} partitions, more than {MAX_PARTITIONS}"
+        )
 
 
 def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from numbers import Rational
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Sequence, Union
 
 from .dyadic import Dyadic, check_natural, parse_dyadic, read_lines
@@ -518,18 +518,14 @@ def cantor_net(lo: int, hi: int, level: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def print_compactum(s: SymbolicCompactum) -> str:
-    lines = ["compactum v1"]
-    for comp in s.components:
-        if isinstance(comp, Point):
-            lines.append(f"point {comp.pos}")
-        elif isinstance(comp, Interval):
-            lines.append(f"interval {comp.lo} {comp.hi}")
-        elif isinstance(comp, Cantor):
-            lines.append(f"cantor {comp.lo} {comp.hi}")
-        else:
-            lines.append(f"seq {comp.limit} {comp.lo} {comp.hi}")
-    return "\n".join(lines) + "\n"
+# One row per component kind: its text keyword, its class and the
+# fields a line lists, in text order.
+_KINDS = (
+    ("point", Point, ("pos",)),
+    ("interval", Interval, ("lo", "hi")),
+    ("cantor", Cantor, ("lo", "hi")),
+    ("seq", PointSeq, ("limit", "lo", "hi")),
+)
 
 
 def _dyadics(make: type) -> Callable[..., Component]:
@@ -537,12 +533,22 @@ def _dyadics(make: type) -> Callable[..., Component]:
 
 
 # A text line's keyword, its field count and the component it builds.
-_LINES = {
-    "point": (1, _dyadics(Point)),
-    "interval": (2, _dyadics(Interval)),
-    "cantor": (2, _dyadics(Cantor)),
-    "seq": (3, _dyadics(PointSeq)),
+_LINES = {word: (len(names), _dyadics(kind)) for word, kind, names in _KINDS}
+# A component's class, the template of its line and the getter of its
+# fields, e.g. ("cantor %s %s", attrgetter("lo", "hi")); a one-field
+# getter returns a lone `Dyadic`, which `%` takes as its one argument.
+_PRINTS = {
+    kind: (" ".join([word] + ["%s"] * len(names)), attrgetter(*names))
+    for word, kind, names in _KINDS
 }
+
+
+def print_compactum(s: SymbolicCompactum) -> str:
+    lines = ["compactum v1"]
+    for comp in s.components:
+        template, fields = _PRINTS[type(comp)]
+        lines.append(template % fields(comp))
+    return "\n".join(lines) + "\n"
 
 
 def parse_compactum(text: str) -> SymbolicCompactum:

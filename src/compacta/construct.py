@@ -14,13 +14,13 @@ The stage enumerator reads the replay a script keeps from validation
 monotonically and its closure converges to the limit set.  A child
 installed by an event that a later event will tombstone emits nothing:
 the script is finite and known in full, so the enumerator may consult
-the future.  That choice keeps
-every emitted point inside the limit set, which makes the Hausdorff bound
-monotone for free.  Terminal leaves densify their interval by one
-midpoint round per stage since their birth; eta leaves refine their
-Cantor net one ternary level per stage, held symbolically because level
-endpoints are triadic, not dyadic.  A stage's point count is known in
-closed form from the replay, and a stage of more than `MAX_POINTS`
+the future.  That choice keeps every emitted point inside the limit set,
+which makes the Hausdorff bound monotone for free.  Terminal leaves
+densify their interval by one midpoint round per stage since their
+birth; eta leaves refine their Cantor net one ternary level per stage,
+held symbolically as the leaf's `Cantor` component and a level, because
+level endpoints are triadic, not dyadic.  A stage's point count is known
+in closed form from the replay, and a stage of more than `MAX_POINTS`
 points is refused before any point is built.
 
 Points are built as ints (seeds and bridges each over its own power of
@@ -59,15 +59,7 @@ from .compactum import (
     SymbolicCompactum,
     compactum,
 )
-from .dyadic import (
-    Address,
-    DyInterval,
-    Dyadic,
-    ZERO,
-    address_ends,
-    format_address,
-    interval_of,
-)
+from .dyadic import Address, Dyadic, ZERO, address_ends, check_natural, format_address
 from .trees import ETA, SPLIT, TERMINAL, LabelledTree, StageScript
 
 Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
@@ -88,6 +80,8 @@ def _seed(node: Ends) -> tuple[int, int]:
 
 def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
     """Junk pair of the j-th replacement at addr, j >= 1."""
+    if j < 1:
+        raise ValueError(f"j must be at least 1, got {j}")
     left, right, x = _bridges(address_ends(addr), j)
     return Dyadic(left, x), Dyadic(right, x)
 
@@ -115,6 +109,7 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
 
 def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
     """Isolated points a split node contributes: count ever_terminal + 2r."""
+    check_natural("r", r)
     node = address_ends(addr)
     out = [Dyadic(*_seed(node))] if ever_terminal else []
     for j in range(1, r + 1):
@@ -123,13 +118,19 @@ def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
     return out
 
 
+def _leaf_region(kind: type, addr: Address) -> Component:
+    """A leaf's region in the limit: its whole interval for a terminal leaf
+    (`Interval`), a Cantor copy on it for an eta leaf (`Cantor`)."""
+    lo, e = address_ends(addr)
+    return kind(Dyadic(lo, e), Dyadic(lo + 2, e))
+
+
 def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
     comps: list[Component] = []
     for addr, node in tree.nodes.items():
         if node.kind in (TERMINAL, ETA):
-            lo, e = address_ends(addr)
             kind = Interval if node.kind == TERMINAL else Cantor
-            comps.append(kind(Dyadic(lo, e), Dyadic(lo + 2, e)))
+            comps.append(_leaf_region(kind, addr))
         elif node.kind == SPLIT:
             comps.extend(
                 Point(p) for p in junk_points(addr, node.r, node.ever_terminal)
@@ -180,9 +181,10 @@ class EnumerationState:
 
     `points` holds every dyadic point, globally sorted; the enumerator
     gives a `StagePoints` view, a hand-built state any sequence.  `nets`
-    maps an eta leaf to (its interval, net level); the level-l net
-    consists of both endpoints of all 2^l ternary pieces and is never
-    materialized since those endpoints are triadic.
+    maps an eta leaf to (its Cantor copy, net level), the copy being the
+    component `construct_limit` gives that leaf; the level-l net consists
+    of both endpoints of all 2^l ternary pieces and is never materialized
+    since those endpoints are triadic.
 
     `exp`, `nums` and `sources`, not fields, carry the points as sorted
     ints over 2^exp, exp their largest exponent (0 for none), and where
@@ -194,7 +196,7 @@ class EnumerationState:
 
     stage: int
     points: Sequence[Dyadic]
-    nets: dict[Address, tuple[DyInterval, int]] = field(default_factory=dict)
+    nets: dict[Address, tuple[Cantor, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         e = max((p.exp for p in self.points), default=0)
@@ -230,7 +232,7 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     final = script.replay
     splits: list[Address] = []
     rounds: dict[Address, int] = {}  # terminal leaf -> midpoint rounds
-    nets: dict[Address, tuple[DyInterval, int]] = {}
+    nets: dict[Address, tuple[Cantor, int]] = {}
     for addr, kind in final.alive.items():
         age = s - final.born[addr]
         if age < 0:
@@ -238,7 +240,7 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
         if kind == TERMINAL:
             rounds[addr] = age
         elif kind == ETA:
-            nets[addr] = (interval_of(addr), age)
+            nets[addr] = (_leaf_region(Cantor, addr), age)
         elif kind == SPLIT:
             splits.append(addr)
     # Bridges of a pair that is itself torn down later never reach the

@@ -4,12 +4,13 @@ Every coordinate produced by the tree-to-set construction is a dyadic
 rational a/2^k, so all geometry here is closed-form integer arithmetic.
 Cantor-set internals are the one exception: points below the grid are
 exact pairs over powers of 3 (`compactum.succ`), framed by interval
-endpoints that stay dyadic.
+endpoints that stay dyadic.  A tree node's nested interval is read one
+way, `address_ends`, as ints; a caller builds a `Dyadic` from them only
+where it needs one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -181,33 +182,6 @@ def midpoint(a: Dyadic, b: Dyadic) -> Dyadic:
     return (a + b).half()
 
 
-@dataclass(frozen=True)
-class DyInterval:
-    lo: Dyadic
-    hi: Dyadic
-
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise ValueError(f"interval endpoints out of order: {self}")
-
-    @property
-    def length(self) -> Dyadic:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Dyadic:
-        return midpoint(self.lo, self.hi)
-
-    def contains(self, x: Dyadic) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{self.lo},{self.hi}]"
-
-
-UNIT = DyInterval(ZERO, ONE)
-
-
 def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
     """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e.  Given
     the lo and e of a node, addr is read as a path below that node.
@@ -218,7 +192,8 @@ def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
     1/2 from the left; odd indices 2n+1 sit in the mirrored block on the
     right, descending toward 1/2.  Blocks partition each side, so distinct
     intervals never touch.  In units of 2^-(m+3), the interval starts at
-    2^(m+2) - 1 -+ 3*2^(m-n), minus for even m and plus for odd.
+    2^(m+2) - 1 -+ 3*2^(m-n), minus for even m and plus for odd.  The
+    children of a node at (lo, e) accumulate at its midpoint (lo + 1) / 2^e.
     """
     for m in addr:
         if m < 0:
@@ -227,22 +202,6 @@ def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
         lo = ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t)
         e += m + 2
     return lo, e
-
-
-def base_interval(m: int) -> DyInterval:
-    """The m-th root-level interval (see `address_ends`)."""
-    return interval_of((m,))
-
-
-def interval_of(addr: Address) -> DyInterval:
-    """Nested interval for an address (see `address_ends`)."""
-    lo, e = address_ends(addr)
-    return DyInterval(Dyadic(lo, e), Dyadic(lo + 2, e))
-
-
-def concentration_point(addr: Address) -> Dyadic:
-    """The single accumulation point of the sibling family below addr."""
-    return interval_of(addr).mid
 
 
 def format_address(addr: Address) -> str:

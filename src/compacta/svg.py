@@ -1,18 +1,18 @@
 """Write-only SVG diagrams of a tree's interval layout.
 
-Each tree node owns a base interval; the diagram stacks them by depth,
+Each tree node owns a nested interval; the diagram stacks them by depth,
 root at the top.  Terminal leaves get a dot at their concentration
 point, eta leaves a solid bar, splits an outline plus a dot for the
-isolated point they shed.  All coordinates are integers obtained by
-exact scaling, so equal inputs give byte-equal files.
+isolated point they shed.  Every coordinate is drawn from ints: a
+position num / 2^exp (an interval's ends from `address_ends`, a junk
+point's num and exp) maps to the floor of its exact scaling, so equal
+inputs give byte-equal files.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .construct import seed_point, replacement_bridges
-from .dyadic import Dyadic, interval_of
+from .dyadic import address_ends
 from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree
 
 WIDTH = 10000
@@ -28,9 +28,10 @@ _STYLE = {
 }
 
 
-def _x(value: Dyadic | Fraction) -> int:
-    f = value.as_fraction() if isinstance(value, Dyadic) else value
-    return MARGIN + f.numerator * WIDTH // f.denominator
+def _x(num: int, exp: int) -> int:
+    """The column of num / 2^exp: the floor of its scaling by WIDTH, which
+    is the same whether or not num / 2^exp is in lowest terms."""
+    return MARGIN + (num * WIDTH >> exp)
 
 
 def render_tree_svg(tree: LabelledTree) -> str:
@@ -43,8 +44,8 @@ def render_tree_svg(tree: LabelledTree) -> str:
     ]
     for addr in sorted(tree.nodes):
         node = tree.node(addr)
-        iv = interval_of(addr)
-        x0, x1 = _x(iv.lo), _x(iv.hi)
+        lo, e = address_ends(addr)
+        x0, x1 = _x(lo, e), _x(lo + 2, e)
         y = MARGIN + len(addr) * ROW
         fill, stroke = _STYLE[node.kind]
         out.append(
@@ -54,19 +55,20 @@ def render_tree_svg(tree: LabelledTree) -> str:
         cy = y + BAR // 2
         if node.kind == TERMINAL:
             out.append(
-                f'<circle cx="{_x(iv.mid)}" cy="{cy}" r="5" fill="#c0392b"/>'
+                f'<circle cx="{_x(lo + 1, e)}" cy="{cy}" r="5" fill="#c0392b"/>'
             )
         elif node.kind == SPLIT:
             if node.ever_terminal:
+                seed = seed_point(addr)
                 out.append(
-                    f'<circle cx="{_x(seed_point(addr))}" cy="{cy}" r="4" '
+                    f'<circle cx="{_x(seed.num, seed.exp)}" cy="{cy}" r="4" '
                     f'fill="#c0392b"/>'
                 )
             for j in range(1, node.r + 1):
                 left, right = replacement_bridges(addr, j)
                 for p in (left, right):
                     out.append(
-                        f'<circle cx="{_x(p)}" cy="{cy}" r="3" '
+                        f'<circle cx="{_x(p.num, p.exp)}" cy="{cy}" r="3" '
                         f'fill="#e67e22"/>'
                     )
     out.append("</svg>")

@@ -15,15 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from compacta.compactum import Cantor
 from compacta.construct import EnumerationState, replacement_bridges, seed_point
-from compacta.dyadic import (
-    Address,
-    DyInterval,
-    Dyadic,
-    format_address,
-    interval_of,
-    midpoint,
-)
+from compacta.dyadic import Address, Dyadic, address_ends, format_address, midpoint
 from compacta.trees import (
     ETA,
     FRESH,
@@ -218,7 +212,7 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     for t in range(1, s + 1):
         for addr, created in list(leaf_created.items()):
             if created < t:
-                leaves[addr] = _densify(interval_of(addr), leaves[addr])
+                leaves[addr] = _densify(interval(addr), leaves[addr])
         if t <= len(script.events):
             ev = script.events[t - 1]
             if ev.kind == FRESH:
@@ -239,11 +233,17 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
     return EnumerationState(
         stage=s,
         points=tuple(pts),
-        nets={a: (interval_of(a), s - t0) for a, t0 in nets.items()},
+        nets={a: (Cantor(*interval(a)), s - t0) for a, t0 in nets.items()},
     )
 
 
-def _densify(iv: DyInterval, pts: list[Dyadic]) -> list[Dyadic]:
+def interval(addr: Address) -> tuple[Dyadic, Dyadic]:
+    """The interval of addr as (lo, hi), read through `address_ends`."""
+    lo, e = address_ends(addr)
+    return Dyadic(lo, e), Dyadic(lo + 2, e)
+
+
+def _densify(iv: tuple[Dyadic, Dyadic], pts: list[Dyadic]) -> list[Dyadic]:
     """One midpoint round over the sorted chain lo, p1, ..., pk, hi.
 
     The endpoints anchor the chain but are never emitted themselves; the
@@ -251,7 +251,7 @@ def _densify(iv: DyInterval, pts: list[Dyadic]) -> list[Dyadic]:
     gap halves every round.  Each midpoint goes between its two
     neighbours, so the output stays sorted.
     """
-    chain = [iv.lo] + pts + [iv.hi]
+    chain = [iv[0]] + pts + [iv[1]]
     out = []
     for a, b in zip(chain, chain[1:]):
         out.append(midpoint(a, b))

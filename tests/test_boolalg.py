@@ -63,7 +63,7 @@ from compacta.compactum import (
 )
 from compacta.compactum import canonical_form as compactum_form
 from compacta.construct import construct_limit
-from compacta.dyadic import Dyadic, interval_of
+from compacta.dyadic import Dyadic
 from compacta.trees import (
     ETA,
     TERMINAL,
@@ -71,6 +71,7 @@ from compacta.trees import (
     parse_tree,
     single_node_tree,
 )
+from test_dyadic import center, ends
 
 D = Dyadic
 
@@ -559,9 +560,7 @@ def test_tree_algebra_counts():
 def test_stone_space_realizes_leaves():
     t = fishbone([single_node_tree(TERMINAL), single_node_tree(ETA)])
     s = stone_space(t)
-    leaf_iv = interval_of((1,))
-    eta_iv = interval_of((0,))
-    assert s.components == (Cantor(eta_iv.lo, eta_iv.hi), Point(leaf_iv.mid))
+    assert s.components == (Cantor(*ends((0,))), Point(center((1,))))
 
 
 def test_reduction_matches_stone_space():

@@ -38,7 +38,7 @@ from compacta.construct import (
     print_state,
     replacement_bridges,
 )
-from compacta.dyadic import Dyadic, ONE, ZERO
+from compacta.dyadic import Dyadic, ONE, ZERO, midpoint
 from compacta.trees import (
     ETA,
     TERMINAL,
@@ -50,6 +50,7 @@ from compacta.trees import (
     limit_tree,
     single_node_tree,
 )
+from test_dyadic import ends
 from test_stage_grid import stratified_scripts
 
 D = Dyadic
@@ -91,15 +92,13 @@ def test_junk_count_is_et_plus_two_r():
 
 
 def test_junk_avoids_final_children_and_between_region():
-    from compacta.dyadic import interval_of
-
     for r in range(4):
-        left_child = interval_of((2 * r + 2,))
-        right_child = interval_of((2 * r + 1,))
+        left_lo, left_hi = ends((2 * r + 2,))
+        right_lo, right_hi = ends((2 * r + 1,))
         for p in junk_points((), r, True):
-            assert not (left_child.lo <= p <= left_child.hi)
-            assert not (right_child.lo <= p <= right_child.hi)
-            assert not (left_child.hi < p < right_child.lo)
+            assert not (left_lo <= p <= left_hi)
+            assert not (right_lo <= p <= right_hi)
+            assert not (left_hi < p < right_lo)
 
 
 # --- construct_limit --------------------------------------------------------
@@ -138,16 +137,14 @@ def test_replaced_split_limit():
 def test_fishbone_limit_unions_components():
     t = fishbone([single_node_tree(TERMINAL), single_node_tree(ETA)])
     s = construct_limit(t)
-    from compacta.dyadic import interval_of
-
-    i1 = interval_of((1,))
-    i0 = interval_of((0,))
+    i1 = ends((1,))
+    i0 = ends((0,))
     assert s.components == (
-        Interval(i1.lo, i1.hi),
-        Cantor(i0.lo, i0.hi),
+        Interval(*i1),
+        Cantor(*i0),
     ) or s.components == (
-        Cantor(i0.lo, i0.hi),
-        Interval(i1.lo, i1.hi),
+        Cantor(*i0),
+        Interval(*i1),
     )
 
 
@@ -250,9 +247,9 @@ def test_eta_net_levels_advance():
     for s in range(4):
         st_ = enumerate_stage(script, s)
         assert st_.points == ()
-        (iv, level), = st_.nets.values()
+        (net, level), = st_.nets.values()
         assert level == s
-        assert (iv.lo, iv.hi) == (ZERO, ONE)
+        assert net == Cantor(ZERO, ONE)
 
 
 def test_hard_stop_enforced():
@@ -358,17 +355,16 @@ def test_gap_converges_three_component_example():
 
 def test_reduction_of_limit_matches_leaf_structure():
     from compacta.compactum import reduction
-    from compacta.dyadic import interval_of
 
     t = fishbone([split_tree(1), single_node_tree(ETA), split_tree(0, left=ETA)])
     r = reduction(construct_limit(t))
     expected = []
     for addr, node in t.nodes.items():
-        iv = interval_of(addr)
+        lo, hi = ends(addr)
         if node.kind == TERMINAL:
-            expected.append(Point(iv.mid))
+            expected.append(Point(midpoint(lo, hi)))
         elif node.kind == ETA:
-            expected.append(Cantor(iv.lo, iv.hi))
+            expected.append(Cantor(lo, hi))
     assert r == compactum(expected)
     assert canonical_form(r) == canonical_form(compactum(expected))
 

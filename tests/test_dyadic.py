@@ -19,15 +19,11 @@ from hypothesis import given, strategies as st
 from compacta.dyadic import (
     HALF,
     ONE,
-    UNIT,
     ZERO,
     Dyadic,
-    DyInterval,
-    base_interval,
-    concentration_point,
+    address_ends,
     dyadic_ceil,
     format_address,
-    interval_of,
     midpoint,
     parse_address,
     parse_dyadic,
@@ -54,8 +50,19 @@ def oracle_nested(addr: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def as_fr(iv: DyInterval) -> tuple[Fraction, Fraction]:
-    return iv.lo.as_fraction(), iv.hi.as_fraction()
+def ends(addr: tuple[int, ...]) -> tuple[Dyadic, Dyadic]:
+    """The interval of addr as `Dyadic` ends, read through `address_ends`."""
+    lo, e = address_ends(addr)
+    return Dyadic(lo, e), Dyadic(lo + 2, e)
+
+
+def center(addr: tuple[int, ...]) -> Dyadic:
+    """The concentration point of addr: the midpoint of its interval."""
+    return midpoint(*ends(addr))
+
+
+def as_fr(iv: tuple[Dyadic, Dyadic]) -> tuple[Fraction, Fraction]:
+    return iv[0].as_fraction(), iv[1].as_fraction()
 
 
 # --- frozen values -----------------------------------------------------------
@@ -71,29 +78,29 @@ FROZEN = {
 
 def test_frozen_base_intervals():
     for m, expected in FROZEN.items():
-        assert as_fr(base_interval(m)) == expected
+        assert as_fr(ends((m,))) == expected
         assert oracle_base(m) == expected
 
 
 def test_frozen_nested_interval():
-    assert as_fr(interval_of((0, 1))) == (Fraction(13, 64), Fraction(15, 64))
+    assert as_fr(ends((0, 1))) == (Fraction(13, 64), Fraction(15, 64))
 
 
 def test_frozen_concentration_points():
-    assert concentration_point(()).as_fraction() == Fraction(1, 2)
-    assert concentration_point((0,)).as_fraction() == Fraction(1, 8)
-    assert concentration_point((1,)).as_fraction() == Fraction(7, 8)
+    assert center(()).as_fraction() == Fraction(1, 2)
+    assert center((0,)).as_fraction() == Fraction(1, 8)
+    assert center((1,)).as_fraction() == Fraction(7, 8)
 
 
 def test_frozen_gap_between_first_pair():
-    gap = base_interval(2).lo - base_interval(0).hi
+    gap = ends((2,))[0] - ends((0,))[1]
     assert gap.as_fraction() == Fraction(1, 32)
     assert gap > ZERO
 
 
 def test_root_interval_is_unit():
-    assert interval_of(()) == UNIT
-    assert UNIT.lo == ZERO and UNIT.hi == ONE
+    assert address_ends(()) == (0, 1)
+    assert ends(()) == (ZERO, ONE)
 
 
 # --- lengths, ordering, separation ------------------------------------------
@@ -101,11 +108,12 @@ def test_root_interval_is_unit():
 
 def test_length_is_two_to_minus_m_minus_two():
     for m in range(0, 24):
-        assert base_interval(m).length.as_fraction() == Fraction(1, 2 ** (m + 2))
+        lo, hi = ends((m,))
+        assert (hi - lo).as_fraction() == Fraction(1, 2 ** (m + 2))
 
 
 def test_base_intervals_pairwise_disjoint_with_gaps():
-    ivs = [as_fr(base_interval(m)) for m in range(40)]
+    ivs = [as_fr(ends((m,))) for m in range(40)]
     ivs.sort()
     for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
         assert hi1 < lo2
@@ -113,24 +121,22 @@ def test_base_intervals_pairwise_disjoint_with_gaps():
 
 def test_even_intervals_left_of_half_odd_right():
     for m in range(0, 30, 2):
-        assert base_interval(m).hi < HALF
+        assert ends((m,))[1] < HALF
     for m in range(1, 30, 2):
-        assert base_interval(m).lo > HALF
+        assert ends((m,))[0] > HALF
 
 
 def test_odd_center_is_mirror_of_even_center():
     for n in range(12):
-        even = base_interval(2 * n)
-        odd = base_interval(2 * n + 1)
-        assert ONE - even.mid == odd.mid
+        assert ONE - center((2 * n,)) == center((2 * n + 1,))
 
 
 def test_base_intervals_accumulate_at_half():
     for m in range(2, 60, 2):
-        prev = base_interval(m - 2)
-        here = base_interval(m)
-        assert prev.hi < here.lo  # marching right toward 1/2
-    assert HALF - base_interval(58).hi < Dyadic(1, 29)
+        prev = ends((m - 2,))
+        here = ends((m,))
+        assert prev[1] < here[0]  # marching right toward 1/2
+    assert HALF - ends((58,))[1] < Dyadic(1, 29)
 
 
 addresses = st.lists(st.integers(min_value=0, max_value=25), max_size=5).map(tuple)
@@ -138,39 +144,37 @@ addresses = st.lists(st.integers(min_value=0, max_value=25), max_size=5).map(tup
 
 @given(addresses)
 def test_nested_matches_oracle(addr):
-    assert as_fr(interval_of(addr)) == oracle_nested(addr)
+    assert as_fr(ends(addr)) == oracle_nested(addr)
 
 
 @given(addresses, st.integers(min_value=0, max_value=25))
 def test_child_strictly_inside_parent(addr, m):
-    parent = interval_of(addr)
-    child = interval_of(addr + (m,))
-    assert parent.lo <= child.lo and child.hi <= parent.hi
-    assert child.length < parent.length
+    (p_lo, p_hi), (c_lo, c_hi) = ends(addr), ends(addr + (m,))
+    assert p_lo <= c_lo and c_hi <= p_hi
+    assert c_hi - c_lo < p_hi - p_lo
 
 
 @given(addresses, st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20))
 def test_sibling_subintervals_disjoint(addr, m1, m2):
     hyp.assume(m1 != m2)
-    a = interval_of(addr + (m1,))
-    b = interval_of(addr + (m2,))
-    assert a.hi < b.lo or b.hi < a.lo
+    (a_lo, a_hi), (b_lo, b_hi) = ends(addr + (m1,)), ends(addr + (m2,))
+    assert a_hi < b_lo or b_hi < a_lo
 
 
 @given(addresses, st.integers(min_value=0, max_value=25))
 def test_concentration_point_outside_children(addr, m):
-    p = concentration_point(addr)
-    child = interval_of(addr + (m,))
-    assert p < child.lo or p > child.hi
+    p = center(addr)
+    c_lo, c_hi = ends(addr + (m,))
+    assert p < c_lo or p > c_hi
 
 
 @given(addresses, st.integers(min_value=0, max_value=40))
 def test_children_converge_to_concentration_point(addr, m):
-    parent = interval_of(addr)
-    p = concentration_point(addr)
-    child = interval_of(addr + (m,))
-    dist = max(abs(p - child.lo), abs(p - child.hi))
-    bound = parent.length.scaled_pow2(-(m // 2) - 1)
+    p_lo, p_hi = ends(addr)
+    p = center(addr)
+    c_lo, c_hi = ends(addr + (m,))
+    dist = max(abs(p - c_lo), abs(p - c_hi))
+    bound = (p_hi - p_lo).scaled_pow2(-(m // 2) - 1)
     assert dist <= bound
 
 

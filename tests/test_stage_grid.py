@@ -29,7 +29,7 @@ from compacta.construct import (
     hausdorff_gap,
     print_state,
 )
-from compacta.dyadic import DyInterval, Dyadic, dyadic_ceil
+from compacta.dyadic import Dyadic, dyadic_ceil
 from compacta.randgen import random_script
 from compacta.trees import (
     ETA,
@@ -197,10 +197,7 @@ HAND = [
 @pytest.mark.parametrize("comps,points", HAND)
 def test_hand_built_limits_match_reference(comps, points):
     limit = compactum(comps)
-    nets = {
-        (k,): (DyInterval(c.lo, c.hi), k) for k, c in enumerate(comps)
-        if isinstance(c, Cantor)
-    }
+    nets = {(k,): (c, k) for k, c in enumerate(comps) if isinstance(c, Cantor)}
     for n in range(len(points) + 1):
         for state_nets in ({}, nets):
             for held in (points[:n], points[len(points) - n :]):
@@ -232,7 +229,7 @@ def test_capped_net_bound_matches_uncapped(lo, hi):
     span = (hi - lo).as_fraction()
     bits = (span * 2**80).numerator.bit_length()
     for level in range(bits - 2, bits + 3):
-        state = EnumerationState(0, (), {(): (DyInterval(lo, hi), level)})
+        state = EnumerationState(0, (), {(): (Cantor(lo, hi), level)})
         uncapped = dyadic_ceil(span / 3 ** (level + 1), 80)
         assert hausdorff_gap(state, limit) == uncapped
 

@@ -16,7 +16,7 @@ the ints as `Dyadic` would.
 
 from __future__ import annotations
 
-from replay_stage import _densify
+from replay_stage import _densify, interval
 
 from compacta import construct
 from compacta.construct import (
@@ -29,7 +29,7 @@ from compacta.construct import (
     replacement_bridges,
     seed_point,
 )
-from compacta.dyadic import Dyadic, address_ends, interval_of
+from compacta.dyadic import Dyadic, address_ends
 from compacta.trees import TERMINAL, limit_tree, replay_script
 from test_stage_grid import stratified_scripts
 from test_stage_replay import assert_same
@@ -55,7 +55,7 @@ def test_leaf_bucket_matches_midpoint_rounds():
     }
     assert len(leaves) > 20
     for addr in sorted(leaves):
-        iv = interval_of(addr)
+        iv = interval(addr)
         bucket = [seed_point(addr)]
         for r in ROUNDS:
             x, ys = _leaf_bucket(*address_ends(addr), r)
@@ -127,9 +127,12 @@ def test_points_view_length_builds_no_dyadic(monkeypatch):
     monkeypatch.setattr(construct, "Dyadic", counting)
     for script in stratified_scripts()[::4]:
         state = enumerate_stage(script, 6)
+        # none per point: only the two ends of each eta net's Cantor copy
+        assert len(built) == 2 * len(state.nets)
+        built.clear()
         assert len(state.points) == len(state.nums)
         print_state(state)
-    assert built == []
+        assert built == []
     state.points[-1]
     assert len(built) == 1
 

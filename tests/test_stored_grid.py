@@ -31,16 +31,7 @@ from compacta.compactum import (
     select,
 )
 from compacta.construct import junk_points
-from compacta.dyadic import (
-    HALF,
-    ONE,
-    Dyadic,
-    DyInterval,
-    UNIT,
-    address_ends,
-    interval_of,
-    midpoint,
-)
+from compacta.dyadic import HALF, ONE, ZERO, Dyadic, address_ends, midpoint
 from compacta.trees import SPLIT
 from test_acceptance import suite_instances
 from test_compact_grid import glued
@@ -162,13 +153,13 @@ def test_glue_classes_of_hand_built_hosts(host, seqs, n) -> None:
     assert check_property_in(s) == endpoint_property_in(s) == (host is Cantor or not n)
 
 
-def nested_interval(addr: tuple[int, ...]) -> DyInterval:
-    """The recursion `interval_of` used before its closed form: each step
-    rescales the root-level interval of the last digit by Dyadic
-    arithmetic."""
+def nested_interval(addr: tuple[int, ...]) -> tuple[Dyadic, Dyadic]:
+    """The interval of addr as (lo, hi), by the recursion `address_ends`
+    replaced with its closed form: each step rescales the root-level
+    interval of the last digit by Dyadic arithmetic."""
     if not addr:
-        return UNIT
-    outer = nested_interval(addr[:-1])
+        return ZERO, ONE
+    outer_lo, outer_hi = nested_interval(addr[:-1])
     n, odd = divmod(addr[-1], 2)
     block_lo = HALF * (ONE - Dyadic(1, n))
     block_hi = HALF * (ONE - Dyadic(1, n + 1))
@@ -176,21 +167,22 @@ def nested_interval(addr: tuple[int, ...]) -> DyInterval:
     if odd:
         center = ONE - center
     half_len = Dyadic(1, addr[-1] + 3)
-    scale = outer.length
-    return DyInterval(
-        outer.lo + scale * (center - half_len), outer.lo + scale * (center + half_len)
+    scale = outer_hi - outer_lo
+    return (
+        outer_lo + scale * (center - half_len),
+        outer_lo + scale * (center + half_len),
     )
 
 
 def nested_junk(addr: tuple[int, ...], r: int, ever_terminal: bool) -> list:
     """Seed point and replacement bridges as midpoints of nested intervals."""
-    def iv(m: int) -> DyInterval:
+    def iv(m: int) -> tuple[Dyadic, Dyadic]:
         return nested_interval(addr + (m,))
 
-    out = [iv(0).mid] if ever_terminal else []
+    out = [midpoint(*iv(0))] if ever_terminal else []
     for j in range(1, r + 1):
-        out.append(midpoint(iv(2 * j).hi, iv(2 * j + 2).lo))
-        out.append(midpoint(iv(2 * j + 1).hi, iv(2 * j - 1).lo))
+        out.append(midpoint(iv(2 * j)[1], iv(2 * j + 2)[0]))
+        out.append(midpoint(iv(2 * j + 1)[1], iv(2 * j - 1)[0]))
     return out
 
 
@@ -207,9 +199,9 @@ def test_closed_form_addresses_match_nested_recursion_on_suite() -> None:
     assert () in addrs and max(map(len, addrs)) >= 4
     for addr in addrs:
         want = nested_interval(addr)
-        assert interval_of(addr) == want, addr
         lo, e = address_ends(addr)
+        assert (Dyadic(lo, e), Dyadic(lo + 2, e)) == want, addr
         assert (Fraction(lo, 1 << e), Fraction(lo + 2, 1 << e)) == (
-            want.lo.as_fraction(),
-            want.hi.as_fraction(),
+            want[0].as_fraction(),
+            want[1].as_fraction(),
         ), addr
