@@ -17,9 +17,10 @@ its coordinates are integers:
 Every region test asks one question: does the first member from the
 region's start (`compactum.succ`, strict when the start is open) pass
 its end?  Two balls intersect inside the set when their overlap meets
-it; a cover check sweeps a component's balls in centre order and asks
-it of each gap between them.  `Fraction`s are built only at the public
-API: the centres and radii of the returned balls.
+it; a cover check sweeps all the balls once, in centre order, and asks
+it only where the next ball leaves a gap, and past the last ball.
+`Fraction`s are built only at the public API: the centres and radii of
+the returned balls.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .compactum import (
     SymbolicCompactum,
     cantor_net,
     glue_classes,
-    succ,
 )
 from .dyadic import check_natural, parse_fraction, read_lines
 
@@ -51,7 +51,7 @@ class Ball:
     radius: Fraction
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if self.radius.numerator <= 0:
             raise ValueError("ball radius must be positive")
 
 
@@ -74,11 +74,6 @@ class CoverCertificate:
 # ---------------------------------------------------------------------------
 # The grid of one query
 # ---------------------------------------------------------------------------
-
-
-def _meets(grid: Grid, u: int, v: int, closed: bool) -> bool:
-    """Does the set meet [u, v] (closed) or (u, v) (open)?  Exact."""
-    return _not_past(grid.succ(u, not closed), v, closed)
 
 
 def _not_past(p: GridPoint | None, v: int, closed: bool) -> bool:
@@ -182,18 +177,26 @@ def _tangencies(
     centre order visits only the pairs in between.  For those, the closed
     overlap [u, v] is the open one plus its endpoints, so the decisions
     differ exactly when the open overlap misses the set and an endpoint
-    does not.
+    does not.  A ball's pairs with the balls before it share u, its left
+    end, so one search from u serves them all.
     """
     order = sorted(range(len(centers)), key=centers.__getitem__)
     xs = [centers[i] for i in order]
     found = []
-    for a, x in enumerate(xs):
-        v = x + r
-        for b in range(bisect_left(xs, v, a + 1), bisect_right(xs, v + r, a + 1)):
-            u = xs[b] - r
-            if _meets(grid, u, v, False):
+    for b, y in enumerate(xs):
+        u = y - r
+        # the balls before this one whose right end v lies in [u, u + r]
+        pairs = range(bisect_left(xs, u - r), bisect_right(xs, u))
+        if not pairs:
+            continue
+        # p, the first member past u: the open overlap meets the set when
+        # p < v; when it does not, v is a member when p == v
+        p = grid.succ(u, True)
+        for a in pairs:
+            v = xs[a] + r
+            if _not_past(p, v, False):
                 continue
-            if grid.contains(u) or grid.contains(v):
+            if (p is not None and p[0] == v * p[1]) or grid.contains(u):
                 i, j = order[a], order[b]
                 found.append((i, j) if i < j else (j, i))
     return tuple(sorted(found))
@@ -221,20 +224,15 @@ def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
     centers = sorted(grid.at(b.center) for b in cert.balls)
     if not all(grid.contains(x) for x in centers):
         return False
-    for comp in grid.comps:
-        _, lo, hi, _ = comp
-        # Sweep the balls that reach [lo, hi] in centre order.  They cover
-        # the component up to x (x too when `after`); a member in the gap
-        # before the next ball, or past the last one, is left uncovered.
-        x, after = lo, False
-        for c in centers[bisect_left(centers, lo - r) : bisect_right(centers, hi + r)]:
-            if _not_past(succ(comp, x, after), c - r, False):
-                return False
-            if c + r >= x:
-                x, after = c + r, True
-        if succ(comp, x, after) is not None:
+    # Sweep all balls in centre order.  They cover the set up to x (x too
+    # when `after`); later balls start at or after c - r, so a member in
+    # [x, c - r), or past the last ball, is left uncovered.
+    x, after = (grid.comps[0][1] if grid.comps else 0), False
+    for c in centers:
+        if c - r > x and _not_past(grid.succ(x, after), c - r, False):
             return False
-    return True
+        x, after = c + r, True
+    return grid.succ(x, after) is None
 
 
 def balls_intersect(
@@ -259,7 +257,7 @@ def balls_intersect(
     r1, r2 = grid.at(b1.radius), grid.at(b2.radius)
     u = max(c1 - r1, c2 - r2)
     v = min(c1 + r1, c2 + r2)
-    return _meets(grid, u, v, closed)
+    return _not_past(grid.succ(u, not closed), v, closed)
 
 
 # ---------------------------------------------------------------------------

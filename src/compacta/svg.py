@@ -11,7 +11,7 @@ inputs give byte-equal files.
 
 from __future__ import annotations
 
-from .construct import seed_point, replacement_bridges
+from .construct import _bridges, _seed
 from .dyadic import address_ends
 from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree
 
@@ -44,7 +44,7 @@ def render_tree_svg(tree: LabelledTree) -> str:
     ]
     for addr in sorted(tree.nodes):
         node = tree.node(addr)
-        lo, e = address_ends(addr)
+        lo, e = ends = address_ends(addr)
         x0, x1 = _x(lo, e), _x(lo + 2, e)
         y = MARGIN + len(addr) * ROW
         fill, stroke = _STYLE[node.kind]
@@ -59,16 +59,15 @@ def render_tree_svg(tree: LabelledTree) -> str:
             )
         elif node.kind == SPLIT:
             if node.ever_terminal:
-                seed = seed_point(addr)
                 out.append(
-                    f'<circle cx="{_x(seed.num, seed.exp)}" cy="{cy}" r="4" '
+                    f'<circle cx="{_x(*_seed(ends))}" cy="{cy}" r="4" '
                     f'fill="#c0392b"/>'
                 )
             for j in range(1, node.r + 1):
-                left, right = replacement_bridges(addr, j)
+                left, right, x = _bridges(ends, j)
                 for p in (left, right):
                     out.append(
-                        f'<circle cx="{_x(p.num, p.exp)}" cy="{cy}" r="3" '
+                        f'<circle cx="{_x(p, x)}" cy="{cy}" r="3" '
                         f'fill="#e67e22"/>'
                     )
     out.append("</svg>")

@@ -54,6 +54,12 @@ MIXED = compactum(
 # ---------------------------------------------------------------------------
 
 
+def test_ball_radius_must_be_positive():
+    for radius in (F(0), F(-1, 4), 0, -1):
+        with pytest.raises(ValueError, match="^ball radius must be positive$"):
+            Ball(F(1, 2), radius)
+
+
 def test_point_cover():
     cert = cover(compactum([Point(D(1, 1))]), 3)
     assert cert.balls == (Ball(F(1, 2), F(1, 8)),)

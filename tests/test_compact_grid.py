@@ -13,6 +13,7 @@ and membership decision goes through, `compactum.succ` and its mirror
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -44,6 +45,10 @@ from compacta.compactum import (
 )
 from compacta.dyadic import ONE, ZERO, Dyadic, midpoint
 from test_acceptance import SUITE_SEED, suite_instances
+
+# The modules themselves: the package exports functions of the same names.
+compact_module = importlib.import_module("compacta.compact")
+compactum_module = importlib.import_module("compacta.compactum")
 
 F = Fraction
 PRECISIONS = range(11)
@@ -225,6 +230,74 @@ def test_ball_edge_on_a_neighbours_isolated_end() -> None:
         assert cover_is_valid(s, cert) and ref.cover_is_valid(s, cert)
         short = CoverCertificate(n, cert.balls[1:], None)
         assert not cover_is_valid(s, short) and not ref.cover_is_valid(s, short)
+
+
+def certificate(n: int, centers) -> CoverCertificate:
+    return CoverCertificate(n, tuple(Ball(F(c), F(1, 2**n)) for c in centers), None)
+
+
+def test_sweep_edge_cases_match_reference() -> None:
+    """The one sweep over all balls in centre order, on certificates built
+    by hand: (host, certificate, the verdict both must give)."""
+    points = compactum([Point(ZERO), Point(Dyadic(3, 3)), Point(Dyadic(5, 3))])
+    line = compactum([Point(ZERO), Interval(Dyadic(1, 2), Dyadic(3, 2)), Point(ONE)])
+    own = cover(line, 3).balls  # centres 0, 1/4, 3/8, ..., 3/4, 1
+    shuffled = random.Random(0).sample(own, len(own))
+    gap = [b for b in shuffled if b.center not in (F(3, 8), F(1, 2))]
+    cases = [
+        # no components: only the empty cover is valid
+        (compactum([]), certificate(4, ()), True),
+        (compactum([]), certificate(4, (F(1, 2),)), False),
+        # the interval sits in the gap between the balls on the two points
+        (line, certificate(2, (0, 1)), False),
+        (line, certificate(2, (0, F(1, 2), 1)), True),
+        # 3/8 is covered only by the closed left edge of the ball at 5/8
+        (points, certificate(2, (F(5, 8), 0)), True),
+        (points, certificate(3, (F(5, 8), 0)), False),
+        # shuffled and duplicated balls; 7/16 is left in a gap
+        (line, CoverCertificate(3, tuple(shuffled), None), True),
+        (line, CoverCertificate(3, own + own[::2], None), True),
+        (line, CoverCertificate(3, tuple(gap + gap), None), False),
+    ]
+    for s, cert, verdict in cases:
+        got = cover_is_valid(s, cert)
+        assert got == ref.cover_is_valid(s, cert), (s, cert)
+        assert got == verdict, (s, cert)
+
+
+def test_tangency_with_one_member_end() -> None:
+    """Balls at 0 and 3/8 of radius 1/4: their open overlap (1/8, 1/4)
+    misses the set, and of its closed ends only v = 1/4, or only
+    u = 1/8, is a member."""
+    for third in (Dyadic(1, 2), Dyadic(1, 3)):
+        s = compactum([Point(ZERO), Point(third), Point(Dyadic(3, 3))])
+        cert = cover(s, 2)
+        centers = [b.center for b in cert.balls]
+        pair = (centers.index(0), centers.index(F(3, 8)))
+        assert pair in cert.flagged, cert
+        assert cert.flagged == ref.cover(s, 2).flagged
+
+
+def test_cover_check_is_one_sweep(monkeypatch) -> None:
+    """64 points closer together than the radius: every ball reaches every
+    component, yet the check walks the set once, not once per component."""
+    s = compactum([Point(Dyadic(k, 10)) for k in range(64)])
+    cert = cover(s, 4)
+    calls = 0
+    walk = compactum_module.succ
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    # count the walk under every name that binds it, so a direct call from
+    # `compact` counts as well as one through `Grid`
+    for module in (compactum_module, compact_module):
+        if getattr(module, "succ", None) is walk:
+            monkeypatch.setattr(module, "succ", counted)
+    assert cover_is_valid(s, cert)
+    assert calls <= 3 * cert.h + len(s.components) + 1, calls
 
 
 def test_centers_off_the_set_rejected_alike() -> None:
