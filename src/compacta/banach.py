@@ -216,13 +216,18 @@ def stage_points(host: SymbolicCompactum, n: int) -> list[Fraction]:
 
 
 def stage_values(n: int) -> list[Fraction]:
+    """The rationals in [-(n+1), n+1] with denominator at most 2^n, sorted:
+    the Farey sequence of order 2^n on (0, 1], from its next-term
+    recurrence, shifted by 0..n, then mirrored through 0."""
     check_natural("n", n)
-    vals = {
-        Fraction(p, q)
-        for q in range(1, 2 ** n + 1)
-        for p in range(-(n + 1) * q, (n + 1) * q + 1)
-    }
-    return sorted(vals)
+    top = 1 << n
+    farey, a, b, c, d = [], 0, 1, 1, top
+    while c <= top:
+        k = (top + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        farey.append((a, b))
+    pos = [Fraction(p + j * q, q) for j in range(n + 1) for p, q in farey]
+    return [-x for x in reversed(pos)] + [Fraction(0)] + pos
 
 
 def _extend_flat(

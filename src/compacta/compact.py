@@ -12,15 +12,16 @@ its coordinates are integers:
   radius D >> n are then plain ints.
 - `cover_is_valid` and `balls_intersect` take D as the lcm of 2^E and the
   denominators of the given centres and radii, so a certificate may hold
-  any rational.
+  any rational.  A certificate from `cover` carries its centres as ints
+  over its own grid, and the check rescales those onto D instead.
 
 Every region test asks one question: does the first member from the
 region's start (`compactum.succ`, strict when the start is open) pass
 its end?  Two balls intersect inside the set when their overlap meets
-it; a cover check sweeps all the balls once, in centre order, and asks
+it; a cover check sweeps all the balls once, in centre order, walking
+the components beside them to test each centre's membership, and asks
 it only where the next ball leaves a gap, and past the last ball.
-`Fraction`s are built only at the public API: the centres and radii of
-the returned balls.
+`Fraction`s are built only when a certificate's balls are read.
 """
 
 from __future__ import annotations
@@ -41,8 +42,11 @@ from .compactum import (
     SymbolicCompactum,
     cantor_net,
     glue_classes,
+    succ,
 )
 from .dyadic import check_natural, parse_fraction, read_lines
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,29 @@ class CoverCertificate:
     """A radius-2^{-n} cover; flagged pairs are ball indices whose open
     and closed intersection decisions disagree (tangencies).  `cover`
     always computes them; they are None only on a certificate read back
-    by `parse_cover`, whose text format does not carry them."""
+    by `parse_cover`, whose text format does not carry them.  One from
+    `cover` also sets `nums` and `d` (None elsewhere), its centres in ball
+    order as ints over d, and builds `balls` from them when first read,
+    so ==, hash and repr match the certificate built from that tuple."""
 
     n: int
     balls: tuple[Ball, ...]
     flagged: tuple[tuple[int, int], ...] | None
 
+    nums = d = None
+
     @property
     def h(self) -> int:
-        return len(self.balls)
+        return len(self.balls if self.nums is None else self.nums)
+
+    def __getattr__(self, name: str) -> tuple[Ball, ...]:
+        # reached only for an unset attribute: `balls` not yet built
+        if name != "balls" or self.nums is None:
+            raise AttributeError(name)
+        radius = Fraction(1, 1 << self.n)
+        balls = tuple(Ball(Fraction(x, self.d), radius) for x in self.nums)
+        _set(self, "balls", balls)
+        return balls
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +145,12 @@ def cover(s: SymbolicCompactum, n: int) -> CoverCertificate:
     centers: list[int] = []
     for comp in grid.comps:
         centers += _component_centers(comp, r)
-    radius = Fraction(1, 1 << n)
-    balls = tuple(Ball(Fraction(x, grid.d), radius) for x in centers)
-    return CoverCertificate(n, balls, _tangencies(grid, centers, r))
+    cert = object.__new__(CoverCertificate)
+    _set(cert, "n", n)
+    _set(cert, "flagged", _tangencies(grid, centers, r))
+    _set(cert, "nums", tuple(centers))
+    _set(cert, "d", grid.d)
+    return cert
 
 
 def _seq_last(span: int, r: int) -> int:
@@ -209,26 +230,33 @@ def _tangencies(
 
 def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
     """Exact check: radii are 2^{-n}, centers lie in the set, and closed
-    balls leave no component point uncovered."""
+    balls leave no component point uncovered.  A certificate from `cover`
+    is read from its ints, whose radii are 2^{-n} by construction."""
     n = cert.n
     if n < 0:
         raise ValueError("precision must be a natural number")
-    if any(
-        b.radius.numerator != 1 or b.radius.denominator != 1 << n
-        for b in cert.balls
-    ):
-        return False
-    denominators = {b.center.denominator for b in cert.balls}
-    grid = Grid(s, math.lcm(1 << max(s.exp, n), *denominators))
-    r = grid.d >> n
-    centers = sorted(grid.at(b.center) for b in cert.balls)
-    if not all(grid.contains(x) for x in centers):
-        return False
-    # Sweep all balls in centre order.  They cover the set up to x (x too
-    # when `after`); later balls start at or after c - r, so a member in
-    # [x, c - r), or past the last ball, is left uncovered.
-    x, after = (grid.comps[0][1] if grid.comps else 0), False
+    nums, d = cert.nums, cert.d
+    if nums is None:
+        balls, radius = cert.balls, Fraction(1, 1 << n)
+        if any(b.radius != radius for b in balls):
+            return False
+        d = math.lcm(*{b.center.denominator for b in balls})
+        nums = [b.center.numerator * (d // b.center.denominator) for b in balls]
+    grid = Grid(s, math.lcm(1 << max(s.exp, n), d))
+    r, m, comps = grid.d >> n, grid.d // d, grid.comps
+    centers = sorted(x * m for x in nums)
+    # Sweep all balls in centre order.  Only comps[i], the first component
+    # whose hull reaches c, can hold c.  The balls cover the set up to x
+    # (x too when `after`); later balls start at or after c - r, so a
+    # member in [x, c - r), or past the last ball, is left uncovered.
+    i, k, after = 0, len(comps), False
+    x = comps[0][1] if comps else 0
     for c in centers:
+        while i < k and comps[i][2] < c:
+            i += 1
+        p = succ(comps[i], c) if i < k else None
+        if p is None or p[0] != c * p[1]:
+            return False
         if c - r > x and _not_past(grid.succ(x, after), c - r, False):
             return False
         x, after = c + r, True

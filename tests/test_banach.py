@@ -1,5 +1,7 @@
 """Exact norms, teeth, and the dense family over hosted compacta."""
 
+import hashlib
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -28,7 +30,7 @@ from compacta.banach import (
 )
 from compacta.banach import _extend_flat
 from compacta.compactum import Cantor, Interval, Point, PointSeq, compactum
-from compacta.dyadic import Dyadic
+from compacta.dyadic import ONE, ZERO, Dyadic
 
 F = Fraction
 D = Dyadic
@@ -288,6 +290,55 @@ def test_dense_family_stage_zero_constants() -> None:
         ((F(0), F(0)), (F(1), F(0))),
         ((F(0), F(1)), (F(1), F(1))),
     ]
+
+
+def test_stage_values_match_set_and_sort() -> None:
+    def reference(n: int) -> list[Fraction]:
+        """Every p/q with q <= 2^n in [-(n+1), n+1], deduplicated, sorted."""
+        return sorted(
+            {
+                F(p, q)
+                for q in range(1, 2**n + 1)
+                for p in range(-(n + 1) * q, (n + 1) * q + 1)
+            }
+        )
+
+    for n in range(7):
+        vals = stage_values(n)
+        assert vals == reference(n), n
+        assert all(a < b for a, b in zip(vals, vals[1:])), n
+        assert all(math.gcd(x.numerator, x.denominator) == 1 for x in vals), n
+
+
+# sha256 over `print_plf` of the first 200 members at stages 2 and 3, on
+# three hosts; computed with the set-and-sort `stage_values`.
+DENSE_DIGESTS = (
+    (UNIT_HOST, "60f26d6fa0675dc329ddfd11a1b9526b28d41da3d67b86e6aea4dcdc97751ed0"),
+    (
+        compactum([Cantor(ZERO, ONE)]),
+        "863bc0b66150afeca9fe0410f55c34de05cfb8ab44aa69cf267e325832969d15",
+    ),
+    (
+        compactum(
+            [
+                Point(ZERO),
+                PointSeq(D(1, 1), D(1, 2), D(1, 1)),
+                Interval(D(1, 1), D(3, 2)),
+                Point(ONE),
+            ]
+        ),
+        "b3a1c4ca88f692d65eabb1e86c5d2cabf9c3b51706940716e63f85501b4fe5cf",
+    ),
+)
+
+
+def test_dense_family_prefix_is_pinned() -> None:
+    for host, want in DENSE_DIGESTS:
+        digest = hashlib.sha256()
+        for n in (2, 3):
+            for f in islice(dense_family(host, n), 200):
+                digest.update(print_plf(f.f).encode())
+        assert digest.hexdigest() == want, host
 
 
 def test_dense_family_deterministic() -> None:

@@ -6,16 +6,22 @@ Both must agree on the seeded 500-tree suite, on the same hosts with
 convergent sequences glued to their intervals and Cantor copies, and on
 hypothesis-drawn hosts: cover output (balls and tangency flags), the
 verdict on true and on corrupted certificates, open and closed ball
-intersection, and membership of rationals.  The walk every region test
+intersection, and membership of rationals.  A certificate from `cover`
+carries its centres as ints over its grid; its verdict, on its own host
+and on others, must equal that of its tuple-built twin, and reading it
+builds no `Fraction` until its balls are read.  The walk every region test
 and membership decision goes through, `compactum.succ` and its mirror
 `pred`, is checked against the reference region test directly.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import importlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,6 +47,7 @@ from compacta.compactum import (
     compactum,
     compactum_contains,
     pred,
+    select,
     succ,
 )
 from compacta.dyadic import ONE, ZERO, Dyadic, midpoint
@@ -312,6 +319,163 @@ def test_centers_off_the_set_rejected_alike() -> None:
                 ref.balls_intersect(s, *args)
             with pytest.raises(ValueError):
                 balls_intersect(s, *args)
+
+
+# ---------------------------------------------------------------------------
+# Certificates from `cover` carry their centres as grid ints
+# ---------------------------------------------------------------------------
+
+
+def with_fine_point(s, n: int):
+    """The host with one more point, in its first gap, on a grid four times
+    finer than cover(s, n)'s; None when the host fills [0, 1]."""
+    ends = [0] + [x for _, lo, hi, _ in s.ends for x in (lo, hi)] + [1 << s.exp]
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        if lo < hi:
+            x = Dyadic((lo << (n + 3)) + 1, s.exp + n + 3)
+            return compactum(list(s.components) + [Point(x)])
+    return None
+
+
+def cross_hosts(s, n: int) -> list:
+    """Hosts other than s: its first glue group and the rest, each a clopen
+    part, and s with a point whose grid the check must rescale onto."""
+    out = []
+    groups = s.glue_groups()
+    if len(groups) > 1:
+        out.append(select(s, frozenset(groups[0])))
+        out.append(select(s, frozenset(i for g in groups[1:] for i in g)))
+    fine = with_fine_point(s, n)
+    return out if fine is None else out + [fine]
+
+
+def carried_verdict(s, cert) -> bool:
+    """The verdict on a fresh certificate from `cover`, which must equal the
+    verdict on its tuple-built twin and the reference's."""
+    assert cert.nums is not None
+    got = cover_is_valid(s, cert)
+    twin = CoverCertificate(cert.n, cert.balls, cert.flagged)
+    assert twin.nums is None
+    assert got == cover_is_valid(s, twin) == ref.cover_is_valid(s, twin), (s, cert)
+    return got
+
+
+def test_carried_certificates_match_twin_and_reference() -> None:
+    verdicts = Counter()
+    for s in random.Random(SUITE_SEED + 24).sample(suite_hosts(), 16):
+        for n in range(7):
+            assert carried_verdict(s, cover(s, n)), (s, n)
+            for other in cross_hosts(s, n):
+                verdicts[carried_verdict(other, cover(s, n))] += 1
+                verdicts[carried_verdict(s, cover(other, n))] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+
+
+def test_merged_walk_edge_cases() -> None:
+    """Centres the membership walk meets in awkward places, on certificates
+    from `cover` of another host and built by hand: (host, certificate,
+    the verdict every reading must give)."""
+    unit = compactum([Interval(ZERO, ONE)])
+    cantor = compactum([Cantor(ZERO, ONE)])
+    quarter, half, three = Dyadic(1, 2), Dyadic(1, 1), Dyadic(3, 2)
+    middle = compactum([Interval(quarter, three)])
+    # sequences glued to both ends of [1/4, 3/4], touching it at 1/4, 3/4
+    glued_line = compactum(
+        [
+            PointSeq(quarter, ZERO, quarter),
+            Interval(quarter, three),
+            PointSeq(three, three, ONE),
+        ]
+    )
+    q = F(1, 4)
+    cases = [
+        # 1/2 in the removed middle third, 4/9 in a removed third below it
+        (cantor, cover(unit, 1), False),
+        (cantor, certificate(1, (0, F(1, 2), 1)), False),
+        (cantor, certificate(3, (0, F(2, 9), F(4, 9), F(2, 3), F(7, 9), 1)), False),
+        (cantor, cover(cantor, 3), True),
+        # centres at the touch points of the glued sequences
+        (glued_line, cover(middle, 2), True),
+        (glued_line, certificate(2, (q, 3 * q)), True),
+        (glued_line, certificate(3, (q, 3 * q)), False),
+        (glued_line, cover(compactum([Point(quarter), Point(three)]), 2), True),
+        # centres before the first component and past the last
+        (middle, cover(unit, 2), False),
+        (middle, certificate(2, (0, q, 2 * q, 3 * q)), False),
+        (middle, certificate(2, (q, 2 * q, 3 * q, 1)), False),
+        (compactum([Point(half), Point(ONE)]), certificate(1, (0, F(1, 2), 1)), False),
+        # duplicated centres
+        (middle, certificate(2, (q, q, 2 * q, 3 * q, 3 * q)), True),
+        (middle, certificate(3, (q, q, 3 * q, 3 * q)), False),
+    ]
+    for s, cert, verdict in cases:
+        if cert.nums is not None:
+            assert carried_verdict(s, cert) == verdict, (s, cert)
+        got = cover_is_valid(s, cert)
+        assert got == ref.cover_is_valid(s, cert) == verdict, (s, cert)
+
+
+def test_cover_and_its_check_build_no_fraction(monkeypatch) -> None:
+    built = Counter()
+
+    def counting(name, real):
+        def build(*args):
+            built[name] += 1
+            return real(*args)
+
+        return build
+
+    for name in ("Fraction", "Ball"):
+        real = getattr(compact_module, name)
+        monkeypatch.setattr(compact_module, name, counting(name, real))
+    for s in suite_hosts()[:60:6]:
+        for n in (0, 3, 6):
+            cert = cover(s, n)
+            assert cert.h == len(cert.nums)
+            assert cover_is_valid(s, cert)
+            assert not built, (s, n)
+            balls = cert.balls
+            assert built == {"Fraction": cert.h + 1, "Ball": cert.h}
+            built.clear()
+            assert cert.balls is balls and cover_is_valid(s, cert)
+            assert not built
+
+
+def test_carried_balls_behave_as_a_tuple() -> None:
+    """Each reading below is the first read of a fresh certificate's balls,
+    and must give what it gives on the tuple-built certificate of the
+    reference `cover`."""
+    rng = random.Random(SUITE_SEED + 25)
+    for s in rng.sample(suite_hosts(), 12):
+        for n in (1, 4):
+            twin = ref.cover(s, n)
+            assert twin.nums is None
+
+            def fresh():
+                return cover(s, n)
+
+            k = len(twin.balls)
+            extra = (Ball(F(1, 3), F(1, 2**n)),)
+            seed = rng.random()
+            assert fresh() == twin and twin == fresh()
+            assert hash(fresh()) == hash(twin) and {fresh(): 1}[twin] == 1
+            assert repr(fresh()) == repr(twin)
+            assert copy.copy(fresh()) == twin
+            for change in ({"flagged": None}, {"n": n + 1}, {"balls": extra}):
+                changed = dataclasses.replace(fresh(), **change)
+                assert changed == dataclasses.replace(twin, **change)
+                assert changed.nums is None
+                assert cover_is_valid(s, changed) == cover_is_valid(
+                    s, dataclasses.replace(twin, **change)
+                )
+            assert fresh().balls[1 : k // 2] == twin.balls[1 : k // 2]
+            assert fresh().balls + extra == twin.balls + extra
+            assert extra + fresh().balls == extra + twin.balls
+            assert random.Random(seed).sample(fresh().balls, min(k, 3)) == (
+                random.Random(seed).sample(twin.balls, min(k, 3))
+            )
+            assert print_cover(fresh()) == print_cover(twin)
+            assert parse_cover(print_cover(fresh())) == parse_cover(print_cover(twin))
 
 
 # ---------------------------------------------------------------------------
