@@ -8,7 +8,8 @@ of 2^E (E the host's largest dyadic exponent) and the breakpoints'
 denominators.  On a linear segment [x0, x1], |f| is convex, so over the
 host's points in the segment it peaks at the least of them,
 `succ(x0)`, or the greatest, `pred(x1)`: two exact evaluations per
-segment, whatever the components' kinds.
+segment, whatever the components' kinds.  Norms are compared as
+integer ratios; one `Fraction` is built per call, the result.
 
 The dense family enumerated here pins breakpoints to the host's stage
 points and extends the first and last values flat to the boundary; that
@@ -133,20 +134,25 @@ def unit_sup(f: PLFunction) -> Fraction:
 
 
 def sup_norm(hf: HostedFunction) -> Fraction:
-    """Exact sup of |f| over the host set."""
+    """Exact sup of |f| over the host set.  With y0 = a0/b0 at u and
+    y1 = a1/b1 at v, |f| at n/m (grid units) is top / bottom with
+    top = |a0*b1*(v*m - n) + a1*b0*(n - u*m)|, bottom = b0*b1*m*(v - u)."""
     pts = hf.f.breakpoints
     d = math.lcm(1 << hf.host.exp, *(x.denominator for x, _ in pts))
     grid = Grid(hf.host, d)
-    best = Fraction(0)
+    top, bottom = 0, 1
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         u, v = grid.at(x0), grid.at(x1)
         first = grid.succ(u)
         if first is None or first[0] > v * first[1]:
             continue  # no host point on this segment
-        slope = (y1 - y0) / (v - u)
+        a0, a1 = y0.numerator * y1.denominator, y1.numerator * y0.denominator
+        b = y0.denominator * y1.denominator * (v - u)
         for n, m in (first, grid.pred(v)):
-            best = max(best, abs(y0 + slope * Fraction(n - u * m, m)))
-    return best
+            num = abs(a0 * (v * m - n) + a1 * (n - u * m))
+            if num * bottom > top * b * m:
+                top, bottom = num, b * m
+    return Fraction(top, bottom)
 
 
 def dist(f: HostedFunction, g: HostedFunction) -> Fraction:

@@ -21,7 +21,9 @@ its end?  Two balls intersect inside the set when their overlap meets
 it; a cover check sweeps all the balls once, in centre order, walking
 the components beside them to test each centre's membership, and asks
 it only where the next ball leaves a gap, and past the last ball.
-`Fraction`s are built only when a certificate's balls are read.
+The tangency scan of `cover` sweeps the same way and decides each ball
+once, not each pair.  `Fraction`s are built only when a certificate's
+balls are read.
 """
 
 from __future__ import annotations
@@ -195,31 +197,49 @@ def _tangencies(
     Centres farther apart than 2r have an empty closed overlap, and
     centres closer than r both sit inside the open overlap (centres are
     points of the set), so either way the decisions agree.  A sweep in
-    centre order visits only the pairs in between.  For those, the closed
-    overlap [u, v] is the open one plus its endpoints, so the decisions
-    differ exactly when the open overlap misses the set and an endpoint
-    does not.  A ball's pairs with the balls before it share u, its left
-    end, so one search from u serves them all.
+    centre order visits only the pairs in between: for the ball at y, the
+    earlier balls at x in [u - r, u], u = y - r.  Their closed overlap
+    [u, v], v = x + r, is the open one plus its endpoints, so the
+    decisions differ exactly when the open overlap misses the set, that
+    is v <= p for p the first member past u (u where members pile up),
+    and an endpoint does not.  Those with v <= p are one contiguous run,
+    x <= floor(p) - r; all of it is flagged when u is a member, else only
+    its x with v == p.  So each ball decides u and p once, with at most
+    two walks from the first component that reaches u.
     """
     order = sorted(range(len(centers)), key=centers.__getitem__)
     xs = [centers[i] for i in order]
-    found = []
+    comps, c, lo, hi, found = grid.comps, 0, 0, 0, []
     for b, y in enumerate(xs):
-        u = y - r
-        # the balls before this one whose right end v lies in [u, u + r]
-        pairs = range(bisect_left(xs, u - r), bisect_right(xs, u))
-        if not pairs:
+        u = y - r  # pairs xs[lo:hi]; the pointers rise with u and stop at y
+        while xs[hi] <= u:
+            hi += 1
+        while xs[lo] < u - r:
+            lo += 1
+        if lo == hi:
             continue
-        # p, the first member past u: the open overlap meets the set when
-        # p < v; when it does not, v is a member when p == v
-        p = grid.succ(u, True)
-        for a in pairs:
-            v = xs[a] + r
-            if _not_past(p, v, False):
-                continue
-            if (p is not None and p[0] == v * p[1]) or grid.contains(u):
-                i, j = order[a], order[b]
-                found.append((i, j) if i < j else (j, i))
+        while comps[c][2] < u:
+            c += 1
+        kind, start, end, _ = comp = comps[c]
+        if u < start:
+            p, member = (start, 1), False
+        elif u == end:  # a component's ends are members, and y is a later one
+            p, member = (comps[c + 1][1], 1), True
+        elif kind is Interval:
+            p, member = (u, 1), True
+        else:
+            p = succ(comp, u)
+            member = p[0] == u * p[1]
+            if member:
+                p = succ(comp, u, True)
+        top, off = divmod(p[0], p[1])
+        if off and not member:
+            continue
+        last = bisect_right(xs, top - r, lo, hi)
+        first = lo if member else bisect_left(xs, top - r, lo, last)
+        for a in range(first, last):
+            i, j = order[a], order[b]
+            found.append((i, j) if i < j else (j, i))
     return tuple(sorted(found))
 
 

@@ -12,6 +12,7 @@ ends, Cantor piece ends and the gaps between them, sequence members.
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ from compacta.compactum import Cantor, PointSeq, compactum
 from compacta.dyadic import ONE, ZERO
 from test_acceptance import SUITE_SEED, suite_instances
 from test_compact_grid import glued, hosts
+
+# The module itself: the package exports a function of the same name.
+banach_module = importlib.import_module("compacta.banach")
 
 F = Fraction
 STAGES = range(5)
@@ -88,6 +92,31 @@ def test_sup_norms_match_reference_on_suite() -> None:
     rng = random.Random(SUITE_SEED + 31)
     for s in suite_and_glued():
         assert_same_norms(s, rng, FUNCTIONS_PER_HOST)
+
+
+def test_sup_norm_builds_one_fraction(monkeypatch) -> None:
+    """The best value is kept as a ratio of ints; only the returned norm
+    is a `Fraction`, with the reference's value."""
+    rng = random.Random(SUITE_SEED + 33)
+    limits = suite_and_glued()[::5]
+    cases = [HostedFunction(f, s) for s in limits for f in functions(rng, s, 3)]
+    zero = plf([(0, 0), (F(1, 3), 0), (1, 0)])
+    cases += [HostedFunction(zero, s) for s in limits[:10]]
+    want = [ref.sup_norm(hf) for hf in cases]
+    built = 0
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(banach_module, "Fraction", counting)
+    for hf, norm in zip(cases, want):
+        built = 0
+        got = sup_norm(hf)
+        assert built == 1 and got == norm and type(got) is Fraction, (hf, got)
+        if hf.f is zero:
+            assert got == Fraction(0)
 
 
 def test_stage_points_match_reference_on_suite() -> None:

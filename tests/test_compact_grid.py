@@ -307,6 +307,82 @@ def test_cover_check_is_one_sweep(monkeypatch) -> None:
     assert calls <= 3 * cert.h + len(s.components) + 1, calls
 
 
+def test_tangency_scan_decides_each_ball_once(monkeypatch) -> None:
+    """Three clusters of points r/8 apart, each r long and r from the next,
+    then a Cantor copy: a ball on a cluster has up to nine earlier balls
+    between r and 2r away, yet the scan decides it with at most two walks
+    and no membership test per pair."""
+    n = 4
+    s = compactum(
+        [Point(Dyadic(16 * k + j, n + 3)) for k in range(3) for j in range(9)]
+        + [Cantor(Dyadic(3, 2), ONE)]
+    )
+    calls = Counter()
+    walk, contains = compactum_module.succ, Grid.contains
+
+    def counted_walk(*args):
+        calls["succ"] += 1
+        return walk(*args)
+
+    def counted_contains(*args):
+        calls["contains"] += 1
+        return contains(*args)
+
+    for module in (compactum_module, compact_module):
+        if getattr(module, "succ", None) is walk:
+            monkeypatch.setattr(module, "succ", counted_walk)
+    monkeypatch.setattr(Grid, "contains", counted_contains)
+    cert = cover(s, n)
+    monkeypatch.undo()
+    assert calls["contains"] == 0, calls
+    assert calls["succ"] <= 2 * cert.h, (calls, cert.h)
+    assert cert.flagged and cert.flagged == ref.cover(s, n).flagged
+
+
+def test_tangency_edge_cases_match_reference() -> None:
+    """Balls whose left end u = y - r falls in awkward places: (host,
+    precision, u).  Each u + r is a ball centre, and the flags must be
+    the reference's; between them the cases flag pairs exactly r and
+    exactly 2r apart."""
+    q, half, three = Dyadic(1, 2), Dyadic(1, 1), Dyadic(3, 2)
+    cantor = compactum([Cantor(ZERO, three)])  # pieces [0, 1/4], [1/2, 3/4]
+    cases = [
+        # exactly at an interval's right end
+        (compactum([Interval(ZERO, q), Point(half)]), 2, F(1, 4)),
+        # at an isolated point, and at the right end of a Cantor piece
+        (compactum([Point(ZERO), Point(q), Point(half)]), 2, F(1, 4)),
+        (cantor, 2, F(1, 4)),
+        # inside a removed third
+        (cantor, 2, F(1, 3)),
+        (compactum([Cantor(ZERO, ONE)]), 1, F(1, 2)),
+        (compactum([Cantor(ZERO, ONE)]), 2, F(19, 36)),
+        # at the touch point of a glued sequence, glued on either side of an
+        # interval or a Cantor copy
+        (compactum([Interval(ZERO, q), PointSeq(q, q, half)]), 2, F(1, 4)),
+        (compactum([PointSeq(three, half, three), Interval(three, ONE)]), 2, F(3, 4)),
+        (compactum([PointSeq(q, ZERO, q), Cantor(q, ONE)]), 2, F(1, 4)),
+        (compactum([Cantor(ZERO, three), PointSeq(three, three, ONE)]), 2, F(3, 4)),
+        # before the first component: the ball has no earlier ball to pair
+        (compactum([Point(Dyadic(1, 3)), Interval(q, half)]), 2, F(-1, 8)),
+        # past every component but the ball's own, whose ball reaches past
+        # the last component
+        (compactum([Interval(ZERO, q), Point(ONE)]), 1, F(1, 2)),
+    ]
+    gaps = set()
+    for s, n, u in cases:
+        cert, r = cover(s, n), F(1, 2**n)
+        centers = [b.center for b in cert.balls]
+        assert u + r in centers, (s, n, u)
+        assert cert.flagged == ref.cover(s, n).flagged, (s, n)
+        gaps |= {abs(centers[j] - centers[i]) / r for i, j in cert.flagged}
+    assert {1, 2} <= gaps, gaps
+    # u = 1/3 lies in the removed third (1/4, 1/2); of the balls before, the
+    # one at 1/4 alone reaches v = 1/2, the next piece's start
+    centers = [b.center for b in cover(cantor, 2).balls]
+    pair = (centers.index(F(1, 4)), centers.index(F(7, 12)))
+    assert pair in cover(cantor, 2).flagged
+
+
 def test_centers_off_the_set_rejected_alike() -> None:
     s = suite_hosts()[3]
     inside = Ball(member(random.Random(0), s.components[0]), F(1, 4))
