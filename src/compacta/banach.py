@@ -86,7 +86,7 @@ class HostedFunction:
     host: SymbolicCompactum
 
     def __post_init__(self) -> None:
-        if not self.host.components:
+        if not self.host.ends:
             raise ValueError("host compactum is empty")
 
 
@@ -137,12 +137,12 @@ def sup_norm(hf: HostedFunction) -> Fraction:
     """Exact sup of |f| over the host set.  With y0 = a0/b0 at u and
     y1 = a1/b1 at v, |f| at n/m (grid units) is top / bottom with
     top = |a0*b1*(v*m - n) + a1*b0*(n - u*m)|, bottom = b0*b1*m*(v - u)."""
-    pts = hf.f.breakpoints
-    d = math.lcm(1 << hf.host.exp, *(x.denominator for x, _ in pts))
+    bps = hf.f.breakpoints
+    d = math.lcm(1 << hf.host.exp, *(x.denominator for x, _ in bps))
     grid = Grid(hf.host, d)
+    pts = [(grid.at(x), y) for x, y in bps]  # each breakpoint in grid units, once
     top, bottom = 0, 1
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        u, v = grid.at(x0), grid.at(x1)
+    for (u, y0), (v, y1) in zip(pts, pts[1:]):
         first = grid.succ(u)
         if first is None or first[0] > v * first[1]:
             continue  # no host point on this segment

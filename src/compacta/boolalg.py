@@ -33,10 +33,10 @@ from .compactum import (
     Interval,
     Point,
     SymbolicCompactum,
-    compactum,
+    from_parts,
     glue_classes,
 )
-from .dyadic import Dyadic, address_ends, read_lines
+from .dyadic import address_ends, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
 
 
@@ -476,15 +476,15 @@ def tree_algebra(t: LabelledTree) -> LabelledBA:
 def stone_space(t: LabelledTree) -> SymbolicCompactum:
     """Leaf skeleton of a tree as a compactum: isolated paths become the
     midpoints of their intervals, eta leaves become Cantor copies."""
-    comps = []
+    parts = []
     for addr, node in t.nodes.items():
         if node.kind in (TERMINAL, ETA):
             lo, e = address_ends(addr)
             if node.kind == TERMINAL:
-                comps.append(Point(Dyadic(lo + 1, e)))
+                parts.append((Point, lo + 1, lo + 1, e))
             else:
-                comps.append(Cantor(Dyadic(lo, e), Dyadic(lo + 2, e)))
-    return compactum(comps)
+                parts.append((Cantor, lo, lo + 2, e))
+    return from_parts(parts)
 
 
 def quotient_by_junk(b: LabelledBA) -> LabelledBA:

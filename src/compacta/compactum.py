@@ -14,18 +14,20 @@ glue group as (host kind, glued sequences) in one pass; the canonical
 form, `check_property_in`, the clopen algebra and the partition atoms
 read it.
 
-A compactum computes its grid once, at validation: its endpoints as ints
-over 2^exp, exp the largest dyadic exponent among them (n components
-times exp bits).  Operators and queries read those ints; the ones that
-keep order and validity (`select`, `cb_derivative`, `reduce_intoms`)
-carry the grid forward unvalidated.  `Grid` rescales it to multiples of
-1/d for one d per query.  Every question that depends on a component's
-kind goes through one walk per kind there: `succ(comp, x, strict)` is
-the least member at or after x (after x when strict), `pred` is `succ`
-on the mirror image, and `cantor_net` lists the endpoints of a Cantor
-copy's pieces at one level.  Membership, the region tests of `compact`, the
-sup norms and stage points of `banach` and `construct.hausdorff_gap`
-are built on them with int comparisons.
+A compactum is its grid: `exp` and `ends`, its components as ints over
+2^exp, exp the largest dyadic exponent among their endpoints (n
+components times exp bits).  `compactum` validates `Dyadic` components
+and keeps their ends; the operators and the printer read and write ends
+alone, `from_parts` builds a limit or a stone space from ints, and
+`components` is a view built from the ends when first read.
+`Grid` rescales the ends to multiples of 1/d for one d per query.  Every
+question that depends on a component's kind goes through one walk per
+kind there: `succ(comp, x, strict)` is the least member at or after x
+(after x when strict), `pred` is `succ` on the mirror image, and
+`cantor_net` lists the endpoints of a Cantor copy's pieces at one level.
+Membership, the region tests of `compact`, the sup norms and stage
+points of `banach` and `construct.hausdorff_gap` are built on them with
+int comparisons.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from numbers import Rational
-from operator import attrgetter, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence, Union
 
-from .dyadic import Dyadic, check_natural, parse_dyadic, read_lines
+from .dyadic import Dyadic, check_natural, format_dyadic, parse_dyadic, read_lines
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,18 @@ GridComponent = tuple[type, int, int, int]
 GridPoint = tuple[int, int]
 
 _HOSTS = (Interval, Cantor)  # the kinds a sequence may glue to
-_set = object.__setattr__
+_LO, _HI = itemgetter(1), itemgetter(2)
+
+# One row per component kind: its text keyword, its class and, in the
+# order its constructor and its text line take them, the places of its
+# fields in a `GridComponent`.
+_KINDS = (
+    ("point", Point, (1,)),
+    ("interval", Interval, (1, 2)),
+    ("cantor", Cantor, (1, 2)),
+    ("seq", PointSeq, (3, 1, 2)),
+)
+_FIELDS = {kind: (word, fields) for word, kind, fields in _KINDS}
 
 
 def _on_grid(c: Component, e: int) -> GridComponent:
@@ -132,82 +145,91 @@ def _glue_ok(left: GridComponent, right: GridComponent) -> bool:
 
 @dataclass(frozen=True)
 class SymbolicCompactum:
-    """Components sorted by (lo, hi), pairwise apart or glued.  Validation
-    sets `exp` and `ends`, the components as `GridComponent`s at d = 2^exp;
-    they are not fields, so ==, hash and repr read the components alone."""
+    """A closed set as its grid: `ends`, the components sorted by (lo, hi),
+    pairwise apart or glued, as `GridComponent`s over 2^`exp`, exp their
+    largest dyadic exponent; canonical, so == and hash read them alone.
+    `compactum` validates; `components`, the `Dyadic` shapes, is a view
+    built from the ends when first read, and repr prints it."""
 
-    components: tuple[Component, ...]
+    exp: int
+    ends: tuple[GridComponent, ...]
 
-    def __post_init__(self) -> None:
-        comps = self.components
-        e = max((x.exp for c in comps for x in (c.lo, c.hi)), default=0)
-        pairs = sorted(((_on_grid(c, e), c) for c in comps), key=lambda p: p[0][1:3])
-        ends = tuple(end for end, _ in pairs)
-        comps = tuple(c for _, c in pairs)
-        if ends and (ends[0][1] < 0 or ends[-1][2] > 1 << e):
-            raise ValueError("compactum must live inside [0,1]")
-        for (ea, a), (eb, b) in zip(pairs, pairs[1:]):
-            if ea[2] > eb[1]:
-                raise ValueError(
-                    f"components overlap near {a.hi}: {a} and {b}"
-                )
-            if ea[2] == eb[1] and not _glue_ok(ea, eb):
-                raise ValueError(
-                    f"components touch at {a.hi} without a sequence limit "
-                    f"sanctioning it: {a} and {b}"
-                )
-        _set(self, "components", comps)
-        _set(self, "ends", ends)
-        _set(self, "exp", e)
+    def __getattr__(self, name: str) -> tuple[Component, ...]:
+        # reached only for an unset attribute: `components` not yet built
+        if name != "components":
+            raise AttributeError(name)
+        comps = tuple(
+            end[0](*[Dyadic(end[i], self.exp) for i in _FIELDS[end[0]][1]])
+            for end in self.ends
+        )
+        object.__setattr__(self, "components", comps)
+        return comps
+
+    def __repr__(self) -> str:
+        return f"SymbolicCompactum(components={self.components!r})"
 
     def glue_groups(self) -> list[list[int]]:
         """Maximal runs of components chained by coinciding endpoints."""
         groups: list[list[int]] = []
-        current: list[int] = []
         ends = self.ends
         for i, end in enumerate(ends):
-            if current and ends[i - 1][2] == end[1]:
-                current.append(i)
+            if i and ends[i - 1][2] == end[1]:
+                groups[-1].append(i)
             else:
-                if current:
-                    groups.append(current)
-                current = [i]
-        if current:
-            groups.append(current)
+                groups.append([i])
         return groups
 
     def is_clopen(self, sel: frozenset[int]) -> bool:
-        if any(i < 0 or i >= len(self.components) for i in sel):
+        if any(i < 0 or i >= len(self.ends) for i in sel):
             return False
-        for group in self.glue_groups():
-            inside = sum(1 for i in group if i in sel)
-            if inside not in (0, len(group)):
-                return False
-        return True
+        groups = self.glue_groups()
+        return all(sum(i in sel for i in g) in (0, len(g)) for g in groups)
 
 
-def _carried(
-    comps: list[Component], ends: list[GridComponent], e: int
-) -> SymbolicCompactum:
-    """A compactum from components already sorted and valid, with their
-    ends on 2^e: no sort and no checks.  Trailing zero bits that all the
-    ends share are stripped, so exp stays the largest dyadic exponent."""
+def _carried(ends: Sequence[GridComponent], e: int) -> SymbolicCompactum:
+    """A compactum from ends on 2^e already sorted and valid: no sort and
+    no checks.  Trailing zero bits that all the ends share are stripped,
+    so exp stays the largest dyadic exponent."""
     bits = reduce(or_, (lo | hi for _, lo, hi, _ in ends), 0)
     shift = (bits & -bits).bit_length() - 1 if bits else e
     if shift:
         ends = [(k, lo >> shift, hi >> shift, at >> shift) for k, lo, hi, at in ends]
-    s = object.__new__(SymbolicCompactum)
-    _set(s, "components", tuple(comps))
-    _set(s, "ends", tuple(ends))
-    _set(s, "exp", e - shift)
-    return s
+    return SymbolicCompactum(e - shift, tuple(ends))
 
 
-EMPTY = SymbolicCompactum(())
+def from_parts(parts: list[tuple[type, int, int, int]]) -> SymbolicCompactum:
+    """A compactum from parts (kind, lo, hi, x), each the component of that
+    kind on [lo, hi] / 2^x, none a sequence and all pairwise apart: lifted
+    onto the largest x and sorted once, with no checks."""
+    e = max((x for *_, x in parts), default=0)
+    ends = []
+    for kind, lo, hi, x in parts:
+        lo, hi = lo << (e - x), hi << (e - x)
+        ends.append((kind, lo, hi, lo))
+    ends.sort(key=_LO)
+    return _carried(ends, e)
+
+
+EMPTY = SymbolicCompactum(0, ())
 
 
 def compactum(components: Iterable[Component]) -> SymbolicCompactum:
-    return SymbolicCompactum(tuple(components))
+    """The compactum of the components, given in any order; raises unless
+    they lie in [0,1], pairwise apart or glued."""
+    comps = tuple(components)
+    e = max((x.exp for c in comps for x in (c.lo, c.hi)), default=0)
+    pairs = sorted(((_on_grid(c, e), c) for c in comps), key=lambda p: p[0][1:3])
+    if pairs and (pairs[0][0][1] < 0 or pairs[-1][0][2] > 1 << e):
+        raise ValueError("compactum must live inside [0,1]")
+    for (ea, a), (eb, b) in zip(pairs, pairs[1:]):
+        if ea[2] > eb[1]:
+            raise ValueError(f"components overlap near {a.hi}: {a} and {b}")
+        if ea[2] == eb[1] and not _glue_ok(ea, eb):
+            raise ValueError(
+                f"components touch at {a.hi} without a sequence limit "
+                f"sanctioning it: {a} and {b}"
+            )
+    return SymbolicCompactum(e, tuple(end for end, _ in pairs))
 
 
 def _require_clopen(s: SymbolicCompactum, sel: frozenset[int]) -> None:
@@ -217,10 +239,7 @@ def _require_clopen(s: SymbolicCompactum, sel: frozenset[int]) -> None:
 
 def select(s: SymbolicCompactum, sel: frozenset[int]) -> SymbolicCompactum:
     _require_clopen(s, sel)
-    keep = sorted(sel)
-    return _carried(
-        [s.components[i] for i in keep], [s.ends[i] for i in keep], s.exp
-    )
+    return _carried([s.ends[i] for i in sorted(sel)], s.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +247,7 @@ def select(s: SymbolicCompactum, sel: frozenset[int]) -> SymbolicCompactum:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_images(
-    s: SymbolicCompactum,
-) -> list[tuple[Component, GridComponent] | None]:
+def _derivative_images(s: SymbolicCompactum) -> list[GridComponent | None]:
     """Per input component: its surviving image, or None if it vanishes.
 
     A sequence turns into its limit point; when the limit already lies on a
@@ -238,22 +255,23 @@ def _derivative_images(
     the sequence contributes nothing of its own.
     """
     endpoints = {x for k, lo, hi, _ in s.ends if k in _HOSTS for x in (lo, hi)}
-    images: list[tuple[Component, GridComponent] | None] = []
-    for comp, end in zip(s.components, s.ends):
+    images: list[GridComponent | None] = []
+    for end in s.ends:
         kind, at = end[0], end[3]
         if kind is Point or (kind is PointSeq and at in endpoints):
             images.append(None)
         elif kind is PointSeq:
-            images.append((Point(comp.limit), (Point, at, at, at)))
+            images.append((Point, at, at, at))
         else:
-            images.append((comp, end))
+            images.append(end)
     return images
 
 
 def cb_derivative(s: SymbolicCompactum) -> SymbolicCompactum:
     """Remove the isolated points; sequences collapse to their limits."""
-    kept = [img for img in _derivative_images(s) if img is not None]
-    return _carried([c for c, _ in kept], [end for _, end in kept], s.exp)
+    if all(end[0] in _HOSTS for end in s.ends):
+        return s  # intervals and Cantor copies: a perfect set
+    return _carried([end for end in _derivative_images(s) if end], s.exp)
 
 
 def derived_selector(s: SymbolicCompactum, sel: frozenset[int]) -> frozenset[int]:
@@ -286,16 +304,13 @@ def reduce_intoms(s: SymbolicCompactum) -> SymbolicCompactum:
     """Collapse every clopen interval component to its midpoint.  The
     midpoints are on the grid one bit finer."""
     glued = {i for group in s.glue_groups() if len(group) > 1 for i in group}
-    comps: list[Component] = []
     ends: list[GridComponent] = []
-    for i, (comp, (kind, lo, hi, at)) in enumerate(zip(s.components, s.ends)):
+    for i, (kind, lo, hi, at) in enumerate(s.ends):
         if kind is Interval and i not in glued:
-            comps.append(Point(Dyadic(lo + hi, s.exp + 1)))
             ends.append((Point, lo + hi, lo + hi, lo + hi))
         else:
-            comps.append(comp)
             ends.append((kind, 2 * lo, 2 * hi, 2 * at))
-    return _carried(comps, ends, s.exp + 1)
+    return _carried(ends, s.exp + 1)
 
 
 def reduction(s: SymbolicCompactum) -> SymbolicCompactum:
@@ -312,9 +327,8 @@ def satisfies_inf(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
 def is_atomless_after_derivative(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
     """Derivative of the selection has only Cantor components."""
     _require_clopen(s, sel)
-    derived = cb_derivative(s)
-    image = derived_selector(s, sel)
-    return all(derived.ends[i][0] is Cantor for i in image)
+    images = _derivative_images(s)
+    return all(images[i] is None or images[i][0] is Cantor for i in sel)
 
 
 def check_property_in(s: SymbolicCompactum) -> bool:
@@ -402,9 +416,6 @@ def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
 # ---------------------------------------------------------------------------
 # The integer grid of one query
 # ---------------------------------------------------------------------------
-
-_LO, _HI = itemgetter(1), itemgetter(2)
-
 
 class Grid:
     """The components of one compactum as integers on the grid of
@@ -518,36 +529,20 @@ def cantor_net(lo: int, hi: int, level: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-# One row per component kind: its text keyword, its class and the
-# fields a line lists, in text order.
-_KINDS = (
-    ("point", Point, ("pos",)),
-    ("interval", Interval, ("lo", "hi")),
-    ("cantor", Cantor, ("lo", "hi")),
-    ("seq", PointSeq, ("limit", "lo", "hi")),
-)
-
-
 def _dyadics(make: type) -> Callable[..., Component]:
     return lambda *fields: make(*map(parse_dyadic, fields))
 
 
 # A text line's keyword, its field count and the component it builds.
-_LINES = {word: (len(names), _dyadics(kind)) for word, kind, names in _KINDS}
-# A component's class, the template of its line and the getter of its
-# fields, e.g. ("cantor %s %s", attrgetter("lo", "hi")); a one-field
-# getter returns a lone `Dyadic`, which `%` takes as its one argument.
-_PRINTS = {
-    kind: (" ".join([word] + ["%s"] * len(names)), attrgetter(*names))
-    for word, kind, names in _KINDS
-}
+_LINES = {word: (len(fields), _dyadics(kind)) for word, kind, fields in _KINDS}
 
 
 def print_compactum(s: SymbolicCompactum) -> str:
     lines = ["compactum v1"]
-    for comp in s.components:
-        template, fields = _PRINTS[type(comp)]
-        lines.append(template % fields(comp))
+    for end in s.ends:
+        word, fields = _FIELDS[end[0]]
+        values = (format_dyadic(end[i], s.exp) for i in fields)
+        lines.append(" ".join([word, *values]))
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,9 @@ its child-0 slot (the slot index 0 never names a tree node, so the spot
 is free), plus one point per replacement on each side, at the midpoints
 of the gaps separating the discarded child interval from its replacement.
 All junk lands strictly outside the final children and never in the open
-region between them.
+region between them.  `construct_limit` builds the limit from ints: each
+region's ends over its own power of 2, lifted onto one 2^exp and sorted
+once (`compactum.from_parts`), with no `Dyadic` and no validation.
 
 The stage enumerator reads the replay a script keeps from validation
 (`trees.StageScript.replay`) and emits points so that the point set grows
@@ -51,15 +53,16 @@ from itertools import repeat
 
 from .compactum import (
     Cantor,
-    Component,
     Grid,
     Interval,
     Point,
     PointSeq,
     SymbolicCompactum,
-    compactum,
+    from_parts,
 )
-from .dyadic import Address, Dyadic, ZERO, address_ends, check_natural, format_address
+from .dyadic import (
+    Address, Dyadic, ZERO, address_ends, check_natural, format_address, format_dyadic
+)
 from .trees import ETA, SPLIT, TERMINAL, LabelledTree, StageScript
 
 Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
@@ -110,32 +113,31 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
 def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
     """Isolated points a split node contributes: count ever_terminal + 2r."""
     check_natural("r", r)
-    node = address_ends(addr)
-    out = [Dyadic(*_seed(node))] if ever_terminal else []
+    return [Dyadic(*p) for p in _junk(address_ends(addr), r, ever_terminal)]
+
+
+def _junk(node: Ends, r: int, ever_terminal: bool) -> list[tuple[int, int]]:
+    """`junk_points` as (num, exp) pairs, from the node's (lo, e)."""
+    out = [_seed(node)] if ever_terminal else []
     for j in range(1, r + 1):
         left, right, x = _bridges(node, j)
-        out += Dyadic(left, x), Dyadic(right, x)
+        out += (left, x), (right, x)
     return out
 
 
-def _leaf_region(kind: type, addr: Address) -> Component:
-    """A leaf's region in the limit: its whole interval for a terminal leaf
-    (`Interval`), a Cantor copy on it for an eta leaf (`Cantor`)."""
-    lo, e = address_ends(addr)
-    return kind(Dyadic(lo, e), Dyadic(lo + 2, e))
-
-
 def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
-    comps: list[Component] = []
+    """The limit set of the tree, built from ints: a leaf's interval or a
+    Cantor copy on it, a split node's junk points."""
+    parts = []
     for addr, node in tree.nodes.items():
         if node.kind in (TERMINAL, ETA):
+            lo, e = address_ends(addr)
             kind = Interval if node.kind == TERMINAL else Cantor
-            comps.append(_leaf_region(kind, addr))
+            parts.append((kind, lo, lo + 2, e))
         elif node.kind == SPLIT:
-            comps.extend(
-                Point(p) for p in junk_points(addr, node.r, node.ever_terminal)
-            )
-    return compactum(comps)
+            junk = _junk(address_ends(addr), node.r, node.ever_terminal)
+            parts += [(Point, n, n, x) for n, x in junk]
+    return from_parts(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,8 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
         if kind == TERMINAL:
             rounds[addr] = age
         elif kind == ETA:
-            nets[addr] = (_leaf_region(Cantor, addr), age)
+            lo, e = address_ends(addr)
+            nets[addr] = (Cantor(Dyadic(lo, e), Dyadic(lo + 2, e)), age)
         elif kind == SPLIT:
             splits.append(addr)
     # Bridges of a pair that is itself torn down later never reach the
@@ -428,12 +431,7 @@ def _seq_bound(lo: int, hi: int, limit: int, pts: list[int], one: int) -> int:
 def print_state(state: EnumerationState, gap: Dyadic | None = None) -> str:
     """The stage's points, formatted from the ints, then its nets."""
     lines = [f"stage {state.stage}"]
-    e = state.exp
-    lines += [  # n / 2^e in lowest terms, as `Dyadic` keeps it
-        f"point {n >> k}/2^{e - k}"
-        for n in state.nums
-        for k in (min((n & -n).bit_length() - 1, e) if n else e,)
-    ]
+    lines += [f"point {format_dyadic(n, state.exp)}" for n in state.nums]
     for addr in sorted(state.nets):
         _, level = state.nets[addr]
         lines.append(f"net {format_address(addr)} level={level}")

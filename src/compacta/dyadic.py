@@ -169,6 +169,12 @@ def parse_dyadic(text: str) -> Dyadic:
     return Dyadic(num, exp)
 
 
+def format_dyadic(n: int, e: int) -> str:
+    """n / 2^e in lowest terms, as `Dyadic(n, e)` prints, from the ints."""
+    k = min((n & -n).bit_length() - 1, e) if n else e
+    return f"{n >> k}/2^{e - k}"
+
+
 def dyadic_ceil(value: Fraction, bits: int = 80) -> Dyadic:
     """Smallest multiple of 2^-bits that is >= value."""
     scaled = value * (1 << bits)

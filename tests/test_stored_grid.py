@@ -1,42 +1,58 @@
-"""Differential test: the integer grid a compactum stores when it is
-validated, and that `select`, `cb_derivative` and `reduce_intoms` carry
-forward without validating again, against the validating constructor and
-a `Dyadic` scan of the endpoints; the one-pass `glue_classes` and
-`check_property_in` against the per-group reading and the endpoint-set
-formula they replaced; and the closed-form interval addresses behind
-`construct_limit` and `stone_space` against the nested `Dyadic`
-recursion they replaced.  The replaced versions are kept below as the
-oracles.
+"""Differential test: the integer grid a compactum is, as the validating
+constructor builds it, and as `construct_limit`, `stone_space`,
+`select`, `cb_derivative` and `reduce_intoms` build it from ints without
+validating, against the validating constructor and a `Dyadic` scan of
+the endpoints; the `components` view those build on first read, against
+the `Dyadic` twins the validating constructor gives; the one-pass
+`glue_classes` and `check_property_in` against the per-group reading
+and the endpoint-set formula they replaced; and the closed-form interval
+addresses behind `construct_limit` and `stone_space` against the nested
+`Dyadic` recursion they replaced.  The replaced versions are kept below
+as the oracles.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from compacta.boolalg import stone_space
+import compacta.dyadic as dyadic_module
+from compacta.boolalg import clopen_algebra, stone_space
 from compacta.compactum import (
     Cantor,
     Interval,
     Point,
     PointSeq,
     all_clopen_selectors,
+    canonical_form,
     cb_derivative,
     check_property_in,
     compactum,
     glue_classes,
+    print_compactum,
     reduce_intoms,
     reduction,
     select,
 )
-from compacta.construct import junk_points
+from compacta.construct import construct_limit, junk_points
 from compacta.dyadic import HALF, ONE, ZERO, Dyadic, address_ends, midpoint
-from compacta.trees import SPLIT
-from test_acceptance import suite_instances
+from compacta.randgen import random_tree
+from compacta.trees import ETA, SPLIT, TERMINAL
+from test_acceptance import SUITE_SEED, suite_instances
 from test_compact_grid import glued
 
 MAX_SELECT_GROUPS = 6
+DEEP_TREES = 200  # shaped like the duality bench's deep trees
+
+
+def deep_trees() -> list:
+    rng = random.Random(SUITE_SEED + 40)
+    return [random_tree(rng, max_depth=8, max_nodes=200) for _ in range(DEEP_TREES)]
 
 
 def derived(s) -> list:
@@ -56,13 +72,14 @@ def detached(host):
     return None if out == list(host.components) else compactum(out)
 
 
-def suite_compacta() -> list:
-    """Every compactum the suite derives, each distinct one once: the
-    limits, their glued and detached versions, their derivatives and
-    reducts, the stone spaces, and every clopen selection of the hosts
-    with at most MAX_SELECT_GROUPS glue groups."""
+def suite_compacta(trees: list = ()) -> list:
+    """Every compactum the suite, and the extra trees, derive, each
+    distinct one once: the limits, their glued and detached versions,
+    their derivatives and reducts, the stone spaces, and every clopen
+    selection of the hosts with at most MAX_SELECT_GROUPS glue groups."""
     hosts = []
-    for tree, limit in suite_instances():
+    extra = [(tree, construct_limit(tree)) for tree in trees]
+    for tree, limit in suite_instances() + extra:
         hosts += derived(limit) + [stone_space(tree)]
         for host in (glued(limit), detached(limit)):
             if host is not None:
@@ -90,7 +107,7 @@ def scanned_ends(s) -> tuple:
 
 
 def test_stored_grid_matches_validating_constructor_on_suite() -> None:
-    compacta = suite_compacta()
+    compacta = suite_compacta(deep_trees())
     kinds = [{end[0] for end in s.ends} for s in compacta]
     assert sum(PointSeq in k and Interval in k for k in kinds) > 100
     for s in compacta:
@@ -100,6 +117,124 @@ def test_stored_grid_matches_validating_constructor_on_suite() -> None:
         scan = max((x.exp for c in s.components for x in (c.lo, c.hi)), default=0)
         assert s.exp == scan, s
         assert s.ends == scanned_ends(s), s
+
+
+def limit_twin(tree):
+    """`construct_limit` through the validating constructor: each leaf's
+    interval or Cantor copy and each split's junk as `Dyadic` shapes."""
+    comps = []
+    for addr, node in tree.nodes.items():
+        lo, e = address_ends(addr)
+        if node.kind in (TERMINAL, ETA):
+            kind = Interval if node.kind == TERMINAL else Cantor
+            comps.append(kind(Dyadic(lo, e), Dyadic(lo + 2, e)))
+        elif node.kind == SPLIT:
+            comps += map(Point, junk_points(addr, node.r, node.ever_terminal))
+    return compactum(comps)
+
+
+def stone_twin(tree):
+    """`stone_space` through the validating constructor."""
+    comps = []
+    for addr, node in tree.nodes.items():
+        lo, e = address_ends(addr)
+        if node.kind == TERMINAL:
+            comps.append(Point(Dyadic(lo + 1, e)))
+        elif node.kind == ETA:
+            comps.append(Cantor(Dyadic(lo, e), Dyadic(lo + 2, e)))
+    return compactum(comps)
+
+
+def derived_twin(s):
+    """`cb_derivative` on the components, validated: points go, and a
+    sequence leaves its limit unless an interval or a Cantor copy ends
+    there."""
+    hosts = [c for c in s.components if isinstance(c, (Interval, Cantor))]
+    ends = {x for c in hosts for x in (c.lo, c.hi)}
+    return compactum(
+        Point(c.limit) if isinstance(c, PointSeq) else c
+        for c in s.components
+        if not isinstance(c, Point) and getattr(c, "limit", None) not in ends
+    )
+
+
+def reduct_twin(s):
+    """`reduce_intoms` on the components, validated: each unglued interval
+    becomes its midpoint."""
+    together = {i for group in s.glue_groups() if len(group) > 1 for i in group}
+    return compactum(
+        Point(midpoint(c.lo, c.hi)) if isinstance(c, Interval) and i not in together
+        else c
+        for i, c in enumerate(s.components)
+    )
+
+
+def trusted_cases(tree):
+    """(operator, its input, the validated twin of its output) for the
+    limit and the stone space of the tree, and for the derivative, the
+    reduct and a clopen selection of the limit and of its glued version."""
+    limit, twin = construct_limit(tree), limit_twin(tree)
+    cases = [(construct_limit, tree, twin), (stone_space, tree, stone_twin(tree))]
+    glued_host = glued(twin)  # validated, so its own twin
+    for host, host_twin in [(limit, twin), (glued_host, glued_host)]:
+        if host is None:
+            continue
+        sel = frozenset(i for group in host.glue_groups()[::2] for i in group)
+        picked = compactum(host_twin.components[i] for i in sorted(sel))
+        cases += [
+            (cb_derivative, host, derived_twin(host_twin)),
+            (reduce_intoms, host, reduct_twin(host_twin)),
+            (lambda s, sel=sel: select(s, sel), host, picked),
+        ]
+    return cases
+
+
+def test_trusted_path_builds_no_dyadic_and_reads_as_its_twin(monkeypatch) -> None:
+    """The limit, the stone space and what the operators carry are built
+    from ints alone; printing and the algebra and form read ints alone.
+    Each check below reads a fresh result of the operator, the first one
+    its view, and must give what it gives on the twin the validating
+    constructor builds from `Dyadic` components."""
+    built = Counter()
+    real_init, real_raw = Dyadic.__init__, dyadic_module._raw
+
+    def counting_init(self, *args):
+        built["Dyadic"] += 1
+        real_init(self, *args)
+
+    def counting_raw(*args):
+        built["Dyadic"] += 1
+        return real_raw(*args)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting_init)
+    monkeypatch.setattr(dyadic_module, "_raw", counting_raw)
+    trees = [tree for tree, _ in suite_instances()[:60]] + deep_trees()[:20]
+    kinds = Counter()
+    for tree in trees:
+        for op, arg, twin in trusted_cases(tree):
+            built.clear()
+            out = op(arg)
+            canonical_form(out)
+            clopen_algebra(out)
+            text = print_compactum(out)
+            assert not built, (op, arg)
+            assert "components" not in vars(out)
+            assert text == print_compactum(twin)
+            kinds.update(end[0] for end in out.ends)
+
+            def fresh():
+                return op(arg)
+
+            assert fresh().components == twin.components
+            assert fresh() == twin and twin == fresh()
+            assert (fresh().exp, fresh().ends) == (twin.exp, twin.ends)
+            assert hash(fresh()) == hash(twin) and {fresh(): 1}[twin] == 1
+            assert {twin: 1}[fresh()] == 1
+            assert repr(fresh()) == repr(twin)
+            assert copy.copy(fresh()) == twin
+            assert pickle.loads(pickle.dumps(fresh())) == twin
+            assert pickle.loads(pickle.dumps(twin)) == fresh()
+    assert {Point, Interval, Cantor, PointSeq} <= set(kinds)
 
 
 def grouped_classes(s) -> list:
