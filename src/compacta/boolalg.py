@@ -365,6 +365,8 @@ class AtomRef:
 
 
 def atom(b: LabelledBA, ref: AtomRef) -> Element:
+    if not 0 <= ref.cluster < len(b.clusters):
+        raise ValueError(f"no cluster {ref.cluster} in the algebra")
     cl = b.clusters[ref.cluster]
     card = cl.n_in if ref.species == IN else cl.n_junk
     if not card.is_omega and ref.index >= card.value:
@@ -679,15 +681,9 @@ def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
     for a, b in iso.atom_pairs:
         if a.species != b.species:
             raise ValueError("pairing does not preserve the atom label")
-        _check_ref(b0, a)
-        _check_ref(b1, b)
     for bp in iso.block_pairs:
         if bp.src[1] != bp.dst[1]:
             raise ValueError("block pairing does not preserve the species")
-        if not _species_card(b0, *bp.src).is_omega:
-            raise ValueError("block source is not an omega species")
-        if not _species_card(b1, *bp.dst).is_omega:
-            raise ValueError("block target is not an omega species")
     _check_cover(b0, iso, side=0)
     _check_cover(b1, iso, side=1)
     has0 = b0.has_atomless()
@@ -697,22 +693,19 @@ def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
     return True
 
 
-def _species_card(b: LabelledBA, c: int, species: str) -> SymCard:
-    cl = b.clusters[c]
-    return cl.n_in if species == IN else cl.n_junk
-
-
-def _check_ref(b: LabelledBA, ref: AtomRef) -> None:
-    card = _species_card(b, ref.cluster, ref.species)
-    if not card.is_omega and ref.index >= card.value:
-        raise ValueError("atom reference outside its species")
-
-
 def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
+    """The one check of the iso's references on one side against b: each
+    names a species of b, a finite species is paired atom by atom, and an
+    omega species is one block whose skips are its explicit pairs."""
+    cards: dict[tuple[int, str], SymCard] = {}
+    for c, cl in enumerate(b.clusters):
+        cards[c, IN], cards[c, JUNK] = cl.n_in, cl.n_junk
     explicit: dict[tuple[int, str], set[int]] = {}
     for pair in iso.atom_pairs:
         ref = pair[side]
         key = (ref.cluster, ref.species)
+        if key not in cards or ref.index < 0:
+            raise ValueError(f"no atom {ref.index} in {_where(key)}")
         ids = explicit.setdefault(key, set())
         if ref.index in ids:
             raise ValueError("an atom appears twice in the pairing")
@@ -720,27 +713,31 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
     blocks: dict[tuple[int, str], BlockPair] = {}
     for bp in iso.block_pairs:
         key = bp.src if side == 0 else bp.dst
+        if key not in cards:
+            raise ValueError(f"block on {_where(key)}, which the algebra lacks")
         if key in blocks:
             raise ValueError("an omega species appears in two block pairs")
         blocks[key] = bp
-    for c, cl in enumerate(b.clusters):
-        for species, card in ((IN, cl.n_in), (JUNK, cl.n_junk)):
-            key = (c, species)
-            used = explicit.get(key, set())
-            if card.is_omega:
-                bp = blocks.get(key)
-                if bp is None:
-                    raise ValueError("omega species not covered by a block")
-                skip = bp.skip_src if side == 0 else bp.skip_dst
-                if used != set(skip):
-                    raise ValueError(
-                        "block skips disagree with the explicit pairs"
-                    )
-            else:
-                if key in blocks:
-                    raise ValueError("finite species cannot form a block")
-                if used != set(range(card.value)):
-                    raise ValueError("finite species not fully paired")
+    for key, card in cards.items():
+        used = explicit.get(key, set())
+        if card.is_omega:
+            bp = blocks.get(key)
+            if bp is None:
+                raise ValueError(f"omega {_where(key)} not covered by a block")
+            skip = bp.skip_src if side == 0 else bp.skip_dst
+            if used != set(skip):
+                raise ValueError(
+                    f"block skips of {_where(key)} disagree with its pairs"
+                )
+        else:
+            if key in blocks:
+                raise ValueError(f"finite {_where(key)} cannot form a block")
+            if used != set(range(card.value)):
+                raise ValueError(f"finite {_where(key)} not fully paired")
+
+
+def _where(key: tuple[int, str]) -> str:
+    return f"cluster {key[0]} species {key[1]}"
 
 
 # ---------------------------------------------------------------------------

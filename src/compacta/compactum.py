@@ -148,8 +148,9 @@ class SymbolicCompactum:
     """A closed set as its grid: `ends`, the components sorted by (lo, hi),
     pairwise apart or glued, as `GridComponent`s over 2^`exp`, exp their
     largest dyadic exponent; canonical, so == and hash read them alone.
-    `compactum` validates; `components`, the `Dyadic` shapes, is a view
-    built from the ends when first read, and repr prints it."""
+    `compactum` validates and keeps the components it was given;
+    otherwise `components`, the `Dyadic` shapes, is a view built from the
+    ends when first read.  repr prints it."""
 
     exp: int
     ends: tuple[GridComponent, ...]
@@ -215,7 +216,8 @@ EMPTY = SymbolicCompactum(0, ())
 
 def compactum(components: Iterable[Component]) -> SymbolicCompactum:
     """The compactum of the components, given in any order; raises unless
-    they lie in [0,1], pairwise apart or glued."""
+    they lie in [0,1], pairwise apart or glued.  The validated components,
+    sorted, are kept as its `components` view."""
     comps = tuple(components)
     e = max((x.exp for c in comps for x in (c.lo, c.hi)), default=0)
     pairs = sorted(((_on_grid(c, e), c) for c in comps), key=lambda p: p[0][1:3])
@@ -229,7 +231,9 @@ def compactum(components: Iterable[Component]) -> SymbolicCompactum:
                 f"components touch at {a.hi} without a sequence limit "
                 f"sanctioning it: {a} and {b}"
             )
-    return SymbolicCompactum(e, tuple(end for end, _ in pairs))
+    s = SymbolicCompactum(e, tuple(end for end, _ in pairs))
+    object.__setattr__(s, "components", tuple(c for _, c in pairs))
+    return s
 
 
 def _require_clopen(s: SymbolicCompactum, sel: frozenset[int]) -> None:

@@ -285,16 +285,21 @@ def _tombstone(state: ScriptState, root: Address, dead: set[Address]) -> None:
 
 def _check_stage_zero(skeleton: Mapping[Address, Node], state: ScriptState) -> None:
     """The stage-0 tree, static nodes plus the targets opened at stage 0,
-    is rooted and prefix-closed, and fills both slots of every spine."""
+    is rooted and prefix-closed, hangs each static node but the root under
+    a static spine, and fills both slots of every spine."""
     tree = set(skeleton).union(a for a, t in state.born.items() if not t)
     if () not in tree:
         raise ValueError("script has an empty stage-0 tree")
+    spines = {a for a, node in skeleton.items() if node.kind == SPINE}
     for addr in tree:
         if addr and addr[:-1] not in tree:
             raise ValueError(
                 f"stage-0 tree not prefix-closed at {format_address(addr)}"
             )
-    spines = [a for a, node in skeleton.items() if node.kind == SPINE]
+        if addr and addr in skeleton and addr[:-1] not in spines:
+            raise ValueError(
+                f"static node {format_address(addr)} is not under a static spine"
+            )
     for addr in spines:
         if {a for a in tree if a and a[:-1] == addr} != {addr + (0,), addr + (1,)}:
             raise ValueError(

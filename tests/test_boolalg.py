@@ -13,7 +13,9 @@ from compacta.boolalg import (
     JUNK,
     NO_PIECE,
     OMEGA,
+    AtomIso,
     AtomRef,
+    BlockPair,
     ClusterPart,
     Element,
     LabelledBA,
@@ -180,6 +182,13 @@ def test_atom_index_validated():
     b = algebra(cluster(2, 1))
     with pytest.raises(ValueError):
         atom(b, AtomRef(0, IN, 5))
+
+
+@pytest.mark.parametrize("c", [-2, -1, 2, 5])
+def test_atom_cluster_validated(c):
+    b = algebra(cluster(2, 1), cluster(1, 1))
+    with pytest.raises(ValueError, match=f"no cluster {c} "):
+        atom(b, AtomRef(c, IN, 0))
 
 
 def test_selection_validation():
@@ -471,6 +480,54 @@ def test_verify_catches_missing_atom():
     truncated = type(iso)(iso.atom_pairs[:1], (), None)
     with pytest.raises(ValueError):
         verify_isomorphism(b, b, truncated)
+
+
+@pytest.mark.parametrize(
+    "iso, where",
+    [
+        (
+            AtomIso(((AtomRef(5, IN, 0), AtomRef(0, IN, 0)),), (), None),
+            "no atom 0 in cluster 5 species in",
+        ),
+        (
+            AtomIso(
+                ((AtomRef(0, IN, 0), AtomRef(0, IN, 0)),
+                 (AtomRef(0, JUNK, 0), AtomRef(0, JUNK, 0))),
+                (BlockPair((7, IN), (0, IN)),),
+                None,
+            ),
+            "block on cluster 7 species in, which the algebra lacks",
+        ),
+        (
+            AtomIso(
+                ((AtomRef(0, IN, 0), AtomRef(0, IN, 0)),
+                 (AtomRef(0, JUNK, 0), AtomRef(0, JUNK, 0))),
+                (BlockPair((0, JUNK), (0, JUNK)),),
+                None,
+            ),
+            "finite cluster 0 species junk cannot form a block",
+        ),
+    ],
+)
+def test_verify_refuses_a_reference_the_algebra_lacks(iso, where):
+    b = algebra(cluster(1, 1))
+    with pytest.raises(ValueError, match=where):
+        verify_isomorphism(b, b, iso)
+
+
+def test_verify_refuses_a_negative_omega_atom():
+    b = algebra(cluster(None, None))
+    minus = AtomRef(0, IN, -1)
+    iso = AtomIso(
+        ((minus, minus),),
+        (
+            BlockPair((0, IN), (0, IN), frozenset({-1}), frozenset({-1})),
+            BlockPair((0, JUNK), (0, JUNK)),
+        ),
+        None,
+    )
+    with pytest.raises(ValueError, match="no atom -1 in cluster 0 species in"):
+        verify_isomorphism(b, b, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compacta.cli as cli
+from compacta.boolalg import algebra, cluster, parse_ba
 from compacta.cli import main
-from compacta.boolalg import parse_ba
 from compacta.compact import (
     MAX_PARTITIONS,
     atom_count,
@@ -106,6 +107,72 @@ def test_construct_out_flag_writes_file(run, tmp_path) -> None:
     assert rc == 0
     assert out == ""
     parse_compactum(target.read_text())
+
+
+def out_calls(tmp_path: Path) -> list[list[str]]:
+    """One call per subcommand, on the README's inputs and the tests'
+    algebras and quotient map."""
+    tree = put(tmp_path, "ex.tree", EXAMPLE_TREE)
+    comp = str(tmp_path / "ex.compactum")
+    assert main(["construct", tree, "--out", comp]) == 0
+    ba = str(tmp_path / "ex.ba")
+    assert main(["algebra", comp, "--out", ba]) == 0
+    b0, b1 = put(tmp_path, "b0.ba", B0), put(tmp_path, "b1.ba", B1)
+    return [
+        ["construct", tree],
+        ["simulate", put(tmp_path, "ex.script", SCRIPT), "--stage", "3"],
+        ["derive", comp],
+        ["reduce", comp],
+        ["stone", tree],
+        ["dualcheck", tree],
+        ["algebra", comp],
+        ["quotient", ba],
+        ["iso", b0, b1, put(tmp_path, "q.map", "pair 1 1\n")],
+        ["cover", comp, "--precision", "3"],
+        ["partitions", comp, "--depth", "1"],
+        ["supnorm", put(tmp_path, "ex.plf", HAT), comp],
+        ["suite", "--count", "5"],
+        ["render-svg", tree],
+    ]
+
+
+def run_merged(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout and stderr as one stream, in write order."""
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        rc = main(argv)
+    return rc, both.getvalue()
+
+
+def test_out_file_gets_the_bytes_stdout_gets(run, tmp_path) -> None:
+    """Under --out each subcommand writes to the file what it prints
+    alone; only cover's h= line is left, and it moves to stdout."""
+    calls = out_calls(tmp_path)
+    assert [argv[0] for argv in calls] == [c.name for c in cli.COMMANDS]
+    target = tmp_path / "out"
+    for argv in calls:
+        rc, out, err = run(*argv)
+        assert rc == 0 and out, argv
+        rc, out_then, err_then = run(*argv, "--out", str(target))
+        assert rc == 0, argv
+        assert target.read_text() == out, argv
+        target.unlink()
+        if argv[0] == "cover":
+            assert (err, out_then, err_then) == ("h=7\n", "h=7\n", ""), argv
+        else:
+            assert (err, out_then, err_then) == ("", "", ""), argv
+
+
+def test_failing_suite_reports_before_its_error(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(cli, "tree_algebra", lambda tree: algebra(cluster(9, 0)))
+    rc, merged = run_merged(["suite", "--count", "4"])
+    *cases, tally, error = merged.splitlines(keepends=True)
+    assert rc == 1 and cases == [f"case {i} FAIL\n" for i in range(4)]
+    assert tally == "0/4 duality roundtrips pass\n"
+    assert error == "error: 4 duality roundtrips failed\n"
+    target = tmp_path / "report"
+    assert run_merged(["suite", "--count", "4", "--out", str(target)]) == (1, error)
+    assert target.read_text() == "".join(cases) + tally
 
 
 def test_dualcheck_example(run, tmp_path) -> None:

@@ -28,12 +28,14 @@ from compacta.compactum import (
     Interval,
     Point,
     PointSeq,
+    SymbolicCompactum,
     all_clopen_selectors,
     canonical_form,
     cb_derivative,
     check_property_in,
     compactum,
     glue_classes,
+    parse_compactum,
     print_compactum,
     reduce_intoms,
     reduction,
@@ -189,12 +191,9 @@ def trusted_cases(tree):
     return cases
 
 
-def test_trusted_path_builds_no_dyadic_and_reads_as_its_twin(monkeypatch) -> None:
-    """The limit, the stone space and what the operators carry are built
-    from ints alone; printing and the algebra and form read ints alone.
-    Each check below reads a fresh result of the operator, the first one
-    its view, and must give what it gives on the twin the validating
-    constructor builds from `Dyadic` components."""
+@pytest.fixture
+def built(monkeypatch) -> Counter:
+    """Counts every `Dyadic` built from here on, under "Dyadic"."""
     built = Counter()
     real_init, real_raw = Dyadic.__init__, dyadic_module._raw
 
@@ -208,6 +207,15 @@ def test_trusted_path_builds_no_dyadic_and_reads_as_its_twin(monkeypatch) -> Non
 
     monkeypatch.setattr(Dyadic, "__init__", counting_init)
     monkeypatch.setattr(dyadic_module, "_raw", counting_raw)
+    return built
+
+
+def test_trusted_path_builds_no_dyadic_and_reads_as_its_twin(built) -> None:
+    """The limit, the stone space and what the operators carry are built
+    from ints alone; printing and the algebra and form read ints alone.
+    Each check below reads a fresh result of the operator, the first one
+    its view, and must give what it gives on the twin the validating
+    constructor builds from `Dyadic` components."""
     trees = [tree for tree, _ in suite_instances()[:60]] + deep_trees()[:20]
     kinds = Counter()
     for tree in trees:
@@ -235,6 +243,23 @@ def test_trusted_path_builds_no_dyadic_and_reads_as_its_twin(monkeypatch) -> Non
             assert pickle.loads(pickle.dumps(fresh())) == twin
             assert pickle.loads(pickle.dumps(twin)) == fresh()
     assert {Point, Interval, Cantor, PointSeq} <= set(kinds)
+
+
+def test_validated_compactum_keeps_its_sorted_components(built) -> None:
+    """`compactum` and `parse_compactum` keep the components they checked,
+    sorted: reading them builds no `Dyadic` and gives the view the same
+    ends build."""
+    hosts = [construct_limit(tree) for tree, _ in suite_instances()[:60]]
+    hosts += [g for g in map(glued, hosts) if g is not None]
+    for host in hosts:
+        text = print_compactum(host)
+        for s in (compactum(host.components[::-1]), parse_compactum(text)):
+            built.clear()
+            comps = s.components
+            assert not built, text
+            assert comps == SymbolicCompactum(s.exp, s.ends).components, text
+            assert comps == host.components, text
+    assert any(PointSeq in {end[0] for end in s.ends} for s in hosts)
 
 
 def grouped_classes(s) -> list:

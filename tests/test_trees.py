@@ -242,6 +242,20 @@ def test_event_recreating_static_node_rejected():
         parse_script(text)
 
 
+@pytest.mark.parametrize(
+    "text, node",
+    [
+        # under a terminal leaf
+        ("node - spine\nnode 0 terminal\nnode 1 terminal\nnode 1.5 eta\n", "1.5"),
+        # under the root, a split target
+        ("node 5 terminal\nevent fresh -\nlabel 1 eta\nlabel 2 terminal\n", "5"),
+    ],
+)
+def test_static_node_not_under_a_static_spine_rejected(text, node):
+    with pytest.raises(ValueError, match=f"^static node {node} is not under"):
+        parse_script("tree v1\n" + text)
+
+
 def test_event_on_uncreated_child_rejected():
     with pytest.raises(ValueError):
         StageScript(
