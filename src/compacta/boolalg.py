@@ -367,6 +367,10 @@ class AtomRef:
 def atom(b: LabelledBA, ref: AtomRef) -> Element:
     if not 0 <= ref.cluster < len(b.clusters):
         raise ValueError(f"no cluster {ref.cluster} in the algebra")
+    if ref.species not in (IN, JUNK):
+        raise ValueError(
+            f"no species {ref.species!r} in a cluster: it has {IN} and {JUNK}"
+        )
     cl = b.clusters[ref.cluster]
     card = cl.n_in if ref.species == IN else cl.n_junk
     if not card.is_omega and ref.index >= card.value:

@@ -215,6 +215,13 @@ def _load(path: str | None, read: Callable):
     return read(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -229,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            Path(args.out).write_text(text)
+            _write(args.out, text)
         if isinstance(after, CheckFailure):
             raise after
         if after is not None:

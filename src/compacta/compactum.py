@@ -18,8 +18,12 @@ A compactum is its grid: `exp` and `ends`, its components as ints over
 2^exp, exp the largest dyadic exponent among their endpoints (n
 components times exp bits).  `compactum` validates `Dyadic` components
 and keeps their ends; the operators and the printer read and write ends
-alone, `from_parts` builds a limit or a stone space from ints, and
-`components` is a view built from the ends when first read.
+alone, and `from_parts` builds a limit or a stone space from ints.
+`components` is a sequence view over the ends (`Components`): its
+length and == against a view on the same exp read the ends alone, and
+the first element read, slice, iteration, repr or hash builds the
+`Dyadic` shapes once; a validated compactum seeds it with the shapes it
+checked.
 `Grid` rescales the ends to multiples of 1/d for one d per query.  Every
 question that depends on a component's kind goes through one walk per
 kind there: `succ(comp, x, strict)` is the least member at or after x
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from numbers import Rational
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Sequence, Union
+from typing import Union
 
 from .dyadic import Dyadic, check_natural, format_dyadic, parse_dyadic, read_lines
 
@@ -143,28 +148,82 @@ def _glue_ok(left: GridComponent, right: GridComponent) -> bool:
     return False
 
 
+class Components(Sequence):
+    """A compactum's components as a read-only sequence over its `ends`
+    on 2^`exp`, equal to the tuple of the `Dyadic` shapes it stands for.
+    `len` reads the ends, and so does == between two views on one exp:
+    over one 2^exp the ends and the components determine each other.
+    The first element read, slice, iteration, repr or hash builds the
+    shapes once and keeps them; any other comparison reads those."""
+
+    __slots__ = ("ends", "exp", "_shapes")
+
+    def __init__(
+        self,
+        ends: tuple[GridComponent, ...],
+        exp: int,
+        shapes: tuple[Component, ...] | None = None,
+    ) -> None:
+        self.ends = ends
+        self.exp = exp
+        self._shapes = shapes
+
+    def _built(self) -> tuple[Component, ...]:
+        if self._shapes is None:
+            e = self.exp
+            self._shapes = tuple(
+                end[0](*[Dyadic(end[i], e) for i in _FIELDS[end[0]][1]])
+                for end in self.ends
+            )
+        return self._shapes
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i: int | slice) -> Component | tuple[Component, ...]:
+        return self._built()[i]
+
+    def __iter__(self) -> Iterator[Component]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Components):
+            if other.exp == self.exp:
+                return self.ends == other.ends
+            other = other._built()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[GridComponent, ...], int]]:
+        return Components, (self.ends, self.exp)
+
+
 @dataclass(frozen=True)
 class SymbolicCompactum:
     """A closed set as its grid: `ends`, the components sorted by (lo, hi),
     pairwise apart or glued, as `GridComponent`s over 2^`exp`, exp their
     largest dyadic exponent; canonical, so == and hash read them alone.
-    `compactum` validates and keeps the components it was given;
-    otherwise `components`, the `Dyadic` shapes, is a view built from the
-    ends when first read.  repr prints it."""
+    `components`, the `Dyadic` shapes, is a `Components` view over the
+    ends, set when first read; `compactum` seeds it with the components
+    it validated.  repr prints it."""
 
     exp: int
     ends: tuple[GridComponent, ...]
 
-    def __getattr__(self, name: str) -> tuple[Component, ...]:
-        # reached only for an unset attribute: `components` not yet built
+    def __getattr__(self, name: str) -> Components:
+        # reached only for an unset attribute: `components` not yet read
         if name != "components":
             raise AttributeError(name)
-        comps = tuple(
-            end[0](*[Dyadic(end[i], self.exp) for i in _FIELDS[end[0]][1]])
-            for end in self.ends
-        )
-        object.__setattr__(self, "components", comps)
-        return comps
+        view = Components(self.ends, self.exp)
+        object.__setattr__(self, "components", view)
+        return view
 
     def __repr__(self) -> str:
         return f"SymbolicCompactum(components={self.components!r})"
@@ -231,8 +290,10 @@ def compactum(components: Iterable[Component]) -> SymbolicCompactum:
                 f"components touch at {a.hi} without a sequence limit "
                 f"sanctioning it: {a} and {b}"
             )
-    s = SymbolicCompactum(e, tuple(end for end, _ in pairs))
-    object.__setattr__(s, "components", tuple(c for _, c in pairs))
+    ends = tuple(end for end, _ in pairs)
+    s = SymbolicCompactum(e, ends)
+    view = Components(ends, e, tuple(c for _, c in pairs))
+    object.__setattr__(s, "components", view)
     return s
 
 

@@ -7,9 +7,14 @@ its child-0 slot (the slot index 0 never names a tree node, so the spot
 is free), plus one point per replacement on each side, at the midpoints
 of the gaps separating the discarded child interval from its replacement.
 All junk lands strictly outside the final children and never in the open
-region between them.  `construct_limit` builds the limit from ints: each
-region's ends over its own power of 2, lifted onto one 2^exp and sorted
-once (`compactum.from_parts`), with no `Dyadic` and no validation.
+region between them.  For a node on [lo, lo + 2] / 2^e the seed is
+(4lo + 1) / 2^(e+2), and with L = lo + 1 the j-th replacement's bridges
+are (L*2^(2j+5) + 3 - 9*2^(j+1)) / 2^(e+2j+5) on the left and
+(L*2^(2j+5) - 6 + 36*2^j) / 2^(e+2j+5) on the right, closed forms of the
+children's ends, so no child address is walked.  `construct_limit`
+builds the limit from ints: each region's ends over its own power of 2,
+lifted onto one 2^exp and sorted once (`compactum.from_parts`), with no
+`Dyadic` and no validation.
 
 The stage enumerator reads the replay a script keeps from validation
 (`trees.StageScript.replay`) and emits points so that the point set grows
@@ -95,19 +100,13 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
 
     The discarded pair is (2j-1, 2j), the incoming pair (2j+1, 2j+2); the
     even child sits left of the center, the odd one right.  Each side gets
-    the midpoint of the gap between the dead interval and the new one,
-    summed from the two ends on one grid.
+    the midpoint of the gap between the dead interval and the new one: the
+    sum of the two ends `address_ends` gives those children, in closed
+    form from the node's center (lo + 1) / 2^e.
     """
-    top = node[1] + 2 * j + 4
-
-    def end(m: int, side: int) -> int:
-        """Child m's lo (side 0) or hi (side 2) over 2^top."""
-        lo, e = address_ends((m,), *node)
-        return (lo + side) << (top - e)
-
-    left = end(2 * j, 2) + end(2 * j + 2, 0)
-    right = end(2 * j + 1, 2) + end(2 * j - 1, 0)
-    return left, right, top + 1
+    lo, e = node
+    center = (lo + 1) << (2 * j + 5)
+    return center + 3 - (9 << (j + 1)), center - 6 + (36 << j), e + 2 * j + 5
 
 
 def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:

@@ -191,6 +191,13 @@ def test_atom_cluster_validated(c):
         atom(b, AtomRef(c, IN, 0))
 
 
+@pytest.mark.parametrize("species", ["foo", "", "IN", None])
+def test_atom_species_validated(species):
+    b = algebra(cluster(1, 1))
+    with pytest.raises(ValueError, match=f"no species {species!r} in a cluster"):
+        atom(b, AtomRef(0, species, 0))
+
+
 def test_selection_validation():
     b = algebra(cluster(2, 1))
     with pytest.raises(ValueError):

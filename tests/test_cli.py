@@ -109,6 +109,18 @@ def test_construct_out_flag_writes_file(run, tmp_path) -> None:
     parse_compactum(target.read_text())
 
 
+@pytest.mark.parametrize("target", ["no/such/dir/x", "."], ids=["missing", "a-dir"])
+def test_unwritable_out_exits_two(run, tmp_path, target) -> None:
+    """An --out path that cannot be written (its directory is missing, or
+    it is a directory) is reported like an unreadable input: one error
+    line naming the path, exit 2 and nothing on stdout."""
+    tree = put(tmp_path, "ex.tree", EXAMPLE_TREE)
+    path = tmp_path / target
+    rc, out, err = run("construct", tree, "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def out_calls(tmp_path: Path) -> list[list[str]]:
     """One call per subcommand, on the README's inputs and the tests'
     algebras and quotient map."""

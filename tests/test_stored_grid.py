@@ -3,12 +3,13 @@ constructor builds it, and as `construct_limit`, `stone_space`,
 `select`, `cb_derivative` and `reduce_intoms` build it from ints without
 validating, against the validating constructor and a `Dyadic` scan of
 the endpoints; the `components` view those build on first read, against
-the `Dyadic` twins the validating constructor gives; the one-pass
-`glue_classes` and `check_property_in` against the per-group reading
-and the endpoint-set formula they replaced; and the closed-form interval
-addresses behind `construct_limit` and `stone_space` against the nested
-`Dyadic` recursion they replaced.  The replaced versions are kept below
-as the oracles.
+the `Dyadic` twins the validating constructor gives and against the
+tuple it stands for; the one-pass `glue_classes` and `check_property_in`
+against the per-group reading and the endpoint-set formula they
+replaced; the closed-form interval addresses behind `construct_limit`
+and `stone_space` against the nested `Dyadic` recursion they replaced;
+and the closed-form replacement bridges against the child ends they
+replaced.  The replaced versions are kept below as the oracles.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import copy
 import pickle
 import random
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,7 @@ from compacta.compactum import (
     reduction,
     select,
 )
-from compacta.construct import construct_limit, junk_points
+from compacta.construct import _bridges, construct_limit, junk_points
 from compacta.dyadic import HALF, ONE, ZERO, Dyadic, address_ends, midpoint
 from compacta.randgen import random_tree
 from compacta.trees import ETA, SPLIT, TERMINAL
@@ -262,6 +264,82 @@ def test_validated_compactum_keeps_its_sorted_components(built) -> None:
     assert any(PointSeq in {end[0] for end in s.ends} for s in hosts)
 
 
+def regridded(s):
+    """s with its ends on 2^(exp + 1): the same components, so a view on
+    another exp."""
+    ends = tuple((k, 2 * lo, 2 * hi, 2 * at) for k, lo, hi, at in s.ends)
+    return SymbolicCompactum(s.exp + 1, ends)
+
+
+def test_view_len_and_eq_read_the_ends(built) -> None:
+    """`len` of a fresh view, and == and != between two views on one exp,
+    build no `Dyadic`."""
+    trees = [tree for tree, _ in suite_instances()[:60]] + deep_trees()[:20]
+    for tree in trees:
+        built.clear()
+        limit = construct_limit(tree)
+        once = cb_derivative(limit)
+        twice = cb_derivative(once)
+        assert len(limit.components) == len(limit.ends)
+        assert construct_limit(tree).components == limit.components
+        assert not construct_limit(tree).components != limit.components
+        assert twice.components == once.components
+        assert not built, tree
+
+
+def test_view_equality_matches_tuple_equality() -> None:
+    """== and != on views, fresh each time, agree with the tuples the views
+    stand for: over the suite compacta (the glued hosts among them), each
+    against itself and its neighbour in length, between views on one exp
+    and on two, and against the tuples themselves."""
+    hosts = sorted(suite_compacta(), key=lambda s: len(s.ends))
+    pairs = list(zip(hosts, hosts[1:])) + [(s, s) for s in hosts]
+    pairs += [(regridded(a), b) for a, b in pairs[::7]]
+    seen = Counter()
+    for a, b in pairs:
+        want_b = tuple(SymbolicCompactum(b.exp, b.ends).components)
+        want = tuple(SymbolicCompactum(a.exp, a.ends).components) == want_b
+        left = SymbolicCompactum(a.exp, a.ends).components
+        right = SymbolicCompactum(b.exp, b.ends).components
+        assert (left == right) is want and (left != right) is not want, (a, b)
+        assert (right == left) is want, (a, b)
+        assert (left == want_b) is want and (want_b == left) is want, (a, b)
+        assert (left != want_b) is not want, (a, b)
+        seen[a.exp == b.exp, want] += 1
+    assert min(seen.values()) > 100 and len(seen) == 4, seen
+
+
+def test_view_reads_as_the_tuple_it_stands_for() -> None:
+    """A limit's view against the components its validated twin keeps:
+    elements, negative indices, slices (tuples), iteration, repr and hash;
+    and a copy or a pickle of a compactum whose view was read."""
+    trees = [tree for tree, _ in suite_instances()[:60]] + deep_trees()[:20]
+    for tree in trees:
+        twin = limit_twin(tree)
+        want = tuple(twin.components)
+        s = construct_limit(tree)
+        view = s.components
+        assert len(view) == len(want) and bool(view) == bool(want)
+        assert [view[i] for i in range(-len(want), len(want))] == list(want * 2)
+        for cut in (slice(None), slice(1, 3), slice(None, None, -1), slice(-2, None)):
+            assert type(view[cut]) is tuple and view[cut] == want[cut]
+        assert list(view) == list(want) and tuple(view) == want
+        assert isinstance(view, Sequence) and view.index(want[-1]) == len(want) - 1
+        k = min(len(want), 3)
+        assert random.Random(0).sample(view, k) == random.Random(0).sample(want, k)
+        assert repr(view) == repr(want) and hash(view) == hash(want)
+        assert view == want and want == view and view is s.components
+        assert view != list(want) and view != want + (Point(HALF),)
+        pickled = [pickle.loads(pickle.dumps(s, proto)) for proto in (0, 5)]
+        for clone in (copy.copy(s), copy.deepcopy(s), *pickled):
+            assert clone == s and (clone.exp, clone.ends) == (s.exp, s.ends)
+            assert clone.components == want and repr(clone) == repr(twin)
+        host = glued(twin)
+        if host is not None:
+            again = pickle.loads(pickle.dumps(host))
+            assert again.components == host.components == tuple(host.components)
+
+
 def grouped_classes(s) -> list:
     """The per-group reading `glue_classes` replaced: each group of
     `glue_groups()`, hosted by the kind of its one component that is not
@@ -365,3 +443,36 @@ def test_closed_form_addresses_match_nested_recursion_on_suite() -> None:
             want[0].as_fraction(),
             want[1].as_fraction(),
         ), addr
+
+
+def child_end_bridges(node: tuple[int, int], j: int) -> tuple[int, int, int]:
+    """The reading the closed-form bridges replaced: each gap's midpoint
+    summed from the ends `address_ends` gives the children around it,
+    lifted onto one grid."""
+    top = node[1] + 2 * j + 4
+
+    def end(m: int, side: int) -> int:
+        """Child m's lo (side 0) or hi (side 2) over 2^top."""
+        lo, e = address_ends((m,), *node)
+        return (lo + side) << (top - e)
+
+    left = end(2 * j, 2) + end(2 * j + 2, 0)
+    right = end(2 * j + 1, 2) + end(2 * j - 1, 0)
+    return left, right, top + 1
+
+
+def test_closed_form_bridges_match_child_ends() -> None:
+    """`_bridges` against the child-end reading on every split node of the
+    suite and the deep trees, for its replacements and two more, and on a
+    grid of (lo, e, j)."""
+    nodes = [
+        (address_ends(addr), node.r + 2)
+        for tree in [tree for tree, _ in suite_instances()] + deep_trees()
+        for addr, node in tree.nodes.items()
+        if node.kind == SPLIT
+    ]
+    assert len(nodes) > 1000 and max(e for (_, e), _ in nodes) > 40
+    nodes += [((lo, e), 9) for lo in range(-3, 70) for e in range(12)]
+    for node, top in nodes:
+        for j in range(1, top + 1):
+            assert _bridges(node, j) == child_end_bridges(node, j), (node, j)
