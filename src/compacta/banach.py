@@ -20,9 +20,11 @@ which is the identity the test suite checks exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .compactum import (
@@ -61,14 +63,8 @@ class PLFunction:
         if not 0 <= x <= 1:
             raise ValueError("function is defined on [0,1]")
         pts = self.breakpoints
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = pts[lo], pts[hi]
+        hi = min(bisect_right(pts, x, key=itemgetter(0)), len(pts) - 1)
+        (x0, y0), (x1, y1) = pts[hi - 1], pts[hi]
         if x == x0:
             return y0
         if x == x1:
@@ -98,23 +94,16 @@ UNIT_HOST = compactum([Interval(Dyadic(0, 0), Dyadic(1, 0))])
 # ---------------------------------------------------------------------------
 
 
-def _merge(f: PLFunction, g: PLFunction, sign: int = 1) -> PLFunction:
-    xs = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
-    return PLFunction(
-        tuple((x, f.value(x) + sign * g.value(x)) for x in xs)
-    )
-
-
 def add(f: HostedFunction, g: HostedFunction) -> HostedFunction:
     if f.host != g.host:
         raise ValueError("functions live over different hosts")
-    return HostedFunction(_merge(f.f, g.f), f.host)
+    xs = sorted({x for x, _ in f.f.breakpoints} | {x for x, _ in g.f.breakpoints})
+    sums = tuple((x, f.f.value(x) + g.f.value(x)) for x in xs)
+    return HostedFunction(PLFunction(sums), f.host)
 
 
 def subtract(f: HostedFunction, g: HostedFunction) -> HostedFunction:
-    if f.host != g.host:
-        raise ValueError("functions live over different hosts")
-    return HostedFunction(_merge(f.f, g.f, sign=-1), f.host)
+    return add(f, scale(-1, g))
 
 
 def scale(q: Rational, f: HostedFunction) -> HostedFunction:

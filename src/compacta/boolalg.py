@@ -10,7 +10,10 @@ relating the two species are exactly decidable.
 
 The atomless piece is modelled as a finite union of dyadic prefixes
 (binary strings), which keeps complements and meets total instead of
-forcing a lossy three-valued abstraction.
+forcing a lossy three-valued abstraction.  Pieces are normalised one
+binary digit at a time.  Meet and complement are the only primitives:
+join, order and top are derived from them (De Morgan, x <= y iff
+x & y == x, and the complement of bottom).
 
 The quotient operator divides by the ideal generated by the junk atoms.
 A cluster with cofinitely many junk atoms leaves one residue class
@@ -197,19 +200,6 @@ def _sel_meet(a: Selection, b: Selection) -> Selection:
     return Selection("fin", f.ids - c.ids)
 
 
-def _sel_join(a: Selection, b: Selection) -> Selection:
-    if a.kind == "fin" and b.kind == "fin":
-        return Selection("fin", a.ids | b.ids)
-    if a.kind == "cof" and b.kind == "cof":
-        return Selection("cof", a.ids & b.ids)
-    f, c = (a, b) if a.kind == "fin" else (b, a)
-    return Selection("cof", c.ids - f.ids)
-
-
-def _sel_le(a: Selection, b: Selection) -> bool:
-    return _sel_meet(a, b) == a
-
-
 # Atomless pieces: antichains of binary strings, each naming a dyadic slice.
 
 Piece = frozenset[str]
@@ -219,22 +209,16 @@ ALL_PIECE: Piece = frozenset({""})
 
 
 def _piece_normalize(words: Iterable[str]) -> Piece:
-    current = set(words)
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(current, key=len):
-            if any(w != v and w.startswith(v) for v in current):
-                current.discard(w)
-                changed = True
-                break
-            if w and w[:-1] + ("1" if w[-1] == "0" else "0") in current:
-                current.discard(w)
-                current.discard(w[:-1] + ("1" if w[-1] == "0" else "0"))
-                current.add(w[:-1])
-                changed = True
-                break
-    return frozenset(current)
+    """The antichain of maximal slices, read one binary digit at a time."""
+    words = set(words)
+    if not words:
+        return NO_PIECE
+    if "" in words:
+        return ALL_PIECE
+    zero, one = (_piece_normalize(w[1:] for w in words if w[0] == d) for d in "01")
+    if zero == one == ALL_PIECE:
+        return ALL_PIECE
+    return frozenset({"0" + w for w in zero} | {"1" + w for w in one})
 
 
 def _piece_meet(a: Piece, b: Piece) -> Piece:
@@ -248,10 +232,6 @@ def _piece_meet(a: Piece, b: Piece) -> Piece:
     return _piece_normalize(out)
 
 
-def _piece_join(a: Piece, b: Piece) -> Piece:
-    return _piece_normalize(set(a) | set(b))
-
-
 def _piece_complement(a: Piece) -> Piece:
     out = ALL_PIECE
     for w in a:
@@ -260,10 +240,6 @@ def _piece_complement(a: Piece) -> Piece:
         )
         out = _piece_meet(out, _piece_normalize(siblings))
     return out
-
-
-def _piece_le(a: Piece, b: Piece) -> bool:
-    return _piece_meet(a, b) == a
 
 
 @dataclass(frozen=True)
@@ -288,21 +264,13 @@ class Element:
                 raise ValueError("junk-selection exceeds the cluster")
             if part.atomless != NO_PIECE and not cl.has_atomless:
                 raise ValueError("cluster has no atomless part to select from")
+            for w in sorted(part.atomless):
+                if not set(w) <= {"0", "1"}:
+                    raise ValueError(f"atomless word {w!r} is not binary")
 
 
 def bottom(b: LabelledBA) -> Element:
     return Element(b, tuple(ClusterPart() for _ in b.clusters))
-
-
-def top(b: LabelledBA) -> Element:
-    parts = []
-    for cl in b.clusters:
-        in_sel = cofinite(0) if cl.n_in.is_omega else take(cl.n_in.value)
-        junk_sel = cofinite(0) if cl.n_junk.is_omega else take(cl.n_junk.value)
-        parts.append(
-            ClusterPart(in_sel, junk_sel, ALL_PIECE if cl.has_atomless else NO_PIECE)
-        )
-    return Element(b, tuple(parts))
 
 
 def complement(x: Element) -> Element:
@@ -337,24 +305,15 @@ def meet(x: Element, y: Element) -> Element:
 
 
 def join(x: Element, y: Element) -> Element:
-    parts = tuple(
-        ClusterPart(
-            _sel_join(p.in_sel, q.in_sel),
-            _sel_join(p.junk_sel, q.junk_sel),
-            _piece_join(p.atomless, q.atomless),
-        )
-        for p, q in _zip_parts(x, y)
-    )
-    return Element(x.algebra, parts)
+    return complement(meet(complement(x), complement(y)))
 
 
 def le(x: Element, y: Element) -> bool:
-    return all(
-        _sel_le(p.in_sel, q.in_sel)
-        and _sel_le(p.junk_sel, q.junk_sel)
-        and _piece_le(p.atomless, q.atomless)
-        for p, q in _zip_parts(x, y)
-    )
+    return meet(x, y) == x
+
+
+def top(b: LabelledBA) -> Element:
+    return complement(bottom(b))
 
 
 @dataclass(frozen=True)
@@ -637,29 +596,15 @@ def build_isomorphism(
     for species in (IN, JUNK):
         fin0 = _finite_atoms(b0, species)
         fin1 = _finite_atoms(b1, species)
-        shared = min(len(fin0), len(fin1))
-        atom_pairs.extend(zip(fin0[:shared], fin1[:shared]))
-        skips0: dict[int, set[int]] = {}
-        skips1: dict[int, set[int]] = {}
-        if len(fin0) > shared:
-            host = f.omega_pairs[0][1]
-            skips1[host] = set(range(len(fin0) - shared))
-            for k, ref in enumerate(fin0[shared:]):
-                atom_pairs.append((ref, AtomRef(host, species, k)))
-        elif len(fin1) > shared:
-            host = f.omega_pairs[0][0]
-            skips0[host] = set(range(len(fin1) - shared))
-            for k, ref in enumerate(fin1[shared:]):
-                atom_pairs.append((AtomRef(host, species, k), ref))
+        atom_pairs.extend(zip(fin0, fin1))
+        extra0, extra1 = fin0[len(fin1):], fin1[len(fin0):]
         for c0, c1 in f.omega_pairs:
-            block_pairs.append(
-                BlockPair(
-                    (c0, species),
-                    (c1, species),
-                    frozenset(skips0.get(c0, ())),
-                    frozenset(skips1.get(c1, ())),
-                )
-            )
+            # the first pair's hosts absorb the other side's surplus
+            atom_pairs += [(r, AtomRef(c1, species, k)) for k, r in enumerate(extra0)]
+            atom_pairs += [(AtomRef(c0, species, k), r) for k, r in enumerate(extra1)]
+            skips = frozenset(range(len(extra1))), frozenset(range(len(extra0)))
+            block_pairs.append(BlockPair((c0, species), (c1, species), *skips))
+            extra0 = extra1 = []
     atomless0 = tuple(i for i, c in enumerate(b0.clusters) if c.has_atomless)
     atomless1 = tuple(i for i, c in enumerate(b1.clusters) if c.has_atomless)
     iso = AtomIso(

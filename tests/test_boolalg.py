@@ -51,7 +51,6 @@ from compacta.boolalg import (
     tree_algebra,
     verify_isomorphism,
     _piece_complement,
-    _piece_join,
     _piece_meet,
     _piece_normalize,
 )
@@ -246,8 +245,21 @@ def test_piece_complement():
     assert _piece_complement(ALL_PIECE) == NO_PIECE
     half = frozenset({"01"})
     rest = _piece_complement(half)
-    assert _piece_join(half, rest) == ALL_PIECE
+    b = algebra(cluster(0, 0, True))
+    union = join(
+        Element(b, (ClusterPart(atomless=half),)),
+        Element(b, (ClusterPart(atomless=rest),)),
+    )
+    assert union.parts[0].atomless == ALL_PIECE
     assert _piece_meet(half, rest) == NO_PIECE
+
+
+@pytest.mark.parametrize("words", [{"2"}, {"0", "01a"}, {"1", " "}])
+def test_atomless_words_must_be_binary(words):
+    b = algebra(cluster(0, 0, True))
+    bad = min(w for w in words if set(w) - {"0", "1"})
+    with pytest.raises(ValueError, match=f"atomless word {bad!r} is not binary"):
+        Element(b, (ClusterPart(atomless=frozenset(words)),))
 
 
 def test_atomless_piece_is_never_an_atom():
