@@ -53,7 +53,6 @@ from .boolalg import (
     BAForm,
     Cluster,
     LabelledBA,
-    OMEGA,
     QuotientIso,
     algebra,
     build_isomorphism,

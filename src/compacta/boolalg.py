@@ -3,7 +3,8 @@
 An algebra here is a finite product of clusters.  A cluster carries some
 atoms satisfying the predicate `in` (finitely many or a full omega
 species), some plain junk atoms (likewise), and optionally an atomless
-factor.  Elements select, per cluster, a finite or cofinite set from each
+factor.  A count is an int, and None stands for omega (`w` in the text
+format).  Elements select, per cluster, a finite or cofinite set from each
 atom species plus a piece of the atomless factor, so all Boolean
 operations, atom counts below an element, and the balance condition
 relating the two species are exactly decidable.
@@ -11,9 +12,10 @@ relating the two species are exactly decidable.
 The atomless piece is modelled as a finite union of dyadic prefixes
 (binary strings), which keeps complements and meets total instead of
 forcing a lossy three-valued abstraction.  Pieces are normalised one
-binary digit at a time.  Meet and complement are the only primitives:
-join, order and top are derived from them (De Morgan, x <= y iff
-x & y == x, and the complement of bottom).
+binary digit at a time, and an element normalises its pieces when it is
+built, so equal elements are equal regions.  Meet and complement are the
+only primitives: join, order and top are derived from them (De Morgan,
+x <= y iff x & y == x, and the complement of bottom).
 
 The quotient operator divides by the ideal generated by the junk atoms.
 A cluster with cofinitely many junk atoms leaves one residue class
@@ -22,13 +24,12 @@ quotients can gain an atom; a cluster with omega in-atoms keeps its
 finite/cofinite shape.  Canonical forms make both isomorphism of labelled
 algebras and isomorphism of their quotients decidable, and the
 back-and-forth constructor realizes any quotient isomorphism as an
-atom-level isomorphism once the balance and cardinality gates pass.
+atom-level isomorphism once the balance and junk-total gates pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce, total_ordering
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
 from .compactum import (
@@ -39,57 +40,8 @@ from .compactum import (
     from_parts,
     glue_classes,
 )
-from .dyadic import address_ends, read_lines
+from .dyadic import address_ends, parse_natural, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
-
-
-# ---------------------------------------------------------------------------
-# Symbolic cardinalities
-# ---------------------------------------------------------------------------
-
-
-@total_ordering
-@dataclass(frozen=True)
-class SymCard:
-    """A natural number or omega (represented by value None)."""
-
-    value: int | None
-
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value < 0:
-            raise ValueError("cardinality must be a natural number or omega")
-
-    @property
-    def is_omega(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "SymCard | int") -> "SymCard":
-        other = _card(other)
-        if self.is_omega or other.is_omega:
-            return OMEGA
-        return SymCard(self.value + other.value)
-
-    def __lt__(self, other: "SymCard | int") -> bool:
-        other = _card(other)
-        if self.is_omega:
-            return False
-        if other.is_omega:
-            return True
-        return self.value < other.value
-
-    def __str__(self) -> str:
-        return "w" if self.is_omega else str(self.value)
-
-
-def _card(x: "SymCard | int") -> SymCard:
-    return x if isinstance(x, SymCard) else SymCard(x)
-
-
-OMEGA = SymCard(None)
-
-
-def parse_symcard(text: str) -> SymCard:
-    return OMEGA if text == "w" else SymCard(int(text))
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +51,26 @@ def parse_symcard(text: str) -> SymCard:
 
 @dataclass(frozen=True)
 class Cluster:
-    n_in: SymCard
-    n_junk: SymCard
+    """Counts of in- and junk atoms, each a natural number or None (omega)."""
+
+    n_in: int | None
+    n_junk: int | None
     has_atomless: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_in.value == 0 and self.n_junk.value == 0 and not self.has_atomless:
+        if any(n is not None and n < 0 for n in (self.n_in, self.n_junk)):
+            raise ValueError("cardinality must be a natural number or omega")
+        if self.n_in == 0 and self.n_junk == 0 and not self.has_atomless:
             raise ValueError("cluster must carry at least one atom or an atomless part")
 
 
-def cluster(n_in: int | None, n_junk: int | None, atomless: bool = False) -> Cluster:
-    return Cluster(SymCard(n_in), SymCard(n_junk), atomless)
+cluster = Cluster
+
+
+def _total(counts: Iterable[int | None]) -> int | None:
+    """The sum of the counts, or None (omega) if any count is None."""
+    counts = list(counts)
+    return None if None in counts else sum(counts)
 
 
 @dataclass(frozen=True)
@@ -119,20 +80,18 @@ class LabelledBA:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clusters", tuple(self.clusters))
 
-    def total_in(self) -> SymCard:
-        return reduce(lambda a, c: a + c.n_in, self.clusters, SymCard(0))
+    def total_in(self) -> int | None:
+        return _total(c.n_in for c in self.clusters)
 
-    def total_junk(self) -> SymCard:
-        return reduce(lambda a, c: a + c.n_junk, self.clusters, SymCard(0))
+    def total_junk(self) -> int | None:
+        return _total(c.n_junk for c in self.clusters)
 
     def has_atomless(self) -> bool:
         return any(c.has_atomless for c in self.clusters)
 
     def omega_clusters(self) -> list[int]:
         return [
-            i
-            for i, c in enumerate(self.clusters)
-            if c.n_in.is_omega or c.n_junk.is_omega
+            i for i, c in enumerate(self.clusters) if c.n_in is None or c.n_junk is None
         ]
 
 
@@ -175,20 +134,20 @@ def cofinite(k: int) -> Selection:
     return Selection("cof", frozenset(range(k)))
 
 
-def _sel_valid(sel: Selection, card: SymCard) -> bool:
+def _sel_valid(sel: Selection, card: int | None) -> bool:
     if sel.kind == "cof":
-        return card.is_omega
-    return card.is_omega or all(i < card.value for i in sel.ids)
+        return card is None
+    return card is None or all(i < card for i in sel.ids)
 
 
-def _sel_count(sel: Selection) -> SymCard:
-    return OMEGA if sel.kind == "cof" else SymCard(len(sel.ids))
+def _sel_count(sel: Selection) -> int | None:
+    return None if sel.kind == "cof" else len(sel.ids)
 
 
-def _sel_complement(sel: Selection, card: SymCard) -> Selection:
-    if card.is_omega:
+def _sel_complement(sel: Selection, card: int | None) -> Selection:
+    if card is None:
         return Selection("cof" if sel.kind == "fin" else "fin", sel.ids)
-    return Selection("fin", frozenset(range(card.value)) - sel.ids)
+    return Selection("fin", frozenset(range(card)) - sel.ids)
 
 
 def _sel_meet(a: Selection, b: Selection) -> Selection:
@@ -267,6 +226,8 @@ class Element:
             for w in sorted(part.atomless):
                 if not set(w) <= {"0", "1"}:
                     raise ValueError(f"atomless word {w!r} is not binary")
+        parts = (replace(p, atomless=_piece_normalize(p.atomless)) for p in self.parts)
+        object.__setattr__(self, "parts", tuple(parts))
 
 
 def bottom(b: LabelledBA) -> Element:
@@ -332,7 +293,7 @@ def atom(b: LabelledBA, ref: AtomRef) -> Element:
         )
     cl = b.clusters[ref.cluster]
     card = cl.n_in if ref.species == IN else cl.n_junk
-    if not card.is_omega and ref.index >= card.value:
+    if card is not None and ref.index >= card:
         raise ValueError("atom index exceeds the species")
     parts = [ClusterPart() for _ in b.clusters]
     sel = Selection("fin", frozenset({ref.index}))
@@ -360,14 +321,14 @@ def holds_in(x: Element) -> bool:
     return is_atom(x) and any(len(p.in_sel.ids) == 1 for p in x.parts)
 
 
-def in_atoms_below(x: Element) -> SymCard:
+def in_atoms_below(x: Element) -> int | None:
     """How many in-atoms the element bounds."""
-    return reduce(lambda a, p: a + _sel_count(p.in_sel), x.parts, SymCard(0))
+    return _total(_sel_count(p.in_sel) for p in x.parts)
 
 
-def junk_atoms_below(x: Element) -> SymCard:
+def junk_atoms_below(x: Element) -> int | None:
     """How many junk atoms the element bounds."""
-    return reduce(lambda a, p: a + _sel_count(p.junk_sel), x.parts, SymCard(0))
+    return _total(_sel_count(p.junk_sel) for p in x.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +369,7 @@ def clopen_algebra(s: SymbolicCompactum) -> LabelledBA:
     extra: list[Cluster] = []
     for kind, n in glue_classes(s):
         if n:
-            extra.append(Cluster(SymCard(0), OMEGA, kind is Cantor))
+            extra.append(cluster(0, None, kind is Cantor))
         elif kind is Point:
             n_junk += 1
         elif kind is Interval:
@@ -464,21 +425,18 @@ def quotient_by_junk(b: LabelledBA) -> LabelledBA:
     """
     clusters: list[Cluster] = []
     for cl in b.clusters:
-        if cl.n_in.is_omega:
-            survivors: SymCard = OMEGA
-        elif cl.n_junk.is_omega:
-            survivors = SymCard(cl.n_in.value + 1)
-        else:
-            survivors = cl.n_in
-        if survivors == SymCard(0) and not cl.has_atomless:
+        survivors = cl.n_in
+        if survivors is not None and cl.n_junk is None:
+            survivors += 1
+        if survivors == 0 and not cl.has_atomless:
             continue
-        clusters.append(Cluster(SymCard(0), survivors, cl.has_atomless))
+        clusters.append(cluster(0, survivors, cl.has_atomless))
     return LabelledBA(tuple(clusters))
 
 
 def is_balanced(b: LabelledBA) -> bool:
     """Per cluster, the two species are finite together or omega together."""
-    return all(c.n_in.is_omega == c.n_junk.is_omega for c in b.clusters)
+    return all((c.n_in is None) == (c.n_junk is None) for c in b.clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +461,11 @@ class BAForm:
 
 
 def canonical_form(b: LabelledBA) -> BAForm:
-    omega_in = sum(1 for c in b.clusters if c.n_in.is_omega)
-    omega_junk = sum(1 for c in b.clusters if c.n_junk.is_omega)
-    fin_in = sum(c.n_in.value for c in b.clusters if not c.n_in.is_omega)
-    fin_junk = sum(c.n_junk.value for c in b.clusters if not c.n_junk.is_omega)
     return BAForm(
-        omega_in=omega_in,
-        omega_junk=omega_junk,
-        fin_in=0 if omega_in else fin_in,
-        fin_junk=0 if omega_junk else fin_junk,
+        omega_in=sum(c.n_in is None for c in b.clusters),
+        omega_junk=sum(c.n_junk is None for c in b.clusters),
+        fin_in=b.total_in() or 0,
+        fin_junk=b.total_junk() or 0,
         atomless=b.has_atomless(),
     )
 
@@ -568,12 +522,15 @@ def build_isomorphism(
 ) -> AtomIso:
     """Lift a quotient isomorphism to a label-preserving atom isomorphism.
 
-    Gates: both algebras balanced; quotients isomorphic; atom totals
-    compatible (both in-species infinite, or everything finite with equal
-    totals per species).  Once the gates pass the construction cannot get
-    stuck: finite atoms pair off species by species in a fixed order, any
-    surplus is absorbed into the first omega block of the same species,
-    and omega blocks follow the quotient pairing.
+    Gates: both algebras balanced; quotients isomorphic; equal junk
+    totals.  For balanced algebras the quotient gate already fixes the
+    number of omega clusters, the in-atom total when there is none, and
+    whether an atomless part exists, so only the junk total is left to
+    check (it is omega on both sides once either has an omega cluster).
+    Once the gates pass the construction cannot get stuck: finite atoms
+    pair off species by species in a fixed order, any surplus is absorbed
+    into the first omega block of the same species, and omega blocks
+    follow the quotient pairing.
     """
     if not is_balanced(b0) or not is_balanced(b1):
         raise ValueError("balance condition fails: a cluster mixes finite "
@@ -582,14 +539,8 @@ def build_isomorphism(
         f = derive_quotient_iso(b0, b1)
     else:
         f.validate(b0, b1)
-    t_in0, t_in1 = b0.total_in(), b1.total_in()
-    if t_in0.is_omega != t_in1.is_omega:
-        raise ValueError("one in-species is infinite, the other finite")
-    if not t_in0.is_omega:
-        if t_in0 != t_in1 or b0.total_junk() != b1.total_junk():
-            raise ValueError("finite atom totals differ")
-    if b0.has_atomless() != b1.has_atomless():
-        raise ValueError("atomless parts do not match")
+    if b0.total_junk() != b1.total_junk():
+        raise ValueError("finite atom totals differ")
 
     atom_pairs: list[tuple[AtomRef, AtomRef]] = []
     block_pairs: list[BlockPair] = []
@@ -620,8 +571,8 @@ def _finite_atoms(b: LabelledBA, species: str) -> list[AtomRef]:
     refs = []
     for i, cl in enumerate(b.clusters):
         card = cl.n_in if species == IN else cl.n_junk
-        if not card.is_omega:
-            refs.extend(AtomRef(i, species, k) for k in range(card.value))
+        if card is not None:
+            refs.extend(AtomRef(i, species, k) for k in range(card))
     return refs
 
 
@@ -646,7 +597,7 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
     """The one check of the iso's references on one side against b: each
     names a species of b, a finite species is paired atom by atom, and an
     omega species is one block whose skips are its explicit pairs."""
-    cards: dict[tuple[int, str], SymCard] = {}
+    cards: dict[tuple[int, str], int | None] = {}
     for c, cl in enumerate(b.clusters):
         cards[c, IN], cards[c, JUNK] = cl.n_in, cl.n_junk
     explicit: dict[tuple[int, str], set[int]] = {}
@@ -669,7 +620,7 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
         blocks[key] = bp
     for key, card in cards.items():
         used = explicit.get(key, set())
-        if card.is_omega:
+        if card is None:
             bp = blocks.get(key)
             if bp is None:
                 raise ValueError(f"omega {_where(key)} not covered by a block")
@@ -681,7 +632,7 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
         else:
             if key in blocks:
                 raise ValueError(f"finite {_where(key)} cannot form a block")
-            if used != set(range(card.value)):
+            if used != set(range(card)):
                 raise ValueError(f"finite {_where(key)} not fully paired")
 
 
@@ -698,16 +649,17 @@ def print_ba(b: LabelledBA) -> str:
     lines = ["ba v1"]
     for cl in b.clusters:
         atomless = 1 if cl.has_atomless else 0
-        lines.append(
-            f"cluster in={cl.n_in} junk={cl.n_junk} atomless={atomless}"
-        )
+        n_in, n_junk = ("w" if n is None else n for n in (cl.n_in, cl.n_junk))
+        lines.append(f"cluster in={n_in} junk={n_junk} atomless={atomless}")
     return "\n".join(lines) + "\n"
 
 
 def _cluster_line(**opts: str) -> Cluster:
     if len(opts) != 3 or opts["atomless"] not in ("0", "1"):
         raise ValueError("cluster needs in=, junk= and atomless= of 0 or 1")
-    n_in, n_junk = parse_symcard(opts["in"]), parse_symcard(opts["junk"])
+    n_in, n_junk = (
+        None if opts[k] == "w" else parse_natural(opts[k]) for k in ("in", "junk")
+    )
     return Cluster(n_in, n_junk, opts["atomless"] == "1")
 
 

@@ -52,7 +52,7 @@ from .compactum import (
     reduction,
 )
 from .construct import construct_limit, enumerate_stage, hausdorff_gap, print_state
-from .dyadic import check_natural, read_lines
+from .dyadic import check_natural, parse_natural, read_lines
 from .randgen import random_tree
 from .svg import render_tree_svg
 from .trees import limit_tree, parse_script, parse_tree
@@ -68,7 +68,7 @@ class CheckFailure(Exception):
 
 
 def _parse_quotient_map(text: str) -> QuotientIso:
-    pair = (2, lambda i, j: (int(i), int(j)))
+    pair = (2, lambda i, j: (parse_natural(i), parse_natural(j)))
     return QuotientIso(tuple(read_lines(text, None, {"pair": pair})))
 
 

@@ -235,9 +235,11 @@ def check_natural(name: str, n: int) -> int:
 
 
 def parse_natural(text: str) -> int:
-    if (n := int(text)) < 0:
+    """The natural number an ASCII decimal numeral names; no sign, space or
+    underscore."""
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a natural number: {text!r}")
-    return n
+    return int(text)
 
 
 def parse_fraction(text: str) -> Fraction:

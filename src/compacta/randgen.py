@@ -199,8 +199,8 @@ def redress(
         for _ in range(rng.randrange(0, max_clusters - m + 1)):
             clusters.append(_random_finite_cluster(rng, atomless_odds))
     else:
-        ti = base.total_in().value
-        tj = base.total_junk().value
+        ti = base.total_in()
+        tj = base.total_junk()
         assert ti is not None and tj is not None
         k = rng.randrange(1, max_clusters + 1)
         for a, b in zip(_compose(rng, ti, k), _compose(rng, tj, k)):

@@ -384,7 +384,8 @@ def _node_line(addr: str, kind: str, **opts: str) -> tuple[Address, Node]:
         return parse_address(addr), Node(kind)
     if not {"m", "r"} <= opts.keys() or opts.get("et", "1") not in ("0", "1"):
         raise ValueError("split needs m=, r= and at most et= of 0 or 1")
-    node = Node(SPLIT, int(opts["m"]), int(opts["r"]), opts.get("et") != "0")
+    m, r = parse_natural(opts["m"]), parse_natural(opts["r"])
+    node = Node(SPLIT, m, r, opts.get("et") != "0")
     return parse_address(addr), node
 
 

@@ -114,8 +114,8 @@ def le(x: Element, y: Element) -> bool:
 def top(b: LabelledBA) -> Element:
     parts = []
     for cl in b.clusters:
-        in_sel = cofinite(0) if cl.n_in.is_omega else take(cl.n_in.value)
-        junk_sel = cofinite(0) if cl.n_junk.is_omega else take(cl.n_junk.value)
+        in_sel = cofinite(0) if cl.n_in is None else take(cl.n_in)
+        junk_sel = cofinite(0) if cl.n_junk is None else take(cl.n_junk)
         parts.append(
             ClusterPart(in_sel, junk_sel, ALL_PIECE if cl.has_atomless else NO_PIECE)
         )
@@ -133,9 +133,9 @@ def build_isomorphism(
     else:
         f.validate(b0, b1)
     t_in0, t_in1 = b0.total_in(), b1.total_in()
-    if t_in0.is_omega != t_in1.is_omega:
+    if (t_in0 is None) != (t_in1 is None):
         raise ValueError("one in-species is infinite, the other finite")
-    if not t_in0.is_omega:
+    if t_in0 is not None:
         if t_in0 != t_in1 or b0.total_junk() != b1.total_junk():
             raise ValueError("finite atom totals differ")
     if b0.has_atomless() != b1.has_atomless():

@@ -164,8 +164,8 @@ def _concrete_atoms(b: LabelledBA) -> list:
     out = []
     for ci, cl in enumerate(b.clusters):
         for species, card in ((IN, cl.n_in), (JUNK, cl.n_junk)):
-            assert not card.is_omega
-            for i in range(card.value):
+            assert card is not None
+            for i in range(card):
                 out.append(AtomRef(ci, species, i))
     return out
 

@@ -12,7 +12,6 @@ from compacta.boolalg import (
     IN,
     JUNK,
     NO_PIECE,
-    OMEGA,
     AtomIso,
     AtomRef,
     BlockPair,
@@ -21,7 +20,6 @@ from compacta.boolalg import (
     LabelledBA,
     QuotientIso,
     Selection,
-    SymCard,
     algebra,
     atom,
     bottom,
@@ -78,24 +76,30 @@ D = Dyadic
 
 
 # ---------------------------------------------------------------------------
-# Cardinalities
+# Counts: an int, or None for omega
 # ---------------------------------------------------------------------------
 
 
-def test_symcard_arithmetic():
-    assert SymCard(2) + 3 == SymCard(5)
-    assert SymCard(2) + OMEGA == OMEGA
-    assert OMEGA + OMEGA == OMEGA
-    assert SymCard(3) < OMEGA
-    assert not OMEGA < OMEGA
-    assert OMEGA <= OMEGA
-    assert str(OMEGA) == "w"
-    assert str(SymCard(4)) == "4"
+def test_omega_count_absorbs():
+    """A count is an int or None (omega): finite counts add, omega absorbs
+    any count, and the text format writes omega as `w`."""
+    assert algebra(cluster(2, 0), cluster(3, 1)).total_in() == 5
+    assert algebra(cluster(2, 0), cluster(None, 1)).total_in() is None
+    assert algebra(cluster(None, None), cluster(None, 0)).total_in() is None
+    b = algebra(cluster(2, 1), cluster(None, None))
+    assert in_atoms_below(Element(b, (ClusterPart(take(2)), ClusterPart(take(3))))) == 5
+    x = Element(b, (ClusterPart(take(2)), ClusterPart(cofinite(3))))
+    assert in_atoms_below(x) is None
+    assert print_ba(algebra(cluster(4, None))) == (
+        "ba v1\ncluster in=4 junk=w atomless=0\n"
+    )
 
 
-def test_symcard_rejects_negative():
-    with pytest.raises(ValueError):
-        SymCard(-1)
+def test_negative_count_rejected():
+    for n_in, n_junk in ((-1, 0), (0, -1), (None, -2)):
+        with pytest.raises(ValueError) as exc:
+            cluster(n_in, n_junk)
+        assert str(exc.value) == "cardinality must be a natural number or omega"
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +114,9 @@ def test_empty_cluster_rejected():
 
 def test_totals():
     b = algebra(cluster(3, 1), cluster(None, None))
-    assert b.total_in() == OMEGA
-    assert b.total_junk() == OMEGA
-    assert algebra(cluster(2, 3)).total_in() == SymCard(2)
+    assert b.total_in() is None
+    assert b.total_junk() is None
+    assert algebra(cluster(2, 3)).total_in() == 2
     assert b.omega_clusters() == [1]
 
 
@@ -145,22 +149,22 @@ def test_top_bottom_complement():
 def test_atom_counts_of_top():
     b = algebra(cluster(2, 3))
     t = top(b)
-    assert in_atoms_below(t) == SymCard(2)
-    assert junk_atoms_below(t) == SymCard(3)
+    assert in_atoms_below(t) == 2
+    assert junk_atoms_below(t) == 3
 
 
 def test_cofinite_junk_count():
     b = algebra(cluster(0, None))
     x = Element(b, (ClusterPart(junk_sel=cofinite(1)),))
-    assert junk_atoms_below(x) == OMEGA
-    assert in_atoms_below(x) == SymCard(0)
+    assert junk_atoms_below(x) is None
+    assert in_atoms_below(x) == 0
 
 
 def test_take_count_in_omega_cluster():
     b = algebra(cluster(None, None))
     x = Element(b, (ClusterPart(in_sel=take(3)),))
-    assert in_atoms_below(x) == SymCard(3)
-    assert junk_atoms_below(x) == SymCard(0)
+    assert in_atoms_below(x) == 3
+    assert junk_atoms_below(x) == 0
 
 
 def test_atoms_and_predicate():
@@ -224,8 +228,8 @@ def test_counts_additive_on_disjoint_join():
                                 junk_sel=take(2)),))
     assert meet(x, y) == bottom(b)
     j = join(x, y)
-    assert in_atoms_below(j) == SymCard(3)
-    assert junk_atoms_below(j) == SymCard(2)
+    assert in_atoms_below(j) == 3
+    assert junk_atoms_below(j) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +266,22 @@ def test_atomless_words_must_be_binary(words):
         Element(b, (ClusterPart(atomless=frozenset(words)),))
 
 
+def test_element_normalises_its_pieces():
+    """Two halves given apart are the whole piece: the element is top,
+    below itself, and unchanged by a join with bottom."""
+    b = algebra(cluster(0, 0, True))
+    x = Element(b, (ClusterPart(atomless=frozenset({"0", "1"})),))
+    assert x.parts[0].atomless == ALL_PIECE
+    assert x == top(b)
+    assert le(x, x)
+    assert join(x, bottom(b)) == x
+
+
 def test_atomless_piece_is_never_an_atom():
     b = algebra(cluster(0, 1, True))
     x = Element(b, (ClusterPart(atomless=frozenset({"001"})),))
     assert not is_atom(x)
-    assert in_atoms_below(x) == SymCard(0)
+    assert in_atoms_below(x) == 0
     y = meet(x, complement(x))
     assert y == bottom(b)
 
@@ -557,8 +572,8 @@ def test_verify_refuses_a_negative_omega_atom():
 def _atom_lists(b):
     ins, junks = [], []
     for i, cl in enumerate(b.clusters):
-        ins.extend(AtomRef(i, IN, k) for k in range(cl.n_in.value))
-        junks.extend(AtomRef(i, JUNK, k) for k in range(cl.n_junk.value))
+        ins.extend(AtomRef(i, IN, k) for k in range(cl.n_in))
+        junks.extend(AtomRef(i, JUNK, k) for k in range(cl.n_junk))
     return ins, junks
 
 
@@ -592,7 +607,7 @@ SMALL_CLUSTERS = st.tuples(
 
 SMALL_ALGEBRAS = st.lists(SMALL_CLUSTERS, min_size=1, max_size=3).map(
     lambda cs: LabelledBA(tuple(cs))
-).filter(lambda b: b.total_in().value + b.total_junk().value <= 10)
+).filter(lambda b: b.total_in() + b.total_junk() <= 10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -694,7 +709,7 @@ def test_empty_cluster_message():
         f"{message} in line 'cluster in=0 junk=0 atomless=0'"
     )
     for n_in, n_junk, atomless in ((0, None, False), (None, 0, False), (0, 0, True)):
-        assert cluster(n_in, n_junk, atomless).n_in.value == n_in
+        assert cluster(n_in, n_junk, atomless).n_in == n_in
 
 
 def test_iso_format_shape():

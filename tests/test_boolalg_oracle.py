@@ -4,9 +4,11 @@ the digit-by-digit piece normaliser and the one-pass surplus routing in
 
 The normalisers must agree on every set of binary words of length at
 most 3.  Join, order and top must agree on seeded element pairs of three
-cluster shapes, with atomless pieces left unnormalised.  The printed atom
-isomorphism, or the refusal, must be byte-identical on seeded algebra
-pairs and on a grid of finite surpluses against omega clusters.
+cluster shapes, with atomless pieces handed to `Element` unnormalised
+half the time.  The printed atom isomorphism, or the refusal, must be
+byte-identical on seeded algebra pairs, on a grid of finite surpluses
+against omega clusters, and on independent pairs, most of which the
+gates refuse.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from compacta.boolalg import (
     print_iso,
     top,
 )
-from compacta.randgen import random_algebra_pair, random_small_pair
+from compacta.randgen import (
+    random_algebra_pair,
+    random_balanced_algebra,
+    random_small_pair,
+)
 
 SEED = 11
 WORDS = tuple(
@@ -48,10 +54,10 @@ def test_normalizers_agree_on_all_short_word_sets() -> None:
 
 
 def _selection(rng: random.Random, card) -> Selection:
-    if card.is_omega:
+    if card is None:
         ids = frozenset(i for i in range(4) if rng.random() < 0.4)
         return Selection(rng.choice(("fin", "cof")), ids)
-    ids = frozenset(i for i in range(card.value) if rng.random() < 0.5)
+    ids = frozenset(i for i in range(card) if rng.random() < 0.5)
     return Selection("fin", ids)
 
 
@@ -111,3 +117,18 @@ def test_printed_isomorphisms_agree() -> None:
         assert printed == _printed(ref.build_isomorphism, b0, b1), (b0, b1)
         built += not printed.startswith("refused")
     assert built > len(pairs) // 2
+
+
+def test_gates_agree_on_independent_pairs() -> None:
+    """Unrelated balanced algebras reach every gate the written-out
+    builder has; the refusal texts must match, and some pairs must fail
+    on the junk totals alone."""
+    rng = random.Random(SEED)
+    outcomes = []
+    for _ in range(3000):
+        b0, b1 = random_balanced_algebra(rng, 3), random_balanced_algebra(rng, 3)
+        printed = _printed(build_isomorphism, b0, b1)
+        assert printed == _printed(ref.build_isomorphism, b0, b1), (b0, b1)
+        outcomes.append(printed)
+    assert "refused: finite atom totals differ" in outcomes
+    assert any(not p.startswith("refused") for p in outcomes)

@@ -527,6 +527,11 @@ def test_repeated_calls_match_fresh_processes(tmp_path, monkeypatch) -> None:
         ("supnorm", "x.plf", "plf\n(0,0) (1/2,x) (1,0)\n"),
         ("supnorm", "x.plf", "plf\n(0,0) (1,0)\n(0,0) (1,0)\n"),
         ("iso", "q.map", "pair 0\n"),
+        ("derive", "x.compactum", "compactum v1\ncantor 1/2^1 0/2^0\n"),
+        ("derive", "x.compactum", "compactum v1\nseq 1/2^1 1/2^1 0/2^0\n"),
+        ("derive", "x.compactum", "compactum v1\nseq 1/2^2 0/2^0 1/2^1\n"),
+        ("derive", "x.compactum", "compactum v1\npoint 1/2^-1\n"),
+        ("simulate", "x.script", "tree v1\nnode 1.-2 terminal\n"),
     ],
 )
 def test_malformed_line_exits_two(run, tmp_path, command, name, text) -> None:
@@ -544,9 +549,64 @@ def test_malformed_quotient_map_exits_two(run, tmp_path) -> None:
     rc, out, err = run("iso", b0, b1, qmap)
     assert rc == 2
     assert out == ""
-    assert err == (
-        "error: invalid literal for int() with base 10: 'x' in line 'pair x 1'\n"
-    )
+    assert err == "error: not a natural number: 'x' in line 'pair x 1'\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("derive", "x.compactum", "", "missing 'compactum v1' header"),
+        ("simulate", "x.script", "tree v1\n", "script has an empty stage-0 tree"),
+        (
+            "simulate",
+            "x.script",
+            "tree v1\nnode - spine\nnode 0 terminal\nnode 1 terminal\n"
+            "node 3.1 terminal\n",
+            "stage-0 tree not prefix-closed at 3.1",
+        ),
+        (
+            "simulate",
+            "x.script",
+            "tree v1\nnode - spine\nnode 0 terminal\n",
+            "spine at - needs both slots filled",
+        ),
+        (
+            "quotient",
+            "x.ba",
+            "ba v1\ncluster in=x junk=0 atomless=0\n",
+            "not a natural number: 'x' in line 'cluster in=x junk=0 atomless=0'",
+        ),
+        (
+            "quotient",
+            "x.ba",
+            "ba v1\ncluster in=w junk=-0 atomless=0\n",
+            "not a natural number: '-0' in line 'cluster in=w junk=-0 atomless=0'",
+        ),
+        (
+            "construct",
+            "x.tree",
+            "tree v1\nnode - split m=+1 r=1\n",
+            "not a natural number: '+1' in line 'node - split m=+1 r=1'",
+        ),
+        (
+            "simulate",
+            "x.script",
+            "tree v1\nevent fresh -\nstop 1_0\n",
+            "not a natural number: '1_0' in line 'stop 1_0'",
+        ),
+        (
+            "iso",
+            "q.map",
+            "pair 1 -1\n",
+            "not a natural number: '-1' in line 'pair 1 -1'",
+        ),
+    ],
+)
+def test_refusal_message(run, tmp_path, command, name, text, message) -> None:
+    rc, out, err = run(*argv_for(tmp_path, command, put(tmp_path, name, text)))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_stage_too_large_is_refused_up_front(run, tmp_path) -> None:

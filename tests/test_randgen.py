@@ -103,10 +103,10 @@ def test_small_pairs_stay_small_and_build() -> None:
     for seed in range(80):
         b0, b1 = random_small_pair(random.Random(seed))
         for b in (b0, b1):
-            assert not b.total_in().is_omega
-            assert not b.total_junk().is_omega
+            assert b.total_in() is not None
+            assert b.total_junk() is not None
             assert not b.has_atomless()
-            total = b.total_in().value + b.total_junk().value
+            total = b.total_in() + b.total_junk()
             assert total <= 10
         build_isomorphism(b0, b1)
 
