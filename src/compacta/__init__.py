@@ -17,7 +17,6 @@ from .trees import (
     parse_tree,
     print_script,
     print_tree,
-    single_node_tree,
 )
 from .compactum import (
     Cantor,
@@ -32,21 +31,16 @@ from .compactum import (
     compactum,
     compactum_contains,
     derived_selector,
-    is_intom,
     parse_compactum,
     print_compactum,
     reduce_intoms,
     reduction,
     satisfies_inf,
-    select,
 )
 from .construct import (
     construct_limit,
     enumerate_stage,
-    seed_point,
     hausdorff_gap,
-    junk_points,
-    replacement_bridges,
 )
 from .boolalg import (
     AtomIso,
@@ -58,7 +52,6 @@ from .boolalg import (
     build_isomorphism,
     clopen_algebra,
     cluster,
-    interval_algebra,
     is_balanced,
     parse_ba,
     print_ba,
@@ -83,7 +76,6 @@ from .banach import (
     PLFunction,
     add,
     dense_family,
-    dist,
     generalized_tooth,
     parse_plf,
     plf,
@@ -91,7 +83,6 @@ from .banach import (
     scale,
     stage_points,
     sup_norm,
-    tooth,
     unit_sup,
 )
 

@@ -34,7 +34,6 @@ from .compactum import (
     SymbolicCompactum,
     cantor_net,
     compactum,
-    compactum_contains,
 )
 from .dyadic import Dyadic, check_natural, parse_fraction, read_lines
 
@@ -144,10 +143,6 @@ def sup_norm(hf: HostedFunction) -> Fraction:
     return Fraction(top, bottom)
 
 
-def dist(f: HostedFunction, g: HostedFunction) -> Fraction:
-    return sup_norm(subtract(f, g))
-
-
 # ---------------------------------------------------------------------------
 # Teeth
 # ---------------------------------------------------------------------------
@@ -161,20 +156,6 @@ def _hat(apex: Fraction, halfwidth: Fraction) -> PLFunction:
     xs = {Fraction(0), Fraction(1), apex, apex - halfwidth, apex + halfwidth}
     xs = sorted(x for x in xs if 0 <= x <= 1)
     return PLFunction(tuple((x, val(x)) for x in xs))
-
-
-def tooth(
-    host: SymbolicCompactum, x_zero: Rational, y_nonzero: Rational
-) -> HostedFunction:
-    """Vanishes at x_zero, equals 1 at y_nonzero; support stays on the
-    y_nonzero side of the midpoint, so the zero point keeps a margin."""
-    x, y = _frac(x_zero), _frac(y_nonzero)
-    if x == y:
-        raise ValueError("tooth needs two distinct points")
-    for p in (x, y):
-        if not compactum_contains(host, p):
-            raise ValueError("tooth points must lie in the host")
-    return HostedFunction(_hat(y, abs(y - x) / 2), host)
 
 
 def generalized_tooth(

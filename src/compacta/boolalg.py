@@ -30,7 +30,7 @@ atom-level isomorphism once the balance and junk-total gates pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from .compactum import (
     Cantor,
@@ -129,19 +129,10 @@ def take(k: int) -> Selection:
     return Selection("fin", frozenset(range(k)))
 
 
-def cofinite(k: int) -> Selection:
-    """All atoms of an omega species except the first k."""
-    return Selection("cof", frozenset(range(k)))
-
-
 def _sel_valid(sel: Selection, card: int | None) -> bool:
     if sel.kind == "cof":
         return card is None
     return card is None or all(i < card for i in sel.ids)
-
-
-def _sel_count(sel: Selection) -> int | None:
-    return None if sel.kind == "cof" else len(sel.ids)
 
 
 def _sel_complement(sel: Selection, card: int | None) -> Selection:
@@ -160,6 +151,8 @@ def _sel_meet(a: Selection, b: Selection) -> Selection:
 
 
 # Atomless pieces: antichains of binary strings, each naming a dyadic slice.
+# Meet and complement keep antichains; the Element holding a piece
+# normalises it, once.
 
 Piece = frozenset[str]
 
@@ -188,7 +181,7 @@ def _piece_meet(a: Piece, b: Piece) -> Piece:
                 out.add(x)
             elif y.startswith(x):
                 out.add(y)
-    return _piece_normalize(out)
+    return frozenset(out)
 
 
 def _piece_complement(a: Piece) -> Piece:
@@ -197,7 +190,7 @@ def _piece_complement(a: Piece) -> Piece:
         siblings = frozenset(
             w[:i] + ("1" if w[i] == "0" else "0") for i in range(len(w))
         )
-        out = _piece_meet(out, _piece_normalize(siblings))
+        out = _piece_meet(out, siblings)
     return out
 
 
@@ -321,37 +314,9 @@ def holds_in(x: Element) -> bool:
     return is_atom(x) and any(len(p.in_sel.ids) == 1 for p in x.parts)
 
 
-def in_atoms_below(x: Element) -> int | None:
-    """How many in-atoms the element bounds."""
-    return _total(_sel_count(p.in_sel) for p in x.parts)
-
-
-def junk_atoms_below(x: Element) -> int | None:
-    """How many junk atoms the element bounds."""
-    return _total(_sel_count(p.junk_sel) for p in x.parts)
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
-
-
-def interval_algebra(points: Sequence, in_labels: Iterable[int] = ()) -> LabelledBA:
-    """Finite algebra of left-closed interval pieces over an ordered set.
-
-    One atom per point (the piece from it to the next); atoms are junk
-    unless their index is listed in in_labels.
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("interval algebra needs at least one point")
-    if any(not a < b for a, b in zip(pts, pts[1:])):
-        raise ValueError("points must be strictly increasing")
-    labelled = set(in_labels)
-    if any(i < 0 or i >= len(pts) for i in labelled):
-        raise ValueError("in-label index out of range")
-    n_in = len(labelled)
-    return algebra(cluster(n_in, len(pts) - n_in))
 
 
 def clopen_algebra(s: SymbolicCompactum) -> LabelledBA:

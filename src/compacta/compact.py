@@ -32,7 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .compactum import (
     Cantor,
@@ -446,18 +446,6 @@ def _partitions(
             parts = _parts_from_rgs(atoms, rgs)
             if eff == 0 or _needs_full_depth(parts, eff):
                 yield parts
-
-
-def atoms_intersect(a: PartitionAtom, b: PartitionAtom) -> bool:
-    return a[0] == b[0] and (a[1].startswith(b[1]) or b[1].startswith(a[1]))
-
-
-def parts_intersect(
-    p: Iterable[PartitionAtom], q: Iterable[PartitionAtom]
-) -> bool:
-    """Exact intersection decision for parts, possibly from partitions of
-    different depths."""
-    return any(atoms_intersect(a, b) for a in p for b in q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ analysis has to detect and reject, so it must be representable.
 Clopen subsets are selections of component indices; a selection is clopen
 precisely when it never separates a glued pair.  `glue_classes` reads each
 glue group as (host kind, glued sequences) in one pass; the canonical
-form, `check_property_in`, the clopen algebra and the partition atoms
-read it.
+form, the clopen algebra and the partition atoms read it.
 
 A compactum is its grid: `exp` and `ends`, its components as ints over
 2^exp, exp the largest dyadic exponent among their endpoints (n
@@ -347,24 +346,6 @@ def derived_selector(s: SymbolicCompactum, sel: frozenset[int]) -> frozenset[int
     return frozenset(rank[i] for i in sel if images[i] is not None)
 
 
-def is_intom(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
-    """Clopen, connected, and more than one point: a single interval."""
-    _require_clopen(s, sel)
-    if len(sel) != 1:
-        return False
-    (i,) = sel
-    return s.ends[i][0] is Interval
-
-
-def cb_equiv(s: SymbolicCompactum, x: frozenset[int], y: frozenset[int]) -> bool:
-    """Selections agreeing up to isolated points."""
-    _require_clopen(s, x)
-    _require_clopen(s, y)
-    keep_x = {i for i in x if s.ends[i][0] is not Point}
-    keep_y = {i for i in y if s.ends[i][0] is not Point}
-    return keep_x == keep_y
-
-
 def reduce_intoms(s: SymbolicCompactum) -> SymbolicCompactum:
     """Collapse every clopen interval component to its midpoint.  The
     midpoints are on the grid one bit finer."""
@@ -387,19 +368,6 @@ def satisfies_inf(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
     """Infinitely many distinct clopen splits inside the selection."""
     _require_clopen(s, sel)
     return any(s.ends[i][0] in (Cantor, PointSeq) for i in sel)
-
-
-def is_atomless_after_derivative(s: SymbolicCompactum, sel: frozenset[int]) -> bool:
-    """Derivative of the selection has only Cantor components."""
-    _require_clopen(s, sel)
-    images = _derivative_images(s)
-    return all(images[i] is None or images[i][0] is Cantor for i in sel)
-
-
-def check_property_in(s: SymbolicCompactum) -> bool:
-    """No interval endpoint doubles as a sequence limit: no sequence glues
-    to an interval."""
-    return not any(kind is Interval and n for kind, n in glue_classes(s))
 
 
 def all_clopen_selectors(s: SymbolicCompactum) -> Iterable[frozenset[int]]:

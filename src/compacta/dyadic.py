@@ -65,22 +65,11 @@ class Dyadic:
             return _raw(a + (b << (ea - eb)), ea)
         return _raw((a << (eb - ea)) + b, eb)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Dyadic":
         return _raw(-self.num, self.exp)
 
     def __sub__(self, other: "Dyadic | int") -> "Dyadic":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: "Dyadic | int") -> "Dyadic":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other: "Dyadic | int") -> "Dyadic":
-        other = _coerce(other)
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    __rmul__ = __mul__
 
     def __abs__(self) -> "Dyadic":
         return _raw(abs(self.num), self.exp)
@@ -161,7 +150,7 @@ def parse_dyadic(text: str) -> Dyadic:
     """Parse the literal form `a/2^k`, e.g. `13/2^4` or `-3/2^1`."""
     num_part, sep, exp_part = text.partition("/2^")
     try:
-        num, exp = int(num_part), int(exp_part if sep else "")
+        num, exp = _parse_int(num_part), _parse_int(exp_part if sep else "")
     except ValueError:
         raise ValueError(f"not a dyadic literal: {text!r}") from None
     if exp < 0:
@@ -218,7 +207,7 @@ def parse_address(text: str) -> Address:
     if text == "-":
         return ()
     try:
-        addr = tuple(int(p) for p in text.split("."))
+        addr = tuple(_parse_int(p) for p in text.split("."))
     except ValueError:
         raise ValueError(f"not an address: {text!r}") from None
     if any(i < 0 for i in addr):
@@ -240,6 +229,12 @@ def parse_natural(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a natural number: {text!r}")
     return int(text)
+
+
+def _parse_int(text: str) -> int:
+    """`parse_natural`, after an optional minus sign."""
+    n = parse_natural(text.removeprefix("-"))
+    return -n if text.startswith("-") else n
 
 
 def parse_fraction(text: str) -> Fraction:

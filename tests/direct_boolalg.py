@@ -28,7 +28,6 @@ from compacta.boolalg import (
     QuotientIso,
     Selection,
     _finite_atoms,
-    cofinite,
     derive_quotient_iso,
     is_balanced,
     take,
@@ -113,9 +112,10 @@ def le(x: Element, y: Element) -> bool:
 
 def top(b: LabelledBA) -> Element:
     parts = []
+    every = Selection("cof", frozenset())
     for cl in b.clusters:
-        in_sel = cofinite(0) if cl.n_in is None else take(cl.n_in)
-        junk_sel = cofinite(0) if cl.n_junk is None else take(cl.n_junk)
+        in_sel = every if cl.n_in is None else take(cl.n_in)
+        junk_sel = every if cl.n_junk is None else take(cl.n_junk)
         parts.append(
             ClusterPart(in_sel, junk_sel, ALL_PIECE if cl.has_atomless else NO_PIECE)
         )

@@ -15,7 +15,6 @@ from compacta.banach import (
     UNIT_HOST,
     add,
     dense_family,
-    dist,
     generalized_tooth,
     parse_plf,
     plf,
@@ -25,7 +24,6 @@ from compacta.banach import (
     stage_values,
     subtract,
     sup_norm,
-    tooth,
     unit_sup,
 )
 from compacta.banach import _extend_flat
@@ -103,44 +101,6 @@ def test_generalized_tooth_clipped_at_zero() -> None:
     assert bp(f) == ((F(0), F(1)), (F(1, 4), F(0)), (F(1), F(0)))
 
 
-def test_tooth_endpoints() -> None:
-    f = tooth(UNIT_HOST, 0, 1)
-    assert bp(f) == ((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))
-    assert f.f.value(0) == 0
-    assert f.f.value(1) == 1
-    g = tooth(UNIT_HOST, 1, 0)
-    assert bp(g) == ((F(0), F(1)), (F(1, 2), F(0)), (F(1), F(0)))
-
-
-def test_tooth_keeps_margin_around_zero_point() -> None:
-    f = tooth(UNIT_HOST, F(1, 4), F(3, 4))
-    assert f.f.value(F(1, 4)) == 0
-    assert f.f.value(F(3, 4)) == 1
-    assert f.f.value(F(1, 2)) == 0
-    assert f.f.value(F(3, 8)) == 0
-
-
-def test_tooth_validates_inputs() -> None:
-    with pytest.raises(ValueError):
-        tooth(UNIT_HOST, F(1, 2), F(1, 2))
-    with pytest.raises(ValueError):
-        tooth(POINTS_HOST, F(1, 2), F(1, 4))
-    with pytest.raises(ValueError):
-        tooth(CANTOR_HOST, 0, F(1, 2))
-
-
-def test_tooth_separates_host_points() -> None:
-    for host, a, b in (
-        (UNIT_HOST, F(1, 3), F(2, 3)),
-        (CANTOR_HOST, F(0), F(1, 3)),
-        (POINTS_HOST, F(1, 2), F(7, 8)),
-        (SEQ_HOST, F(1, 2), F(3, 4)),
-    ):
-        f = tooth(host, a, b)
-        assert f.f.value(a) == 0
-        assert f.f.value(b) == 1
-
-
 # ---------------------------------------------------------------------------
 # Suprema
 # ---------------------------------------------------------------------------
@@ -211,6 +171,10 @@ def test_host_sup_and_unit_sup_can_disagree() -> None:
     d = subtract(f, g)
     assert sup_norm(d) == 0
     assert unit_sup(d.f) == F(1, 2)
+
+
+def dist(f: HostedFunction, g: HostedFunction) -> Fraction:
+    return sup_norm(subtract(f, g))
 
 
 def test_norm_axioms_exact() -> None:

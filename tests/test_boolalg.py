@@ -27,16 +27,12 @@ from compacta.boolalg import (
     canonical_form,
     clopen_algebra,
     cluster,
-    cofinite,
     complement,
     derive_quotient_iso,
     holds_in,
-    in_atoms_below,
-    interval_algebra,
     is_atom,
     is_balanced,
     join,
-    junk_atoms_below,
     le,
     meet,
     parse_ba,
@@ -86,10 +82,6 @@ def test_omega_count_absorbs():
     assert algebra(cluster(2, 0), cluster(3, 1)).total_in() == 5
     assert algebra(cluster(2, 0), cluster(None, 1)).total_in() is None
     assert algebra(cluster(None, None), cluster(None, 0)).total_in() is None
-    b = algebra(cluster(2, 1), cluster(None, None))
-    assert in_atoms_below(Element(b, (ClusterPart(take(2)), ClusterPart(take(3))))) == 5
-    x = Element(b, (ClusterPart(take(2)), ClusterPart(cofinite(3))))
-    assert in_atoms_below(x) is None
     assert print_ba(algebra(cluster(4, None))) == (
         "ba v1\ncluster in=4 junk=w atomless=0\n"
     )
@@ -146,25 +138,17 @@ def test_top_bottom_complement():
     assert join(t, z) == t
 
 
+def atoms_below(x: Element, species: str) -> int | None:
+    """How many atoms of the species (IN or JUNK) x bounds; None is omega."""
+    sels = [getattr(p, f"{species}_sel") for p in x.parts]
+    return None if any(s.kind == "cof" for s in sels) else sum(len(s.ids) for s in sels)
+
+
 def test_atom_counts_of_top():
     b = algebra(cluster(2, 3))
     t = top(b)
-    assert in_atoms_below(t) == 2
-    assert junk_atoms_below(t) == 3
-
-
-def test_cofinite_junk_count():
-    b = algebra(cluster(0, None))
-    x = Element(b, (ClusterPart(junk_sel=cofinite(1)),))
-    assert junk_atoms_below(x) is None
-    assert in_atoms_below(x) == 0
-
-
-def test_take_count_in_omega_cluster():
-    b = algebra(cluster(None, None))
-    x = Element(b, (ClusterPart(in_sel=take(3)),))
-    assert in_atoms_below(x) == 3
-    assert junk_atoms_below(x) == 0
+    assert atoms_below(t, IN) == 2
+    assert atoms_below(t, JUNK) == 3
 
 
 def test_atoms_and_predicate():
@@ -204,7 +188,7 @@ def test_atom_species_validated(species):
 def test_selection_validation():
     b = algebra(cluster(2, 1))
     with pytest.raises(ValueError):
-        Element(b, (ClusterPart(in_sel=cofinite(0)),))
+        Element(b, (ClusterPart(in_sel=Selection("cof", frozenset())),))
     with pytest.raises(ValueError):
         Element(b, (ClusterPart(in_sel=Selection("fin", frozenset({9}))),))
     with pytest.raises(ValueError):
@@ -213,8 +197,9 @@ def test_selection_validation():
 
 def test_de_morgan_with_cofinite_parts():
     b = algebra(cluster(None, None))
-    x = Element(b, (ClusterPart(in_sel=take(2), junk_sel=cofinite(3)),))
-    y = Element(b, (ClusterPart(in_sel=cofinite(1), junk_sel=take(5)),))
+    cofinite = Selection("cof", frozenset({0, 1, 2}))
+    x = Element(b, (ClusterPart(in_sel=take(2), junk_sel=cofinite),))
+    y = Element(b, (ClusterPart(in_sel=Selection("cof", frozenset({0})), junk_sel=take(5)),))
     assert complement(meet(x, y)) == join(complement(x), complement(y))
     assert complement(join(x, y)) == meet(complement(x), complement(y))
     assert complement(complement(x)) == x
@@ -228,8 +213,8 @@ def test_counts_additive_on_disjoint_join():
                                 junk_sel=take(2)),))
     assert meet(x, y) == bottom(b)
     j = join(x, y)
-    assert in_atoms_below(j) == 3
-    assert junk_atoms_below(j) == 2
+    assert atoms_below(j, IN) == 3
+    assert atoms_below(j, JUNK) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -281,36 +266,8 @@ def test_atomless_piece_is_never_an_atom():
     b = algebra(cluster(0, 1, True))
     x = Element(b, (ClusterPart(atomless=frozenset({"001"})),))
     assert not is_atom(x)
-    assert in_atoms_below(x) == 0
     y = meet(x, complement(x))
     assert y == bottom(b)
-
-
-# ---------------------------------------------------------------------------
-# Interval algebra over labelled points
-# ---------------------------------------------------------------------------
-
-
-def test_interval_algebra_counts():
-    b = interval_algebra([D(0, 0), D(1, 2), D(1, 1)])
-    assert b == algebra(cluster(0, 3))
-    c = interval_algebra([D(0, 0), D(1, 2), D(1, 1)], in_labels=[0, 2])
-    assert c == algebra(cluster(2, 1))
-
-
-def test_interval_algebra_rejections():
-    with pytest.raises(ValueError):
-        interval_algebra([])
-    with pytest.raises(ValueError):
-        interval_algebra([D(1, 1), D(1, 1)])
-    with pytest.raises(ValueError):
-        interval_algebra([D(0, 0)], in_labels=[3])
-
-
-def test_interval_algebra_form_depends_only_on_count_and_labels():
-    a = interval_algebra([D(0, 0), D(1, 1)], in_labels=[1])
-    b = interval_algebra([D(1, 3), D(7, 3)], in_labels=[0])
-    assert canonical_form(a) == canonical_form(b)
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,66 @@ def test_malformed_quotient_map_exits_two(run, tmp_path) -> None:
             "pair 1 -1\n",
             "not a natural number: '-1' in line 'pair 1 -1'",
         ),
+        (
+            "derive",
+            "x.compactum",
+            "compactum v1\npoint 1_0/2^5\n",
+            "not a dyadic literal: '1_0/2^5' in line 'point 1_0/2^5'",
+        ),
+        (
+            "derive",
+            "x.compactum",
+            "compactum v1\npoint +1/2^1\n",
+            "not a dyadic literal: '+1/2^1' in line 'point +1/2^1'",
+        ),
+        (
+            "derive",
+            "x.compactum",
+            "compactum v1\npoint 1/2^+1\n",
+            "not a dyadic literal: '1/2^+1' in line 'point 1/2^+1'",
+        ),
+        (
+            "derive",
+            "x.compactum",
+            "compactum v1\npoint 1/2^1_0\n",
+            "not a dyadic literal: '1/2^1_0' in line 'point 1/2^1_0'",
+        ),
+        (
+            "derive",
+            "x.compactum",
+            "compactum v1\npoint ١/2^1\n",
+            "not a dyadic literal: '١/2^1' in line 'point ١/2^1'",
+        ),
+        (
+            "derive",
+            "x.compactum",
+            "compactum v1\npoint 1/2^-1\n",
+            "negative exponent in dyadic literal: '1/2^-1' in line 'point 1/2^-1'",
+        ),
+        (
+            "construct",
+            "x.tree",
+            "tree v1\nnode 1_0 terminal\n",
+            "not an address: '1_0' in line 'node 1_0 terminal'",
+        ),
+        (
+            "construct",
+            "x.tree",
+            "tree v1\nnode +3 terminal\n",
+            "not an address: '+3' in line 'node +3 terminal'",
+        ),
+        (
+            "construct",
+            "x.tree",
+            "tree v1\nnode ٣ terminal\n",
+            "not an address: '٣' in line 'node ٣ terminal'",
+        ),
+        (
+            "construct",
+            "x.tree",
+            "tree v1\nnode 1.-2 terminal\n",
+            "negative index in address: '1.-2' in line 'node 1.-2 terminal'",
+        ),
     ],
 )
 def test_refusal_message(run, tmp_path, command, name, text, message) -> None:

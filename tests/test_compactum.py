@@ -21,13 +21,9 @@ from compacta.compactum import (
     all_clopen_selectors,
     canonical_form,
     cb_derivative,
-    cb_equiv,
-    check_property_in,
     compactum,
     compactum_contains,
     derived_selector,
-    is_atomless_after_derivative,
-    is_intom,
     parse_compactum,
     print_compactum,
     reduce_intoms,
@@ -144,42 +140,7 @@ def test_sequence_breaks_second_derivative_identity():
     assert d1 != d2
 
 
-# --- intoms, equivalence, reduct -------------------------------------------------
-
-
-def test_is_intom_single_interval():
-    s = compactum([Interval(ZERO, ONE)])
-    assert is_intom(s, sel(0))
-
-
-def test_is_intom_rejects_point_and_pairs():
-    s = compactum([JUNK, I_A, I_B])
-    assert not is_intom(s, sel(0))
-    assert is_intom(s, sel(1))
-    assert not is_intom(s, sel(1, 2))
-
-
-def test_cb_equiv_ignores_isolated_points():
-    s = compactum([JUNK, I_A, I_B])
-    assert cb_equiv(s, sel(0, 1), sel(1))
-    assert not cb_equiv(s, sel(1), sel(2))
-
-
-def test_cb_equiv_cantor_plus_point():
-    s = compactum([Point(D(1, 4)), Cantor(HALF, ONE)])
-    assert cb_equiv(s, sel(0, 1), sel(1))
-
-
-def test_cb_equiv_is_equivalence():
-    s = compactum([JUNK, I_A, I_B, Point(D(31, 5))])
-    selectors = list(all_clopen_selectors(s))
-    for x in selectors:
-        assert cb_equiv(s, x, x)
-        for y in selectors:
-            assert cb_equiv(s, x, y) == cb_equiv(s, y, x)
-            for z in selectors:
-                if cb_equiv(s, x, y) and cb_equiv(s, y, z):
-                    assert cb_equiv(s, x, z)
+# --- reduct ----------------------------------------------------------------------
 
 
 def test_reduce_interval_to_midpoint():
@@ -227,7 +188,7 @@ def test_reduction_point_dies():
     assert reduction(compactum([Point(HALF)])).components == ()
 
 
-# --- inf and atomless predicates --------------------------------------------------
+# --- inf predicate ---------------------------------------------------------------
 
 
 def test_satisfies_inf_cases():
@@ -241,14 +202,6 @@ def test_satisfies_inf_cases():
 def test_seq_counts_as_infinite_splitting():
     s = compactum([SEQ_TO_HALF])
     assert satisfies_inf(s, sel(0))
-
-
-def test_atomless_after_derivative_cases():
-    s = compactum([Cantor(ZERO, D(1, 2)), Interval(HALF, D(3, 2)), Point(D(7, 3))])
-    assert is_atomless_after_derivative(s, sel(0))
-    assert not is_atomless_after_derivative(s, sel(0, 1))
-    assert not is_atomless_after_derivative(s, sel(1, 2))
-    assert is_atomless_after_derivative(s, sel(2))  # derivative is empty
 
 
 def test_inf_transfer_on_sequence_free_compacta():
@@ -266,35 +219,6 @@ def test_inf_transfer_fails_on_sequence():
     x = sel(0)
     assert satisfies_inf(s, x)
     assert not satisfies_inf(d, derived_selector(s, x))
-
-
-def test_intom_respects_cb_equiv_after_derivative():
-    s = compactum([JUNK, I_A, I_B, Point(D(31, 5))])
-    d = cb_derivative(s)
-    selectors = list(all_clopen_selectors(s))
-    for x in selectors:
-        for y in selectors:
-            if cb_equiv(s, x, y):
-                assert is_intom(d, derived_selector(s, x)) == is_intom(
-                    d, derived_selector(s, y)
-                )
-
-
-# --- forbidden configuration detector ---------------------------------------------
-
-
-def test_check_property_in_glued_interval_fails():
-    s = compactum([SEQ_TO_HALF, Interval(HALF, D(3, 2))])
-    assert not check_property_in(s)
-
-
-def test_check_property_in_clean_shapes_pass():
-    assert check_property_in(compactum([Cantor(ZERO, ONE)]))
-    assert check_property_in(compactum([JUNK, I_A, I_B]))
-    # a sequence glued to a Cantor copy leaves intervals untouched
-    assert check_property_in(
-        compactum([SEQ_TO_HALF, Cantor(HALF, D(3, 2))])
-    )
 
 
 # --- canonical form ----------------------------------------------------------------

@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+import compacta
 from compacta.banach import dense_family, stage_points, stage_values
 from compacta.compact import (
     CoverCertificate,
@@ -106,3 +107,28 @@ def test_over_budget_requests_refused_before_any_work(case, monkeypatch) -> None
         monkeypatch.setattr(importlib.import_module(module), step, ran)
     with pytest.raises(ValueError, match=refusal):
         call()
+
+
+def test_package_exports_are_pinned() -> None:
+    """The package exports what `src/`, the bench, the CLI, the README or
+    the acceptance criteria call; a change to that surface shows here."""
+    assert sorted(compacta.__all__) == [
+        "Address", "AtomIso", "BAForm", "Ball", "Cantor", "Cluster",
+        "CompactumForm", "CoverCertificate", "Dyadic", "ETA", "Event",
+        "HostedFunction", "Interval", "LabelledBA", "LabelledTree", "Node",
+        "PLFunction", "Point", "PointSeq", "QuotientIso", "SPINE", "SPLIT",
+        "StageScript", "SymbolicCompactum", "TERMINAL", "add",
+        "address_ends", "algebra", "algebra_form", "all_clopen_selectors",
+        "balls_intersect", "build_isomorphism", "canonical_form",
+        "cb_derivative", "clopen_algebra", "clopen_partitions", "cluster",
+        "compactum", "compactum_contains", "construct_limit", "cover",
+        "cover_is_valid", "dense_family", "derived_selector",
+        "enumerate_stage", "fishbone", "generalized_tooth", "hausdorff_gap",
+        "is_balanced", "limit_tree", "midpoint", "parse_ba",
+        "parse_compactum", "parse_cover", "parse_plf", "parse_script",
+        "parse_tree", "plf", "print_ba", "print_compactum", "print_cover",
+        "print_plf", "print_script", "print_tree", "quotient_by_junk",
+        "reduce_intoms", "reduction", "satisfies_inf", "scale",
+        "stage_points", "stone_space", "sup_norm", "tree_algebra",
+        "unit_sup", "verify_isomorphism",
+    ]

@@ -199,7 +199,6 @@ def test_add_sub_roundtrip(a, b):
 @given(dyadics, dyadics)
 def test_arithmetic_agrees_with_fractions(a, b):
     assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-    assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
     assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
 
 
@@ -216,7 +215,7 @@ def test_canonical_representation(a):
 
 @given(dyadics, dyadics)
 def test_results_are_canonical(a, b):
-    for x in (a + b, a - b, a * b, -a, abs(a), a.half(), a.scaled_pow2(-3)):
+    for x in (a + b, a - b, -a, abs(a), a.half(), a.scaled_pow2(-3)):
         assert canonical(x)
 
 
@@ -228,7 +227,7 @@ def test_results_are_canonical(a, b):
 def test_equal_exponents_agree_with_fractions(m, n, e):
     a, b = Dyadic(2 * m + 1, e), Dyadic(2 * n + 1, e)
     fa, fb = a.as_fraction(), b.as_fraction()
-    for x, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
+    for x, want in ((a + b, fa + fb), (a - b, fa - fb)):
         assert x.as_fraction() == want
         assert canonical(x)
     assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)

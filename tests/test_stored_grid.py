@@ -4,12 +4,12 @@ constructor builds it, and as `construct_limit`, `stone_space`,
 validating, against the validating constructor and a `Dyadic` scan of
 the endpoints; the `components` view those build on first read, against
 the `Dyadic` twins the validating constructor gives and against the
-tuple it stands for; the one-pass `glue_classes` and `check_property_in`
-against the per-group reading and the endpoint-set formula they
-replaced; the closed-form interval addresses behind `construct_limit`
-and `stone_space` against the nested `Dyadic` recursion they replaced;
-and the closed-form replacement bridges against the child ends they
-replaced.  The replaced versions are kept below as the oracles.
+tuple it stands for; the one-pass `glue_classes` against the per-group
+reading it replaced, and the property it decides (no sequence glues to
+an interval) against the endpoint-set formula; the closed-form interval
+addresses behind `construct_limit` and `stone_space` against the nested
+`Dyadic` recursion they replaced; and the closed-form replacement
+bridges against the child ends they replaced.  The replaced versions are kept below as the oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from compacta.compactum import (
     all_clopen_selectors,
     canonical_form,
     cb_derivative,
-    check_property_in,
     compactum,
     glue_classes,
     parse_compactum,
@@ -352,8 +351,13 @@ def grouped_classes(s) -> list:
     return out
 
 
+def property_in(s) -> bool:
+    """No sequence glues to an interval, read from `glue_classes`."""
+    return not any(kind is Interval and n for kind, n in glue_classes(s))
+
+
 def endpoint_property_in(s) -> bool:
-    """The endpoint-set formula `check_property_in` replaced."""
+    """The same property by the endpoint-set formula."""
     limits = {at for kind, _, _, at in s.ends if kind is PointSeq}
     return not any(
         kind is Interval and (lo in limits or hi in limits)
@@ -367,7 +371,7 @@ def test_glue_classes_match_group_reading_on_suite() -> None:
     for s in compacta:
         classes = glue_classes(s)
         assert classes == grouped_classes(s), s
-        assert check_property_in(s) == endpoint_property_in(s), s
+        assert property_in(s) == endpoint_property_in(s), s
         seen.update(classes)
     assert {(Interval, 1), (Interval, 2), (Cantor, 1), (Cantor, 2)} <= seen
 
@@ -388,7 +392,7 @@ def test_glue_classes_of_hand_built_hosts(host, seqs, n) -> None:
     s = compactum([Point(D(1, 4)), host(D(1, 2), D(1, 1)), *seqs, lone])
     assert glue_classes(s) == grouped_classes(s)
     assert glue_classes(s) == [(Point, 0), (host, n), (PointSeq, 0)]
-    assert check_property_in(s) == endpoint_property_in(s) == (host is Cantor or not n)
+    assert property_in(s) == endpoint_property_in(s) == (host is Cantor or not n)
 
 
 def nested_interval(addr: tuple[int, ...]) -> tuple[Dyadic, Dyadic]:
@@ -399,16 +403,17 @@ def nested_interval(addr: tuple[int, ...]) -> tuple[Dyadic, Dyadic]:
         return ZERO, ONE
     outer_lo, outer_hi = nested_interval(addr[:-1])
     n, odd = divmod(addr[-1], 2)
-    block_lo = HALF * (ONE - Dyadic(1, n))
-    block_hi = HALF * (ONE - Dyadic(1, n + 1))
+    block_lo = (ONE - Dyadic(1, n)).half()
+    block_hi = (ONE - Dyadic(1, n + 1)).half()
     center = midpoint(block_lo, block_hi)
     if odd:
         center = ONE - center
     half_len = Dyadic(1, addr[-1] + 3)
-    scale = outer_hi - outer_lo
+    scale = outer_hi - outer_lo  # 1/2^scale.exp
+    assert scale.num == 1
     return (
-        outer_lo + scale * (center - half_len),
-        outer_lo + scale * (center + half_len),
+        outer_lo + (center - half_len).scaled_pow2(-scale.exp),
+        outer_lo + (center + half_len).scaled_pow2(-scale.exp),
     )
 
 
