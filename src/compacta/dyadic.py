@@ -232,9 +232,11 @@ def parse_natural(text: str) -> int:
 
 
 def _parse_int(text: str) -> int:
-    """`parse_natural`, after an optional minus sign."""
-    n = parse_natural(text.removeprefix("-"))
-    return -n if text.startswith("-") else n
+    """An optional minus sign, then a numeral as `parse_natural` reads it."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -3,7 +3,7 @@ function that takes a count, a depth, a precision or an index refuses
 one out of its domain with a `ValueError` that names the parameter.  It
 never answers, and never fails with a `TypeError` from deeper down.  A
 request over budget is refused from its closed-form size, before any of
-its work is done."""
+its work is done.  The package exports a pinned list of names."""
 
 from __future__ import annotations
 
