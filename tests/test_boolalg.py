@@ -197,9 +197,10 @@ def test_selection_validation():
 
 def test_de_morgan_with_cofinite_parts():
     b = algebra(cluster(None, None))
-    cofinite = Selection("cof", frozenset({0, 1, 2}))
-    x = Element(b, (ClusterPart(in_sel=take(2), junk_sel=cofinite),))
-    y = Element(b, (ClusterPart(in_sel=Selection("cof", frozenset({0})), junk_sel=take(5)),))
+    all_but_3 = Selection("cof", frozenset({0, 1, 2}))
+    all_but_1 = Selection("cof", frozenset({0}))
+    x = Element(b, (ClusterPart(in_sel=take(2), junk_sel=all_but_3),))
+    y = Element(b, (ClusterPart(in_sel=all_but_1, junk_sel=take(5)),))
     assert complement(meet(x, y)) == join(complement(x), complement(y))
     assert complement(join(x, y)) == meet(complement(x), complement(y))
     assert complement(complement(x)) == x

@@ -9,7 +9,8 @@ reading it replaced, and the property it decides (no sequence glues to
 an interval) against the endpoint-set formula; the closed-form interval
 addresses behind `construct_limit` and `stone_space` against the nested
 `Dyadic` recursion they replaced; and the closed-form replacement
-bridges against the child ends they replaced.  The replaced versions are kept below as the oracles.
+bridges against the child ends they replaced.  The replaced versions
+are kept below as the oracles.
 """
 
 from __future__ import annotations
