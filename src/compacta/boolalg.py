@@ -25,10 +25,18 @@ finite/cofinite shape.  Canonical forms make both isomorphism of labelled
 algebras and isomorphism of their quotients decidable, and the
 back-and-forth constructor realizes any quotient isomorphism as an
 atom-level isomorphism once the balance and junk-total gates pass.
+
+That isomorphism pairs finite atoms in runs ((c0, species, i0), (c1,
+species, i1), n): atom i0 + k of cluster c0 goes to atom i1 + k of
+cluster c1 for k < n, and a run ends where a cluster ends on either side.
+Its check merges each species' runs into index ranges: a finite species
+passes when they come to [0, card), an omega one when they cover exactly
+its block's skips.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
@@ -42,6 +50,8 @@ from .compactum import (
 )
 from .dyadic import address_ends, parse_natural, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +68,7 @@ class Cluster:
     has_atomless: bool = False
 
     def __post_init__(self) -> None:
-        if any(n is not None and n < 0 for n in (self.n_in, self.n_junk)):
+        if (self.n_in or 0) < 0 or (self.n_junk or 0) < 0:
             raise ValueError("cardinality must be a natural number or omega")
         if self.n_in == 0 and self.n_junk == 0 and not self.has_atomless:
             raise ValueError("cluster must carry at least one atom or an atomless part")
@@ -219,7 +229,8 @@ class Element:
             for w in sorted(part.atomless):
                 if not set(w) <= {"0", "1"}:
                     raise ValueError(f"atomless word {w!r} is not binary")
-        parts = (replace(p, atomless=_piece_normalize(p.atomless)) for p in self.parts)
+        normal = ((p, _piece_normalize(p.atomless)) for p in self.parts)
+        parts = (p if q == p.atomless else replace(p, atomless=q) for p, q in normal)
         object.__setattr__(self, "parts", tuple(parts))
 
 
@@ -426,13 +437,15 @@ class BAForm:
 
 
 def canonical_form(b: LabelledBA) -> BAForm:
-    return BAForm(
-        omega_in=sum(c.n_in is None for c in b.clusters),
-        omega_junk=sum(c.n_junk is None for c in b.clusters),
-        fin_in=b.total_in() or 0,
-        fin_junk=b.total_junk() or 0,
-        atomless=b.has_atomless(),
-    )
+    w_in = w_junk = n_in = n_junk = 0
+    atomless = False
+    for c in b.clusters:
+        w_in += c.n_in is None
+        w_junk += c.n_junk is None
+        n_in += c.n_in or 0
+        n_junk += c.n_junk or 0
+        atomless = atomless or c.has_atomless
+    return BAForm(w_in, w_junk, 0 if w_in else n_in, 0 if w_junk else n_junk, atomless)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +472,6 @@ class QuotientIso:
             raise ValueError("pairing does not cover the omega clusters")
 
 
-def derive_quotient_iso(b0: LabelledBA, b1: LabelledBA) -> QuotientIso:
-    iso = QuotientIso(tuple(zip(b0.omega_clusters(), b1.omega_clusters())))
-    iso.validate(b0, b1)
-    return iso
-
-
 @dataclass(frozen=True)
 class BlockPair:
     """An omega species mapped onto another in index order, minus skips."""
@@ -477,9 +484,38 @@ class BlockPair:
 
 @dataclass(frozen=True)
 class AtomIso:
+    """Finite pairs held as `runs` (see the module docstring).  One from
+    `build_isomorphism` builds `atom_pairs` from its runs when first read,
+    so ==, hash and repr match the iso built from that tuple; one built
+    from explicit pairs merges them into runs."""
+
     atom_pairs: tuple[tuple[AtomRef, AtomRef], ...]
     block_pairs: tuple[BlockPair, ...]
     atomless_pair: tuple[tuple[int, ...], tuple[int, ...]] | None
+
+    def __post_init__(self) -> None:
+        runs: list[tuple] = []
+        after = None
+        for a, b in self.atom_pairs:
+            refs = (a.cluster, a.species, a.index), (b.cluster, b.species, b.index)
+            if refs == after:
+                runs[-1] = (*runs[-1][:2], runs[-1][2] + 1)
+            else:
+                runs.append((*refs, 1))
+            after = tuple((c, species, i + 1) for c, species, i in refs)
+        _set(self, "runs", tuple(runs))
+
+    def __getattr__(self, name: str) -> tuple[tuple[AtomRef, AtomRef], ...]:
+        # reached only for an unset attribute: `atom_pairs` not yet built
+        if name != "atom_pairs":
+            raise AttributeError(name)
+        pairs = tuple(
+            (AtomRef(c0, s0, i0 + k), AtomRef(c1, s1, i1 + k))
+            for (c0, s0, i0), (c1, s1, i1), n in self.runs
+            for k in range(n)
+        )
+        _set(self, "atom_pairs", pairs)
+        return pairs
 
 
 def build_isomorphism(
@@ -501,58 +537,59 @@ def build_isomorphism(
         raise ValueError("balance condition fails: a cluster mixes finite "
                          "and omega species")
     if f is None:
-        f = derive_quotient_iso(b0, b1)
-    else:
-        f.validate(b0, b1)
+        f = QuotientIso(tuple(zip(b0.omega_clusters(), b1.omega_clusters())))
+    f.validate(b0, b1)
     if b0.total_junk() != b1.total_junk():
         raise ValueError("finite atom totals differ")
 
-    atom_pairs: list[tuple[AtomRef, AtomRef]] = []
+    runs: list[tuple] = []
     block_pairs: list[BlockPair] = []
     for species in (IN, JUNK):
-        fin0 = _finite_atoms(b0, species)
-        fin1 = _finite_atoms(b1, species)
-        atom_pairs.extend(zip(fin0, fin1))
-        extra0, extra1 = fin0[len(fin1):], fin1[len(fin0):]
-        for c0, c1 in f.omega_pairs:
+        (at0, t0), (at1, t1) = _layout(b0, species), _layout(b1, species)
+        end = min(t0, t1)
+        if f.omega_pairs:
             # the first pair's hosts absorb the other side's surplus
-            atom_pairs += [(r, AtomRef(c1, species, k)) for k, r in enumerate(extra0)]
-            atom_pairs += [(AtomRef(c0, species, k), r) for k, r in enumerate(extra1)]
-            skips = frozenset(range(len(extra1))), frozenset(range(len(extra0)))
-            block_pairs.append(BlockPair((c0, species), (c1, species), *skips))
-            extra0 = extra1 = []
+            (h0, h1), *rest = f.omega_pairs
+            skips = frozenset(range(t1 - end)), frozenset(range(t0 - end))
+            block_pairs.append(BlockPair((h0, species), (h1, species), *skips))
+            block_pairs += [BlockPair((c0, species), (c1, species)) for c0, c1 in rest]
+            at0[t0], at1[t1], end = h0, h1, max(t0, t1)
+        cuts = sorted(x for x in at0.keys() | at1.keys() if x < end) + [end]
+        for x, y in zip(cuts, cuts[1:]):
+            c0, o0 = (at0[x], x) if x in at0 else (c0, o0)
+            c1, o1 = (at1[x], x) if x in at1 else (c1, o1)
+            runs.append(((c0, species, x - o0), (c1, species, x - o1), y - x))
     atomless0 = tuple(i for i, c in enumerate(b0.clusters) if c.has_atomless)
     atomless1 = tuple(i for i, c in enumerate(b1.clusters) if c.has_atomless)
-    iso = AtomIso(
-        atom_pairs=tuple(atom_pairs),
-        block_pairs=tuple(block_pairs),
-        atomless_pair=(atomless0, atomless1) if atomless0 else None,
-    )
+    iso = object.__new__(AtomIso)
+    _set(iso, "runs", tuple(runs))
+    _set(iso, "block_pairs", tuple(block_pairs))
+    _set(iso, "atomless_pair", (atomless0, atomless1) if atomless0 else None)
     verify_isomorphism(b0, b1, iso)
     return iso
 
 
-def _finite_atoms(b: LabelledBA, species: str) -> list[AtomRef]:
-    refs = []
-    for i, cl in enumerate(b.clusters):
-        card = cl.n_in if species == IN else cl.n_junk
-        if card is not None:
-            refs.extend(AtomRef(i, species, k) for k in range(card))
-    return refs
+def _layout(b: LabelledBA, species: str) -> tuple[dict[int, int], int]:
+    """The species' finite counts laid end to end: {offset: cluster}, total."""
+    at, total = {}, 0
+    for c, cl in enumerate(b.clusters):
+        if n := (cl.n_in if species == IN else cl.n_junk):
+            at[total] = c
+            total += n
+    return at, total
 
 
 def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
     """Check bijectivity on atoms, label preservation, and block coverage."""
-    for a, b in iso.atom_pairs:
-        if a.species != b.species:
+    for ref0, ref1, _ in iso.runs:
+        if ref0[1] != ref1[1]:
             raise ValueError("pairing does not preserve the atom label")
     for bp in iso.block_pairs:
         if bp.src[1] != bp.dst[1]:
             raise ValueError("block pairing does not preserve the species")
     _check_cover(b0, iso, side=0)
     _check_cover(b1, iso, side=1)
-    has0 = b0.has_atomless()
-    has1 = b1.has_atomless()
+    has0, has1 = b0.has_atomless(), b1.has_atomless()
     if has0 != has1 or (has0 and iso.atomless_pair is None):
         raise ValueError("atomless parts not matched")
     return True
@@ -565,16 +602,21 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
     cards: dict[tuple[int, str], int | None] = {}
     for c, cl in enumerate(b.clusters):
         cards[c, IN], cards[c, JUNK] = cl.n_in, cl.n_junk
-    explicit: dict[tuple[int, str], set[int]] = {}
-    for pair in iso.atom_pairs:
-        ref = pair[side]
-        key = (ref.cluster, ref.species)
-        if key not in cards or ref.index < 0:
-            raise ValueError(f"no atom {ref.index} in {_where(key)}")
-        ids = explicit.setdefault(key, set())
-        if ref.index in ids:
+    ranges: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    for run in iso.runs:
+        c, species, lo = run[side]
+        if (c, species) not in cards or lo < 0:
+            raise ValueError(f"no atom {lo} in {_where((c, species))}")
+        # insert [lo, hi) into the species' sorted, merged ranges
+        got, hi = ranges.setdefault((c, species), []), lo + run[2]
+        k = bisect_left(got, (lo,))
+        if k and got[k - 1][1] > lo or k < len(got) and got[k][0] < hi:
             raise ValueError("an atom appears twice in the pairing")
-        ids.add(ref.index)
+        if k and got[k - 1][1] == lo:
+            k, lo = k - 1, got.pop(k - 1)[0]
+        if k < len(got) and got[k][0] == hi:
+            hi = got.pop(k)[1]
+        got.insert(k, (lo, hi))
     blocks: dict[tuple[int, str], BlockPair] = {}
     for bp in iso.block_pairs:
         key = bp.src if side == 0 else bp.dst
@@ -584,20 +626,20 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
             raise ValueError("an omega species appears in two block pairs")
         blocks[key] = bp
     for key, card in cards.items():
-        used = explicit.get(key, set())
+        got = ranges.get(key, [])
         if card is None:
             bp = blocks.get(key)
             if bp is None:
                 raise ValueError(f"omega {_where(key)} not covered by a block")
             skip = bp.skip_src if side == 0 else bp.skip_dst
-            if used != set(skip):
+            if set(skip) != {i for lo, hi in got for i in range(lo, hi)}:
                 raise ValueError(
                     f"block skips of {_where(key)} disagree with its pairs"
                 )
         else:
             if key in blocks:
                 raise ValueError(f"finite {_where(key)} cannot form a block")
-            if used != set(range(card)):
+            if got != ([(0, card)] if card else []):
                 raise ValueError(f"finite {_where(key)} not fully paired")
 
 
@@ -635,11 +677,8 @@ def parse_ba(text: str) -> LabelledBA:
 
 def print_iso(iso: AtomIso) -> str:
     lines = []
-    for a, b in iso.atom_pairs:
-        lines.append(
-            f"atom {a.cluster}.{a.species}.{a.index} -> "
-            f"{b.cluster}.{b.species}.{b.index}"
-        )
+    for (c0, s0, i0), (c1, s1, i1), n in iso.runs:
+        lines += [f"atom {c0}.{s0}.{i0 + k} -> {c1}.{s1}.{i1 + k}" for k in range(n)]
     for bp in iso.block_pairs:
         skip0 = ",".join(str(i) for i in sorted(bp.skip_src))
         skip1 = ",".join(str(i) for i in sorted(bp.skip_dst))

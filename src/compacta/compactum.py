@@ -269,9 +269,6 @@ def from_parts(parts: list[tuple[type, int, int, int]]) -> SymbolicCompactum:
     return _carried(ends, e)
 
 
-EMPTY = SymbolicCompactum(0, ())
-
-
 def compactum(components: Iterable[Component]) -> SymbolicCompactum:
     """The compactum of the components, given in any order; raises unless
     they lie in [0,1], pairwise apart or glued.  The validated components,

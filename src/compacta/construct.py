@@ -352,8 +352,8 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
             if level is None:
                 d = _span_bound(lo, hi, pts, one)
             else:
-                # dyadic_ceil(span / 3^(level+1)) at _CEIL_BITS bits; that
-                # is one bit once 3^k > 2^k > span, so k stops there
+                # span / 3^(level+1) rounded up to a multiple of 2^-_CEIL_BITS;
+                # that is one unit once 3^k > 2^k > span, so k stops there
                 span, shift = hi - lo, e + 1 - _CEIL_BITS
                 k = min(level + 1, span.bit_length())
                 d = -(-span // (3 ** k << shift)) << shift

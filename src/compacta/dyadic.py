@@ -142,8 +142,6 @@ def _coerce(x: "Dyadic | int") -> Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
-HALF = Dyadic(1, 1)
 
 
 def parse_dyadic(text: str) -> Dyadic:
@@ -162,15 +160,6 @@ def format_dyadic(n: int, e: int) -> str:
     """n / 2^e in lowest terms, as `Dyadic(n, e)` prints, from the ints."""
     k = min((n & -n).bit_length() - 1, e) if n else e
     return f"{n >> k}/2^{e - k}"
-
-
-def dyadic_ceil(value: Fraction, bits: int = 80) -> Dyadic:
-    """Smallest multiple of 2^-bits that is >= value."""
-    scaled = value * (1 << bits)
-    n = scaled.numerator // scaled.denominator
-    if n * scaled.denominator != scaled.numerator:
-        n += 1
-    return Dyadic(n, bits)
 
 
 def midpoint(a: Dyadic, b: Dyadic) -> Dyadic:

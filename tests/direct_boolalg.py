@@ -1,12 +1,15 @@
 """The element algebra with every operation written out, and the atom
-isomorphism's surplus handled case by case: the differential oracle for
-the derived operations in `compacta.boolalg`.
+isomorphism built and checked atom by atom: the differential oracle for
+the derived operations and the runs in `compacta.boolalg`.
 
 Here join, order and top each have their own code for selections and
 for atomless pieces, pieces are normalised by a fixpoint that restarts
 after every change, and the surplus of finite atoms is routed through
-per-side skip tables.  Only `Selection`, the element types and the
-isomorphism's gates and checks are shared with the package.
+per-side skip tables.  The isomorphism lists one `AtomRef` pair per
+finite atom and is checked through per-atom sets, and the canonical form
+takes one pass per field.  Only `Selection`, `take`, `is_balanced`, the
+element and isomorphism types and the quotient are shared with the
+package.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from compacta.boolalg import (
     NO_PIECE,
     AtomIso,
     AtomRef,
+    BAForm,
     BlockPair,
     ClusterPart,
     Element,
@@ -27,11 +31,9 @@ from compacta.boolalg import (
     Piece,
     QuotientIso,
     Selection,
-    _finite_atoms,
-    derive_quotient_iso,
     is_balanced,
+    quotient_by_junk,
     take,
-    verify_isomorphism,
 )
 
 
@@ -129,9 +131,8 @@ def build_isomorphism(
         raise ValueError("balance condition fails: a cluster mixes finite "
                          "and omega species")
     if f is None:
-        f = derive_quotient_iso(b0, b1)
-    else:
-        f.validate(b0, b1)
+        f = QuotientIso(tuple(zip(b0.omega_clusters(), b1.omega_clusters())))
+    _validate(f, b0, b1)
     t_in0, t_in1 = b0.total_in(), b1.total_in()
     if (t_in0 is None) != (t_in1 is None):
         raise ValueError("one in-species is infinite, the other finite")
@@ -178,3 +179,113 @@ def build_isomorphism(
     )
     verify_isomorphism(b0, b1, iso)
     return iso
+
+
+def canonical_form(b: LabelledBA) -> BAForm:
+    return BAForm(
+        omega_in=sum(c.n_in is None for c in b.clusters),
+        omega_junk=sum(c.n_junk is None for c in b.clusters),
+        fin_in=b.total_in() or 0,
+        fin_junk=b.total_junk() or 0,
+        atomless=b.has_atomless(),
+    )
+
+
+def _validate(f: QuotientIso, b0: LabelledBA, b1: LabelledBA) -> None:
+    if canonical_form(quotient_by_junk(b0)) != canonical_form(quotient_by_junk(b1)):
+        raise ValueError("quotients are not isomorphic")
+    w0, w1 = b0.omega_clusters(), b1.omega_clusters()
+    if sorted(i for i, _ in f.omega_pairs) != w0 or sorted(
+        j for _, j in f.omega_pairs
+    ) != w1:
+        raise ValueError("pairing does not cover the omega clusters")
+
+
+def _finite_atoms(b: LabelledBA, species: str) -> list[AtomRef]:
+    refs = []
+    for i, cl in enumerate(b.clusters):
+        card = cl.n_in if species == IN else cl.n_junk
+        if card is not None:
+            refs.extend(AtomRef(i, species, k) for k in range(card))
+    return refs
+
+
+def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
+    for a, b in iso.atom_pairs:
+        if a.species != b.species:
+            raise ValueError("pairing does not preserve the atom label")
+    for bp in iso.block_pairs:
+        if bp.src[1] != bp.dst[1]:
+            raise ValueError("block pairing does not preserve the species")
+    _check_cover(b0, iso, side=0)
+    _check_cover(b1, iso, side=1)
+    has0 = b0.has_atomless()
+    has1 = b1.has_atomless()
+    if has0 != has1 or (has0 and iso.atomless_pair is None):
+        raise ValueError("atomless parts not matched")
+    return True
+
+
+def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
+    cards: dict[tuple[int, str], int | None] = {}
+    for c, cl in enumerate(b.clusters):
+        cards[c, IN], cards[c, JUNK] = cl.n_in, cl.n_junk
+    explicit: dict[tuple[int, str], set[int]] = {}
+    for pair in iso.atom_pairs:
+        ref = pair[side]
+        key = (ref.cluster, ref.species)
+        if key not in cards or ref.index < 0:
+            raise ValueError(f"no atom {ref.index} in {_where(key)}")
+        ids = explicit.setdefault(key, set())
+        if ref.index in ids:
+            raise ValueError("an atom appears twice in the pairing")
+        ids.add(ref.index)
+    blocks: dict[tuple[int, str], BlockPair] = {}
+    for bp in iso.block_pairs:
+        key = bp.src if side == 0 else bp.dst
+        if key not in cards:
+            raise ValueError(f"block on {_where(key)}, which the algebra lacks")
+        if key in blocks:
+            raise ValueError("an omega species appears in two block pairs")
+        blocks[key] = bp
+    for key, card in cards.items():
+        used = explicit.get(key, set())
+        if card is None:
+            bp = blocks.get(key)
+            if bp is None:
+                raise ValueError(f"omega {_where(key)} not covered by a block")
+            skip = bp.skip_src if side == 0 else bp.skip_dst
+            if used != set(skip):
+                raise ValueError(
+                    f"block skips of {_where(key)} disagree with its pairs"
+                )
+        else:
+            if key in blocks:
+                raise ValueError(f"finite {_where(key)} cannot form a block")
+            if used != set(range(card)):
+                raise ValueError(f"finite {_where(key)} not fully paired")
+
+
+def _where(key: tuple[int, str]) -> str:
+    return f"cluster {key[0]} species {key[1]}"
+
+
+def print_iso(iso: AtomIso) -> str:
+    lines = []
+    for a, b in iso.atom_pairs:
+        lines.append(
+            f"atom {a.cluster}.{a.species}.{a.index} -> "
+            f"{b.cluster}.{b.species}.{b.index}"
+        )
+    for bp in iso.block_pairs:
+        skip0 = ",".join(str(i) for i in sorted(bp.skip_src))
+        skip1 = ",".join(str(i) for i in sorted(bp.skip_dst))
+        suffix = ""
+        if skip0 or skip1:
+            suffix = f" skip {skip0 or '-'} -> {skip1 or '-'}"
+        lines.append(
+            f"bulk {bp.src[0]}.{bp.src[1]} -> {bp.dst[0]}.{bp.dst[1]}{suffix}"
+        )
+    if iso.atomless_pair is not None:
+        lines.append("atomless")
+    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ nearby points is bounded by a linear scan over all of them.
 from __future__ import annotations
 
 import bisect
+from fractions import Fraction
 
 from fraction_compact import component_contains
 
@@ -22,9 +23,19 @@ from compacta.compactum import (
     SymbolicCompactum,
 )
 from compacta.construct import EnumerationState
-from compacta.dyadic import ONE, ZERO, Dyadic, dyadic_ceil
+from compacta.dyadic import ZERO, Dyadic
 
 _CEIL_BITS = 80
+ONE = Dyadic(1)
+
+
+def dyadic_ceil(value: Fraction, bits: int = 80) -> Dyadic:
+    """Smallest multiple of 2^-bits that is >= value."""
+    scaled = value * (1 << bits)
+    n = scaled.numerator // scaled.denominator
+    if n * scaled.denominator != scaled.numerator:
+        n += 1
+    return Dyadic(n, bits)
 
 
 def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:

@@ -65,7 +65,7 @@ from compacta.randgen import (
     random_tree,
     unbalance,
 )
-from compacta.trees import SPLIT, limit_tree
+from compacta.trees import limit_tree
 
 SUITE_SEED = 20260817
 SUITE_SIZE = 500

@@ -28,10 +28,11 @@ from compacta.banach import (
 )
 from compacta.banach import _extend_flat
 from compacta.compactum import Cantor, Interval, Point, PointSeq, compactum
-from compacta.dyadic import ONE, ZERO, Dyadic
+from compacta.dyadic import ZERO, Dyadic
 
 F = Fraction
 D = Dyadic
+ONE = D(1)
 
 CANTOR_HOST = compactum([Cantor(D(0, 0), D(1, 0))])
 POINTS_HOST = compactum([Point(D(1, 1)), Point(D(7, 3))])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import fraction_banach as ref
 from compacta.banach import HostedFunction, plf, stage_points, sup_norm
 from compacta.compactum import Cantor, PointSeq, compactum
-from compacta.dyadic import ONE, ZERO
+from compacta.dyadic import ZERO, Dyadic
 from test_acceptance import SUITE_SEED, suite_instances
 from test_compact_grid import glued, hosts
 
@@ -30,6 +30,7 @@ from test_compact_grid import glued, hosts
 banach_module = importlib.import_module("compacta.banach")
 
 F = Fraction
+ONE = Dyadic(1)
 STAGES = range(5)
 FUNCTIONS_PER_HOST = 6
 # Shares of a component's span at which a breakpoint may sit: Cantor

@@ -28,7 +28,6 @@ from compacta.boolalg import (
     clopen_algebra,
     cluster,
     complement,
-    derive_quotient_iso,
     holds_in,
     is_atom,
     is_balanced,

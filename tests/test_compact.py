@@ -24,6 +24,7 @@ from compacta.compactum import (
     Interval,
     Point,
     PointSeq,
+    SymbolicCompactum,
     compactum,
     compactum_contains,
 )
@@ -93,11 +94,10 @@ def test_seq_cover_stops_once_tail_fits():
 
 
 def test_empty_cover():
-    from compacta.compactum import EMPTY
-
-    cert = cover(EMPTY, 4)
+    empty = SymbolicCompactum(0, ())
+    cert = cover(empty, 4)
     assert cert.balls == ()
-    assert cover_is_valid(EMPTY, cert)
+    assert cover_is_valid(empty, cert)
 
 
 def test_covers_verify_across_instances_and_precisions():

@@ -50,7 +50,7 @@ from compacta.compactum import (
     select,
     succ,
 )
-from compacta.dyadic import ONE, ZERO, Dyadic, midpoint
+from compacta.dyadic import ZERO, Dyadic, midpoint
 from test_acceptance import SUITE_SEED, suite_instances
 
 # The modules themselves: the package exports functions of the same names.
@@ -58,6 +58,7 @@ compact_module = importlib.import_module("compacta.compact")
 compactum_module = importlib.import_module("compacta.compactum")
 
 F = Fraction
+ONE = Dyadic(1)
 PRECISIONS = range(11)
 GLUE_EVERY = 3
 # Rational positions inside a component's hull, as shares of its span:

@@ -31,9 +31,11 @@ from compacta.compactum import (
     satisfies_inf,
     select,
 )
-from compacta.dyadic import Dyadic, HALF, ONE, ZERO
+from compacta.dyadic import Dyadic, ZERO
 
 D = Dyadic
+ONE = D(1)
+HALF = D(1, 1)
 
 I_A = Interval(D(9, 5), D(11, 5))  # [9/32, 11/32]
 I_B = Interval(D(13, 4), D(15, 4))  # [13/16, 15/16]

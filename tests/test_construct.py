@@ -38,7 +38,7 @@ from compacta.construct import (
     print_state,
     replacement_bridges,
 )
-from compacta.dyadic import Dyadic, ONE, ZERO, midpoint
+from compacta.dyadic import Dyadic, ZERO, midpoint
 from compacta.trees import (
     ETA,
     TERMINAL,
@@ -54,6 +54,7 @@ from test_dyadic import ends
 from test_stage_grid import stratified_scripts
 
 D = Dyadic
+ONE = D(1)
 
 
 def split_tree(r: int, left: str = TERMINAL, right: str = TERMINAL) -> LabelledTree:

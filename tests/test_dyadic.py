@@ -17,17 +17,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from compacta.dyadic import (
-    HALF,
-    ONE,
     ZERO,
     Dyadic,
     address_ends,
-    dyadic_ceil,
     format_address,
     midpoint,
     parse_address,
     parse_dyadic,
 )
+from dyadic_stage import dyadic_ceil
+
+ONE = Dyadic(1)
+HALF = Dyadic(1, 1)
 
 
 def oracle_base(m: int) -> tuple[Fraction, Fraction]:

@@ -13,7 +13,7 @@ from compacta.randgen import (
     redress,
     unbalance,
 )
-from compacta.trees import ETA, SPLIT, TERMINAL, limit_tree
+from compacta.trees import ETA, TERMINAL, limit_tree
 
 import pytest
 

@@ -29,7 +29,7 @@ from compacta.construct import (
     hausdorff_gap,
     print_state,
 )
-from compacta.dyadic import Dyadic, dyadic_ceil
+from compacta.dyadic import Dyadic
 from compacta.randgen import random_script
 from compacta.trees import (
     ETA,
@@ -230,7 +230,7 @@ def test_capped_net_bound_matches_uncapped(lo, hi):
     bits = (span * 2**80).numerator.bit_length()
     for level in range(bits - 2, bits + 3):
         state = EnumerationState(0, (), {(): (Cantor(lo, hi), level)})
-        uncapped = dyadic_ceil(span / 3 ** (level + 1), 80)
+        uncapped = ref.dyadic_ceil(span / 3 ** (level + 1), 80)
         assert hausdorff_gap(state, limit) == uncapped
 
 

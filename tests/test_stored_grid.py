@@ -44,12 +44,14 @@ from compacta.compactum import (
     select,
 )
 from compacta.construct import _bridges, construct_limit, junk_points
-from compacta.dyadic import HALF, ONE, ZERO, Dyadic, address_ends, midpoint
+from compacta.dyadic import ZERO, Dyadic, address_ends, midpoint
 from compacta.randgen import random_tree
 from compacta.trees import ETA, SPLIT, TERMINAL
 from test_acceptance import SUITE_SEED, suite_instances
 from test_compact_grid import glued
 
+ONE = Dyadic(1)
+HALF = Dyadic(1, 1)
 MAX_SELECT_GROUPS = 6
 DEEP_TREES = 200  # shaped like the duality bench's deep trees
 
