@@ -45,10 +45,10 @@ from .compactum import (
     Interval,
     Point,
     SymbolicCompactum,
-    from_parts,
     glue_classes,
 )
-from .dyadic import address_ends, parse_natural, read_lines
+from .construct import _leaf_part, _lifted
+from .dyadic import parse_natural, read_lines, tree_ends
 from .trees import ETA, TERMINAL, LabelledTree
 
 _set = object.__setattr__
@@ -378,15 +378,18 @@ def tree_algebra(t: LabelledTree) -> LabelledBA:
 def stone_space(t: LabelledTree) -> SymbolicCompactum:
     """Leaf skeleton of a tree as a compactum: isolated paths become the
     midpoints of their intervals, eta leaves become Cantor copies."""
+    nodes = t.nodes
     parts = []
-    for addr, node in t.nodes.items():
-        if node.kind in (TERMINAL, ETA):
-            lo, e = address_ends(addr)
-            if node.kind == TERMINAL:
-                parts.append((Point, lo + 1, lo + 1, e))
-            else:
-                parts.append((Cantor, lo, lo + 2, e))
-    return from_parts(parts)
+    for addr, (lo, e) in tree_ends(nodes).items():
+        kind = nodes[addr].kind
+        if kind == TERMINAL:
+            mid = lo + 1
+            zeros = (mid & -mid).bit_length() - 1
+            mid >>= zeros
+            parts.append((Point, mid, mid, e - zeros))
+        elif kind == ETA:
+            parts.append(_leaf_part(Cantor, lo, e))
+    return _lifted(parts)
 
 
 def quotient_by_junk(b: LabelledBA) -> LabelledBA:

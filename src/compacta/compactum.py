@@ -17,7 +17,7 @@ A compactum is its grid: `exp` and `ends`, its components as ints over
 2^exp, exp the largest dyadic exponent among their endpoints (n
 components times exp bits).  `compactum` validates `Dyadic` components
 and keeps their ends; the operators and the printer read and write ends
-alone, and `from_parts` builds a limit or a stone space from ints.
+alone, and `construct_limit` and `stone_space` write theirs from ints.
 `components` is a sequence view over the ends (`Components`): its
 length and == against a view on the same exp read the ends alone, and
 the first element read, slice, iteration, repr or hash builds the
@@ -39,10 +39,9 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from numbers import Rational
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Union
 
 from .dyadic import Dyadic, check_natural, format_dyadic, parse_dyadic, read_lines
@@ -248,25 +247,17 @@ class SymbolicCompactum:
 def _carried(ends: Sequence[GridComponent], e: int) -> SymbolicCompactum:
     """A compactum from ends on 2^e already sorted and valid: no sort and
     no checks.  Trailing zero bits that all the ends share are stripped,
-    so exp stays the largest dyadic exponent."""
-    bits = reduce(or_, (lo | hi for _, lo, hi, _ in ends), 0)
+    so exp stays the largest dyadic exponent; the scan stops at the first
+    odd coordinate, which leaves none to strip."""
+    bits = 0
+    for _, lo, hi, _ in ends:
+        bits |= lo | hi
+        if bits & 1:
+            return SymbolicCompactum(e, tuple(ends))
     shift = (bits & -bits).bit_length() - 1 if bits else e
     if shift:
         ends = [(k, lo >> shift, hi >> shift, at >> shift) for k, lo, hi, at in ends]
     return SymbolicCompactum(e - shift, tuple(ends))
-
-
-def from_parts(parts: list[tuple[type, int, int, int]]) -> SymbolicCompactum:
-    """A compactum from parts (kind, lo, hi, x), each the component of that
-    kind on [lo, hi] / 2^x, none a sequence and all pairwise apart: lifted
-    onto the largest x and sorted once, with no checks."""
-    e = max((x for *_, x in parts), default=0)
-    ends = []
-    for kind, lo, hi, x in parts:
-        lo, hi = lo << (e - x), hi << (e - x)
-        ends.append((kind, lo, hi, lo))
-    ends.sort(key=_LO)
-    return _carried(ends, e)
 
 
 def compactum(components: Iterable[Component]) -> SymbolicCompactum:
@@ -330,9 +321,12 @@ def _derivative_images(s: SymbolicCompactum) -> list[GridComponent | None]:
 
 def cb_derivative(s: SymbolicCompactum) -> SymbolicCompactum:
     """Remove the isolated points; sequences collapse to their limits."""
-    if all(end[0] in _HOSTS for end in s.ends):
-        return s  # intervals and Cantor copies: a perfect set
-    return _carried([end for end in _derivative_images(s) if end], s.exp)
+    kinds = {end[0] for end in s.ends}
+    if PointSeq in kinds:
+        return _carried([end for end in _derivative_images(s) if end], s.exp)
+    if Point in kinds:
+        return _carried([end for end in s.ends if end[0] is not Point], s.exp)
+    return s  # intervals and Cantor copies: a perfect set
 
 
 def derived_selector(s: SymbolicCompactum, sel: frozenset[int]) -> frozenset[int]:

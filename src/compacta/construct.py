@@ -12,9 +12,10 @@ region between them.  For a node on [lo, lo + 2] / 2^e the seed is
 are (L*2^(2j+5) + 3 - 9*2^(j+1)) / 2^(e+2j+5) on the left and
 (L*2^(2j+5) - 6 + 36*2^j) / 2^(e+2j+5) on the right, closed forms of the
 children's ends, so no child address is walked.  `construct_limit`
-builds the limit from ints: each region's ends over its own power of 2,
-lifted onto one 2^exp and sorted once (`compactum.from_parts`), with no
-`Dyadic` and no validation.
+builds the limit from ints in one walk of the tree (`dyadic.tree_ends`),
+each region's ends over its exponent in lowest terms, known in closed
+form, then lifted onto the largest and sorted once: no scan, no `Dyadic`
+and no validation.
 
 The stage enumerator reads the replay a script keeps from validation
 (`trees.StageScript.replay`) and emits points so that the point set grows
@@ -63,14 +64,17 @@ from .compactum import (
     Point,
     PointSeq,
     SymbolicCompactum,
-    from_parts,
 )
 from .dyadic import (
-    Address, Dyadic, ZERO, address_ends, check_natural, format_address, format_dyadic
+    Address, Dyadic, ZERO, address_ends, check_natural, format_address, format_dyadic,
+    tree_ends,
 )
-from .trees import ETA, SPLIT, TERMINAL, LabelledTree, StageScript
+from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree, StageScript
 
 Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
+# A component (kind, lo, hi, x) on [lo, hi] / 2^x, not a sequence.
+Part = tuple[type, int, int, int]
+_LO, _X = operator.itemgetter(1), operator.itemgetter(3)
 _set = object.__setattr__
 
 
@@ -112,31 +116,59 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
 def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
     """Isolated points a split node contributes: count ever_terminal + 2r."""
     check_natural("r", r)
-    return [Dyadic(*p) for p in _junk(address_ends(addr), r, ever_terminal)]
+    junk = _junk(address_ends(addr), r, ever_terminal)
+    return [Dyadic(n, x) for _, n, _, x in junk]
 
 
-def _junk(node: Ends, r: int, ever_terminal: bool) -> list[tuple[int, int]]:
-    """`junk_points` as (num, exp) pairs, from the node's (lo, e)."""
-    out = [_seed(node)] if ever_terminal else []
+def _junk(node: Ends, r: int, ever_terminal: bool) -> list[Part]:
+    """`junk_points` as `Point` parts, from the node's (lo, e).  The seed's
+    num and each left bridge's are odd, so the largest x is the largest
+    exponent of the points in lowest terms."""
+    out = []
+    if ever_terminal:
+        n, x = _seed(node)
+        out.append((Point, n, n, x))
     for j in range(1, r + 1):
         left, right, x = _bridges(node, j)
-        out += (left, x), (right, x)
+        out += (Point, left, left, x), (Point, right, right, x)
     return out
 
 
 def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
     """The limit set of the tree, built from ints: a leaf's interval or a
     Cantor copy on it, a split node's junk points."""
+    nodes = tree.nodes
     parts = []
-    for addr, node in tree.nodes.items():
-        if node.kind in (TERMINAL, ETA):
-            lo, e = address_ends(addr)
+    for addr, ends in tree_ends(nodes).items():
+        node = nodes[addr]
+        if node.kind == SPLIT:
+            parts += _junk(ends, node.r, node.ever_terminal)
+        elif node.kind != SPINE:
             kind = Interval if node.kind == TERMINAL else Cantor
-            parts.append((kind, lo, lo + 2, e))
-        elif node.kind == SPLIT:
-            junk = _junk(address_ends(addr), node.r, node.ever_terminal)
-            parts += [(Point, n, n, x) for n, x in junk]
-    return from_parts(parts)
+            parts.append(_leaf_part(kind, *ends))
+    return _lifted(parts)
+
+
+def _leaf_part(kind: type, lo: int, e: int) -> Part:
+    """The component of that kind on [lo, lo + 2] / 2^e over its exponent
+    in lowest terms: e when lo is odd, else e - 1 (of two even ints 2
+    apart, one is not a multiple of 4)."""
+    if lo & 1:
+        return kind, lo, lo + 2, e
+    lo >>= 1
+    return kind, lo, lo + 1, e - 1
+
+
+def _lifted(parts: list[Part]) -> SymbolicCompactum:
+    """The compactum of parts pairwise apart whose largest x is the largest
+    exponent of an end in lowest terms: each end is lifted onto that x
+    once and sorted once, with no checks."""
+    top = max(parts, key=_X)[3]
+    ends = [
+        (kind, at := lo << (top - x), hi << (top - x), at) for kind, lo, hi, x in parts
+    ]
+    ends.sort(key=_LO)
+    return SymbolicCompactum(top, tuple(ends))
 
 
 # ---------------------------------------------------------------------------

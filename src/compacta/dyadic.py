@@ -4,15 +4,16 @@ Every coordinate produced by the tree-to-set construction is a dyadic
 rational a/2^k, so all geometry here is closed-form integer arithmetic.
 Cantor-set internals are the one exception: points below the grid are
 exact pairs over powers of 3 (`compactum.succ`), framed by interval
-endpoints that stay dyadic.  A tree node's nested interval is read one
-way, `address_ends`, as ints; a caller builds a `Dyadic` from them only
-where it needs one.
+endpoints that stay dyadic.  A tree node's nested interval is read as
+ints, one step per address index (`_child`): `address_ends` steps down
+one address, `tree_ends` takes every node of a tree from its parent's.
+A caller builds a `Dyadic` from them only where it needs one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Address = tuple[int, ...]
 
@@ -182,10 +183,35 @@ def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
     for m in addr:
         if m < 0:
             raise ValueError("interval index must be a natural number")
-        t = 3 << (m - (m >> 1))
-        lo = ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t)
-        e += m + 2
+        lo, e = _child(lo, e, m)
     return lo, e
+
+
+def _child(lo: int, e: int, m: int) -> tuple[int, int]:
+    """One step of `address_ends`: (lo, e) of child m of the node on
+    [lo, lo + 2] / 2^e."""
+    t = 3 << (m - (m >> 1))
+    return ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t), e + m + 2
+
+
+def tree_ends(addrs: Iterable[Address]) -> dict[Address, tuple[int, int]]:
+    """`address_ends` of every address of a prefix-closed set, each taken
+    from its parent's in one step.  The addresses may come in any order:
+    one met before its parent waits, and the waiting ones are stepped
+    shortest first, so that every parent is known before its children."""
+    ends = {ROOT: (0, 1)}
+    waiting = []
+    for addr in addrs:
+        if addr:
+            try:
+                lo, e = ends[addr[:-1]]
+            except KeyError:
+                waiting.append(addr)
+                continue
+            ends[addr] = _child(lo, e, addr[-1])
+    for addr in sorted(waiting, key=len):
+        ends[addr] = _child(*ends[addr[:-1]], addr[-1])
+    return ends
 
 
 def format_address(addr: Address) -> str:

@@ -4,15 +4,15 @@ Each tree node owns a nested interval; the diagram stacks them by depth,
 root at the top.  Terminal leaves get a dot at their concentration
 point, eta leaves a solid bar, splits an outline plus a dot for the
 isolated point they shed.  Every coordinate is drawn from ints: a
-position num / 2^exp (an interval's ends from `address_ends`, a junk
-point's num and exp) maps to the floor of its exact scaling, so equal
-inputs give byte-equal files.
+position num / 2^exp (an interval's ends from one walk of the tree,
+`tree_ends`, a junk point's num and exp) maps to the floor of its exact
+scaling, so equal inputs give byte-equal files.
 """
 
 from __future__ import annotations
 
 from .construct import _bridges, _seed
-from .dyadic import address_ends
+from .dyadic import tree_ends
 from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree
 
 WIDTH = 10000
@@ -42,9 +42,10 @@ def render_tree_svg(tree: LabelledTree) -> str:
         f'viewBox="0 0 {WIDTH + 2 * MARGIN} {height}">',
         f'<rect width="{WIDTH + 2 * MARGIN}" height="{height}" fill="#ffffff"/>',
     ]
+    node_ends = tree_ends(tree.nodes)
     for addr in sorted(tree.nodes):
         node = tree.node(addr)
-        lo, e = ends = address_ends(addr)
+        lo, e = ends = node_ends[addr]
         x0, x1 = _x(lo, e), _x(lo + 2, e)
         y = MARGIN + len(addr) * ROW
         fill, stroke = _STYLE[node.kind]

@@ -8,9 +8,11 @@ tuple it stands for; the one-pass `glue_classes` against the per-group
 reading it replaced, and the property it decides (no sequence glues to
 an interval) against the endpoint-set formula; the closed-form interval
 addresses behind `construct_limit` and `stone_space` against the nested
-`Dyadic` recursion they replaced; and the closed-form replacement
-bridges against the child ends they replaced.  The replaced versions
-are kept below as the oracles.
+`Dyadic` recursion they replaced; the closed-form replacement bridges
+against the child ends they replaced; the tree walk behind
+`construct_limit` and `stone_space` in any order of a tree's nodes; and
+the early stop of `_carried` against the OR of every coordinate it
+replaced.  The replaced versions are kept below as the oracles.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import random
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -32,6 +36,7 @@ from compacta.compactum import (
     Point,
     PointSeq,
     SymbolicCompactum,
+    _carried,
     all_clopen_selectors,
     canonical_form,
     cb_derivative,
@@ -46,7 +51,7 @@ from compacta.compactum import (
 from compacta.construct import _bridges, construct_limit, junk_points
 from compacta.dyadic import ZERO, Dyadic, address_ends, midpoint
 from compacta.randgen import random_tree
-from compacta.trees import ETA, SPLIT, TERMINAL
+from compacta.trees import ETA, SPLIT, TERMINAL, LabelledTree
 from test_acceptance import SUITE_SEED, suite_instances
 from test_compact_grid import glued
 
@@ -54,11 +59,12 @@ ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 MAX_SELECT_GROUPS = 6
 DEEP_TREES = 200  # shaped like the duality bench's deep trees
+WIDE_DEEP_TREES = 2000
 
 
-def deep_trees() -> list:
+def deep_trees(n: int = DEEP_TREES) -> list:
     rng = random.Random(SUITE_SEED + 40)
-    return [random_tree(rng, max_depth=8, max_nodes=200) for _ in range(DEEP_TREES)]
+    return [random_tree(rng, max_depth=8, max_nodes=200) for _ in range(n)]
 
 
 def derived(s) -> list:
@@ -149,6 +155,59 @@ def stone_twin(tree):
         elif node.kind == ETA:
             comps.append(Cantor(Dyadic(lo, e), Dyadic(lo + 2, e)))
     return compactum(comps)
+
+
+def test_limit_and_stone_space_match_twins_in_any_node_order() -> None:
+    """`construct_limit` and `stone_space` give the (exp, ends) of their
+    validated twins on every suite tree and WIDE_DEEP_TREES deep trees,
+    with the nodes in their own order, reversed and shuffled: the walk
+    meets children before their parents and must not depend on it."""
+    rng = random.Random(SUITE_SEED + 41)
+    trees = [tree for tree, _ in suite_instances()] + deep_trees(WIDE_DEEP_TREES)
+    child_first = 0
+    for tree in trees:
+        want = [(s.exp, s.ends) for s in (limit_twin(tree), stone_twin(tree))]
+        items = list(tree.nodes.items())
+        reordered = [LabelledTree(dict(items[::-1]))]
+        reordered.append(LabelledTree(dict(rng.sample(items, len(items)))))
+        for again in [tree, *reordered]:
+            got = [construct_limit(again), stone_space(again)]
+            assert [(s.exp, s.ends) for s in got] == want, again
+        for again in reordered:
+            seen = set()
+            for addr in again.nodes:
+                child_first += bool(addr) and addr[:-1] not in seen
+                seen.add(addr)
+    assert child_first > 10 * len(trees)
+
+
+def or_scanned(ends, e) -> tuple:
+    """The (exp, ends) `_carried` gives, by the OR of every coordinate it
+    replaced."""
+    bits = reduce(or_, (lo | hi for _, lo, hi, _ in ends), 0)
+    shift = (bits & -bits).bit_length() - 1 if bits else e
+    ends = tuple((k, lo >> shift, hi >> shift, at >> shift) for k, lo, hi, at in ends)
+    return e - shift, ends
+
+
+@pytest.mark.parametrize(
+    "ends, e, shift",
+    [
+        ([(Point, 4, 4, 4), (Interval, 8, 12, 8), (PointSeq, 16, 24, 24)], 6, 2),
+        ([(Cantor, 8, 16, 8), (Point, 24, 24, 24)], 5, 3),
+        ([(Point, 4, 4, 4), (Interval, 8, 12, 8), (Point, 13, 13, 13)], 4, 0),
+        ([(Interval, 8, 12, 8), (PointSeq, 14, 17, 14)], 5, 0),
+        ([(Point, 3, 3, 3), (Interval, 8, 12, 8)], 4, 0),
+        ([(Point, 0, 0, 0)], 3, 3),
+        ([], 3, 3),
+    ],
+)
+def test_carried_matches_or_scan(ends, e, shift) -> None:
+    """All even (shift > 0), the only odd coordinate last or first, all
+    zero, and empty."""
+    s = _carried(ends, e)
+    assert (s.exp, s.ends) == or_scanned(ends, e)
+    assert s.exp == e - shift
 
 
 def derived_twin(s):
