@@ -17,8 +17,7 @@ each region's ends over its exponent in lowest terms, known in closed
 form, then lifted onto the largest and sorted once: no scan, no `Dyadic`
 and no validation.
 
-The stage enumerator reads the replay a script keeps from validation
-(`trees.StageScript.replay`) and emits points so that the point set grows
+The stage enumerator emits points so that the point set grows
 monotonically and its closure converges to the limit set.  A child
 installed by an event that a later event will tombstone emits nothing:
 the script is finite and known in full, so the enumerator may consult
@@ -27,26 +26,28 @@ which makes the Hausdorff bound monotone for free.  Terminal leaves
 densify their interval by one midpoint round per stage since their
 birth; eta leaves refine their Cantor net one ternary level per stage,
 held symbolically as the leaf's `Cantor` component and a level, because
-level endpoints are triadic, not dyadic.  A stage's point count is known
-in closed form from the replay, and a stage of more than `MAX_POINTS`
-points is refused before any point is built.
+level endpoints are triadic, not dyadic.
 
-Points are built as ints (seeds and bridges each over its own power of
-2, a terminal leaf's bucket in closed form, see `_leaf_bucket`) and sorted
-once as ints over one 2^exp, which a stage carries
-(`EnumerationState.nums`).  Its `points` is a read-only view over those
-ints (`StagePoints`) that builds a `Dyadic` only for an element read,
-and `print_state` formats the ints directly.  A stage also records where
-its points came from (`EnumerationState.sources`): each junk point, and
-each terminal leaf's bucket as its hull.
+Every source a script can emit (a split's seed, both bridges of a
+surviving target's replacement, a leaf's ends) is listed as ints, sorted
+by birth, on the first stage asked of a script, in one walk of the
+replay it keeps from validation (`trees.StageScript.replay`); stage s is
+the prefix born by s, found by one bisection.  Its point count follows
+in closed form (the first stage asked counts it from the replay, before
+the walk), and a stage of more than `MAX_POINTS` points is refused
+before any is built.  The points (a terminal leaf's bucket in closed
+form, see `_leaf_bucket`) are sorted once as ints over one 2^exp
+(`EnumerationState.nums`), with where they came from (`sources`): each
+junk point, and each bucket's hull.  `points` is a read-only view over
+the ints (`StagePoints`), and `print_state` formats the ints directly.
 
-The Hausdorff gap bound shifts the ints onto one integer grid per query
-(`compactum.Grid`).  Membership is checked once per source: a junk point
-must be in the limit, a bucket's hull inside one interval component;
-only when a source fails is every point tested, so the error names the
-smallest stray point.  Eta nets are looked up by their ends on the grid,
-the nearest-point distances and the half gaps are int comparisons, and
-a `Dyadic` is built only for the returned bound.
+The Hausdorff gap bound runs on the limit's own grid (`compactum.Grid`),
+finer only where the points or a sequence's members need it.  A source
+is checked once (a junk point must be in the limit, a bucket's hull
+inside one interval component), and only when one fails is every point
+tested, so the error names the smallest stray point.  Distances are
+ints, the limit's points meet the stage's in one merged walk, and an
+eta net's bound, rounded to 2^-80 on its own, meets the rest at the end.
 """
 
 from __future__ import annotations
@@ -55,26 +56,28 @@ import bisect
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 from .compactum import (
     Cantor,
     Grid,
+    GridComponent,
     Interval,
     Point,
     PointSeq,
     SymbolicCompactum,
+    succ,
 )
 from .dyadic import (
     Address, Dyadic, ZERO, address_ends, check_natural, format_address, format_dyadic,
     tree_ends,
 )
-from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree, StageScript
+from .trees import SPINE, SPLIT, TERMINAL, LabelledTree, ScriptState, StageScript
 
 Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
 # A component (kind, lo, hi, x) on [lo, hi] / 2^x, not a sequence.
 Part = tuple[type, int, int, int]
-_LO, _X = operator.itemgetter(1), operator.itemgetter(3)
+_KIND, _LO, _X = operator.itemgetter(0), operator.itemgetter(1), operator.itemgetter(3)
 _set = object.__setattr__
 
 
@@ -249,13 +252,15 @@ def _stage_state(**attrs: object) -> EnumerationState:
 
 MAX_POINTS = 2**20
 _COUNTED_ROUNDS = 64  # a leaf past it is far over budget; count it as this
+_BIRTH, _REST = operator.itemgetter(0), operator.itemgetter(slice(1, None))
 
 
 def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
-    """Stage s from one replay: a surviving node born at t <= s emits per
-    its limit kind (a terminal leaf s - t midpoint rounds, an eta leaf a
-    level s - t net, a split its seed point), and a surviving target the
-    bridges of its replacements by stage s."""
+    """Stage s from the schedule the replay keeps from the script's first
+    stage: a surviving node born at t <= s emits per its limit kind (a
+    terminal leaf s - t midpoint rounds, an eta leaf a level s - t net, a
+    split its seed point), and a surviving target the bridges of its
+    replacements by stage s."""
     if s < 0:
         raise ValueError("stage must be >= 0")
     if script.stop is not None and s > script.stop:
@@ -263,34 +268,24 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
             f"stage {s} exceeds the script's hard stop {script.stop}"
         )
     final = script.replay
-    splits: list[Address] = []
-    rounds: dict[Address, int] = {}  # terminal leaf -> midpoint rounds
+    schedule = final.__dict__.get("schedule")
+    if schedule is None:
+        _refuse_over_budget(s, *_census(final, s))  # before the walk builds ints
+        schedule = final.schedule = _schedule(final)
+    births, slots = schedule
+    junk: list[tuple[int, int]] = []
+    leaves: list[tuple[int, int, int]] = []  # (lo, e, midpoint rounds)
     nets: dict[Address, tuple[Cantor, int]] = {}
-    for addr, kind in final.alive.items():
-        age = s - final.born[addr]
-        if age < 0:
-            continue
-        if kind == TERMINAL:
-            rounds[addr] = age
-        elif kind == ETA:
-            lo, e = address_ends(addr)
-            nets[addr] = (Cantor(Dyadic(lo, e), Dyadic(lo + 2, e)), age)
-        elif kind == SPLIT:
-            splits.append(addr)
-    # Bridges of a pair that is itself torn down later never reach the
-    # limit set, so only surviving targets emit them.
-    bridged = [(a, j) for t, a, j in final.replacements if t <= s and a in final.alive]
-    need = len(splits) + 2 * len(bridged) + sum(
-        (2 << min(r, _COUNTED_ROUNDS)) - 1 for r in rounds.values()
-    )
-    if need > MAX_POINTS:
-        over = "over " if max(rounds.values(), default=0) > _COUNTED_ROUNDS else ""
-        raise ValueError(f"stage {s} needs {over}{need} points, more than {MAX_POINTS}")
-    junk = [_seed(address_ends(addr)) for addr in splits]
-    for addr, j in bridged:
-        left, right, x = _bridges(address_ends(addr), j)
-        junk += (left, x), (right, x)
-    buckets = [_leaf_bucket(*address_ends(addr), r) for addr, r in rounds.items()]
+    born = iter(slots[: 4 * bisect.bisect_right(births, s)])  # 4 per source
+    for t, kind, a, b, addr in zip(births, born, born, born, born):
+        if kind == SPLIT:
+            junk.append((a, b))
+        elif kind == TERMINAL:
+            leaves.append((a, b, s - t))
+        else:
+            nets[addr] = (Cantor(Dyadic(a, b), Dyadic(a + 2, b)), s - t)
+    _refuse_over_budget(s, len(junk), [r for *_, r in leaves])
+    buckets = [_leaf_bucket(*leaf) for leaf in leaves]
     e = max([x for _, x in junk] + [x for x, _ in buckets], default=0)
     nums = [v << (e - x) for v, x in junk]
     sources = list(zip(nums, nums))
@@ -305,6 +300,55 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
         stage=s, points=StagePoints(ints, e), nets=nets, exp=e, nums=ints,
         sources=tuple(sources),
     )
+
+
+def _refuse_over_budget(s: int, junk: int, rounds: list[int]) -> None:
+    """Raise unless stage s, with that many junk points and terminal
+    leaves after those midpoint rounds, fits in `MAX_POINTS` points."""
+    need = junk + sum((2 << min(r, _COUNTED_ROUNDS)) - 1 for r in rounds)
+    if need > MAX_POINTS:
+        over = "over " if max(rounds, default=0) > _COUNTED_ROUNDS else ""
+        raise ValueError(f"stage {s} needs {over}{need} points, more than {MAX_POINTS}")
+
+
+def _census(final: ScriptState, s: int) -> tuple[int, list[int]]:
+    """The junk points and the terminal leaves' rounds of stage s, counted
+    from the replay: what the schedule tells once it is built."""
+    junk = sum(2 for t, addr, _ in final.replacements if t <= s and addr in final.alive)
+    rounds = []
+    for addr, kind in final.alive.items():
+        age = s - final.born[addr]
+        if age >= 0 and kind == SPLIT:
+            junk += 1
+        elif age >= 0 and kind == TERMINAL:
+            rounds.append(age)
+    return junk, rounds
+
+
+def _schedule(final: ScriptState) -> tuple[tuple[int, ...], tuple]:
+    """(births, slots): every source a stage can emit, as ints sorted by
+    the stage t it is born at, so that stage s emits a prefix.  A source
+    born at t is four slots (kind, a, b, addr): of kind split, one of
+    addr's junk points, a / 2^b; of a leaf kind, that leaf on
+    [a, a + 2] / 2^b.  One walk of the alive nodes builds it, kept flat
+    to stay small."""
+    ends = tree_ends(final.alive)
+    schedule = []
+    for addr, kind in final.alive.items():
+        t, node = final.born[addr], ends[addr]
+        if kind == SPLIT:
+            schedule.append((t, kind, *_seed(node), addr))
+        elif kind != SPINE:
+            schedule.append((t, kind, *node, addr))
+    # Bridges of a pair that is itself torn down later never reach the
+    # limit set, so only surviving targets emit them.
+    for t, addr, j in final.replacements:
+        if addr in final.alive:
+            left, right, x = _bridges(ends[addr], j)
+            schedule += (t, SPLIT, left, x, addr), (t, SPLIT, right, x, addr)
+    schedule.sort(key=_BIRTH)
+    slots = chain.from_iterable(map(_REST, schedule))
+    return tuple(map(_BIRTH, schedule)), tuple(slots)
 
 
 def _leaf_bucket(lo: int, e: int, r: int) -> tuple[int, list[int]]:
@@ -339,44 +383,51 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
     the emitted set, maximized per component, and it never increases as
     the stage grows.
 
-    The query runs on one integer grid, the multiples of 1/(2D) with
-    D = 2^E: E covers every exponent of the points and the limit, plus
-    _SEQ_CUTOFF + 1 when the limit holds a sequence (so its members up to
-    the cutoff are on the grid) and at least _CEIL_BITS - 1 when it holds
-    a Cantor copy (so the net bound's rounding is too).  Points and
-    endpoints are even there, so half gaps are ints.  A Dyadic is built
+    The query runs on the limit's own grid, the multiples of 2^-E with E
+    the larger exponent of the points and the limit, plus _SEQ_CUTOFF + 1
+    when the limit holds a sequence (so its members up to the cutoff are
+    on the grid); when E is the limit's, its ends are read as they are.
+    Distances count half units of 2^-(E+1), so half gaps are ints.  An
+    eta net's bound alone counts units of 2^-_CEIL_BITS, its rounding,
+    and meets the others by one shift at the end.  A Dyadic is built
     only for the returned bound.
     """
-    kinds = {end[0] for end in limit.ends}
     e = max(limit.exp, state.exp)
-    if PointSeq in kinds:
+    if PointSeq in map(_KIND, limit.ends):
         e += _SEQ_CUTOFF + 1
-    if Cantor in kinds:
-        e = max(e, _CEIL_BITS - 1)
-    grid = Grid(limit, 2 << e)
-    shift = e + 1 - state.exp
-    pts = [x << shift for x in state.nums]
-    if not all(_holds(grid, lo << shift, hi << shift) for lo, hi in state.sources):
+    grid = Grid(limit, 1 << e)
+    shift = e - state.exp
+    pts = [x << shift for x in state.nums] if shift else state.nums
+    comps = grid.comps
+    if not all(_holds(comps, lo << shift, hi << shift) for lo, hi in state.sources):
         for x in pts:
             if not grid.contains(x):
                 raise ValueError(
-                    f"state point {Dyadic(x, e + 1)} lies outside the limit set: "
+                    f"state point {Dyadic(x, e)} lies outside the limit set: "
                     f"state and limit do not match"
                 )
-    if not grid.comps:
+    if not comps:
         return ZERO
     # A net matches a component when its ends are that component's; an
     # end finer than the grid matches none.
     net_levels = {
-        (iv.lo.num << (e + 1 - iv.lo.exp), iv.hi.num << (e + 1 - iv.hi.exp)): level
+        (iv.lo.num << (e - iv.lo.exp), iv.hi.num << (e - iv.hi.exp)): level
         for iv, level in state.nets.values()
-        if max(iv.lo.exp, iv.hi.exp) <= e + 1
+        if max(iv.lo.exp, iv.hi.exp) <= e
     }
-    one = grid.d
-    bound = 0
-    for kind, lo, hi, limit_at in grid.comps:
+    one = 2 << e  # 1 in half units: the bound where there are no points
+    bound = net_bound = i = 0
+    n = len(pts)
+    for kind, lo, hi, limit_at in comps:
         if kind is Point:
-            d = _dist_to_points(lo, pts, one)
+            # points and components both ascend: one merged walk
+            i = bisect.bisect_left(pts, lo, i)
+            if i < n and pts[i] == lo:
+                continue  # an emitted point
+            d = min(
+                2 * (pts[i] - lo) if i < n else one,
+                2 * (lo - pts[i - 1]) if i else one,
+            )
         elif kind is Interval:
             d = _interval_bound(lo, hi, pts, one)
         elif kind is Cantor:
@@ -384,71 +435,77 @@ def hausdorff_gap(state: EnumerationState, limit: SymbolicCompactum) -> Dyadic:
             if level is None:
                 d = _span_bound(lo, hi, pts, one)
             else:
-                # span / 3^(level+1) rounded up to a multiple of 2^-_CEIL_BITS;
+                # span / 3^(level+1) in units of 2^-_CEIL_BITS, rounded up;
                 # that is one unit once 3^k > 2^k > span, so k stops there
-                span, shift = hi - lo, e + 1 - _CEIL_BITS
+                span = (hi - lo) << max(_CEIL_BITS - e, 0)
                 k = min(level + 1, span.bit_length())
-                d = -(-span // (3 ** k << shift)) << shift
+                d = -(-span // (3**k << max(e - _CEIL_BITS, 0)))
+                net_bound = max(net_bound, d)
+                continue
         else:
             d = _seq_bound(lo, hi, limit_at, pts, one)
         if d > bound:
             bound = d
-    return Dyadic(bound, e + 1)
+    top = max(e + 1, _CEIL_BITS)
+    return Dyadic(max(bound << (top - e - 1), net_bound << (top - _CEIL_BITS)), top)
 
 
 _HI = operator.itemgetter(2)
 
 
-def _holds(grid: Grid, lo: int, hi: int) -> bool:
+def _holds(comps: Sequence[GridComponent], lo: int, hi: int) -> bool:
     """Whether the limit holds the point lo == hi, or else the whole of
-    [lo, hi] inside one `Interval` component."""
-    if lo == hi:
-        return grid.contains(lo)
-    i = bisect.bisect_left(grid.comps, lo, key=_HI)
-    if i == len(grid.comps):
+    [lo, hi] inside one `Interval` component: the first component that
+    reaches lo is the one that can."""
+    i = bisect.bisect_left(comps, lo, key=_HI)
+    if i == len(comps):
         return False
-    kind, start, end, _ = grid.comps[i]
-    return kind is Interval and start <= lo and hi <= end
+    comp = comps[i]
+    if lo < hi:
+        return comp[0] is Interval and comp[1] <= lo and hi <= comp[2]
+    p = succ(comp, lo)
+    return p is not None and p[0] == lo * p[1]
 
 
-def _dist_to_points(x: int, pts: list[int], one: int) -> int:
-    """Distance from x to the nearest point; `one` when there is none."""
-    i = bisect.bisect_left(pts, x)
+def _near(c: int, pts: Sequence[int], one: int) -> int:
+    """The distance from c / 2 to the nearest point in half units, the
+    least |2p - c|; `one` when there is none."""
+    i = bisect.bisect_left(pts, (c + 1) >> 1)
     if i == len(pts):
-        return x - pts[-1] if pts else one
-    if i == 0 or pts[i] == x:
-        return pts[i] - x
-    return min(pts[i] - x, x - pts[i - 1])
+        return c - 2 * pts[-1] if pts else one
+    d = 2 * pts[i] - c
+    return min(d, c - 2 * pts[i - 1]) if i and d else d
 
 
-def _interval_bound(lo: int, hi: int, pts: list[int], one: int) -> int:
+def _interval_bound(lo: int, hi: int, pts: Sequence[int], one: int) -> int:
     i = bisect.bisect_left(pts, lo)
     j = bisect.bisect_right(pts, hi, i)
     if i == j:
         return _span_bound(lo, hi, pts, one)
     inner = max(map(operator.sub, pts[i + 1 : j], pts[i : j - 1]), default=0)
-    return max(pts[i] - lo, hi - pts[j - 1], inner >> 1)
+    return max(2 * (pts[i] - lo), 2 * (hi - pts[j - 1]), inner)
 
 
-def _span_bound(lo: int, hi: int, pts: list[int], one: int) -> int:
+def _span_bound(lo: int, hi: int, pts: Sequence[int], one: int) -> int:
     """min over points p of the worst distance from p to any spot of
     [lo, hi]: max(|p - lo|, |p - hi|) = |p - mid| + (hi - lo) / 2, so the
     point nearest the midpoint attains it."""
     if not pts:
         return one
-    return _dist_to_points((lo + hi) >> 1, pts, one) + ((hi - lo) >> 1)
+    return _near(lo + hi, pts, one) + hi - lo
 
 
-def _seq_bound(lo: int, hi: int, limit: int, pts: list[int], one: int) -> int:
-    """Worst distance from any sequence member (or the limit) to the points.
+def _seq_bound(lo: int, hi: int, limit: int, pts: Sequence[int], one: int) -> int:
+    """Worst distance from any sequence member (or the limit) to the points,
+    in half units.
 
     Members with index beyond the cutoff sit within span * 2^-cutoff of the
     limit, so the limit's own distance plus that margin bounds the tail.
     """
     step = lo + hi - 2 * limit  # far - limit
-    worst = _dist_to_points(limit, pts, one) + ((hi - lo) >> _SEQ_CUTOFF)
+    worst = _near(2 * limit, pts, one) + (2 * (hi - lo) >> _SEQ_CUTOFF)
     for i in range(_SEQ_CUTOFF + 1):
-        d = _dist_to_points(limit + (step >> i), pts, one)
+        d = _near(2 * (limit + (step >> i)), pts, one)
         if d > worst:
             worst = d
     return worst

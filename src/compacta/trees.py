@@ -180,7 +180,7 @@ class StageScript:
     is an event target and not declared static.  Splits never pre-exist,
     they only arise from events.  Validation replays the events once and
     keeps the record as `replay`, which is not a field, so ==, hash and
-    repr read the fields alone; readers never mutate it.
+    repr read the fields alone.
     """
 
     skeleton: Mapping[Address, Node]
@@ -218,12 +218,18 @@ class ScriptState:
     split or its label).  Event t happens at stage t >= 1; `born` is 0 for
     static nodes and for event targets that are the root or a static
     spine's slot, else the event that created the node.  `replacements`
-    holds (t, target, j) for a target's j-th replacement."""
+    holds (t, target, j) for a target's j-th replacement.  Readers never
+    change the fields.  The stage enumerator keeps its `schedule` here,
+    set on first use; not being a field, it is left out of ==, repr and
+    pickling."""
 
     alive: dict[Address, str]
     born: dict[Address, int]
     pairs: dict[Address, int]  # replacements so far at each split target
     replacements: list[tuple[int, Address, int]]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "schedule"}
 
 
 def apply_event(state: ScriptState, event: Event, t: int, dead: set[Address]) -> None:

@@ -10,6 +10,10 @@ paired with a limit it does not lie in must raise the same error.  An
 enumerator state is checked per source (a junk point, or a terminal
 leaf's hull inside one interval); a source that fails that check falls
 back to the per-point test, which must still agree with the reference.
+The query grid is the limit's own unless the points are finer: states
+coarser than the limit, on its grid, finer, and finer than 2^-80, with
+nets that match a component or are too fine to match any, must agree
+with the reference as well.
 """
 
 from __future__ import annotations
@@ -245,3 +249,56 @@ def test_far_eta_stage_keeps_its_gap():
         "net - level=16000000",
         "gap 1/2^80",
     ]
+
+
+# The query grid is the limit's own, 2^-E with E = max(limit.exp,
+# state.exp), plus a sequence's cutoff bits: a state coarser than the
+# limit, on its grid, finer than it, and finer than 2^-80, with nets
+# that match a component and nets too fine to match any.
+GRID_LIMIT = [Cantor(D(0), D(1, 1)), Interval(D(3, 2), D(1, 0))]  # exp 2
+FINE = D(3 * 2**88 + 1, 90)  # just right of 3/4, finer than 2^-80
+
+
+@pytest.mark.parametrize(
+    "comps, points, exp",
+    [
+        (GRID_LIMIT, (D(1, 1), D(1, 0)), 1),  # coarser than the limit
+        (GRID_LIMIT, (D(3, 2), D(1, 1), D(1, 0)), 2),  # on its grid
+        (GRID_LIMIT, (D(1, 3), D(7, 3)), 3),  # finer
+        (GRID_LIMIT, (D(1, 1), FINE), 90),  # finer than 2^-80
+        ([Point(D(9, 4)), *GRID_LIMIT], (D(9, 4), D(13, 4)), 4),  # on it, with a point
+        (  # a sequence glued to a Cantor copy's left end
+            [
+                PointSeq(D(1, 2), D(0), D(1, 2)),
+                Cantor(D(1, 2), D(1, 1)),
+                GRID_LIMIT[1],
+            ],
+            (D(0), D(1, 3), D(1, 2), D(1, 1), D(7, 3), FINE),
+            90,
+        ),
+    ],
+)
+def test_query_grid_relations_match_reference(comps, points, exp):
+    limit = compactum(comps)
+    cantors = [c for c in comps if isinstance(c, Cantor)]
+    too_fine = Cantor(D(1, 90), D(3, 90))  # ends finer than any component
+    for level in (0, 1, 5, 40, 79, 200):
+        for nets in (
+            {},
+            {(k,): (c, level) for k, c in enumerate(cantors)},
+            {(9,): (too_fine, level)},
+        ):
+            for n in range(len(points) + 1):
+                assert_same(EnumerationState(0, points[:n], nets), limit)
+    assert EnumerationState(0, points).exp == exp
+    # strays in the gap right of 1/2, finer than every point, listed
+    # largest first; the smallest is named word for word
+    strays = (D(5 * 2**84 + 3, 87), D(5 * 2**85 + 1, 88))
+    state = EnumerationState(0, points + strays)
+    assert_same(state, limit)
+    with pytest.raises(ValueError) as exc:
+        hausdorff_gap(state, limit)
+    assert str(exc.value) == (
+        f"state point {min(strays)} lies outside the limit set: "
+        f"state and limit do not match"
+    )
