@@ -29,16 +29,22 @@ atom-level isomorphism once the balance and junk-total gates pass.
 That isomorphism pairs finite atoms in runs ((c0, species, i0), (c1,
 species, i1), n): atom i0 + k of cluster c0 goes to atom i1 + k of
 cluster c1 for k < n, and a run ends where a cluster ends on either side.
-Its check merges each species' runs into index ranges: a finite species
-passes when they come to [0, card), an omega one when they cover exactly
-its block's skips.
+An omega block holds its skips the same way, as sorted, merged index
+ranges, and the skip sets are built only when read.  The builder reads
+each algebra once, and takes the quotient gate's forms in closed form
+(`quotient_form`) without building the quotients.  The check is one
+in-order sweep over the runs per side, merging each species' runs into
+index ranges: a finite species passes when they come to [0, card), an
+omega one when they come to exactly its block's skip ranges.  So both
+are O(runs), whatever the atom counts; only `print_iso` writes one line
+per atom, and `check_iso_budget` refuses a pair past `MAX_ISO_LINES`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import Iterable, Literal
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Literal, NamedTuple
 
 from .compactum import (
     Cantor,
@@ -456,6 +462,73 @@ def canonical_form(b: LabelledBA) -> BAForm:
 # ---------------------------------------------------------------------------
 
 
+def quotient_form(b: LabelledBA) -> BAForm:
+    """canonical_form(quotient_by_junk(b)), in closed form: the quotient
+    has an omega species per omega in-species and, when there is none, the
+    finite in-atoms plus one residue atom per omega junk species."""
+    omega_junk, fin_junk, atomless = _read(b).quotient
+    return BAForm(0, omega_junk, 0, fin_junk, atomless)
+
+
+class _Reading(NamedTuple):
+    """What the isomorphism code reads off an algebra, in one pass."""
+
+    cards: dict[tuple[int, str], int | None]  # {(cluster, species): count}
+    full: dict[tuple[int, str], list[int]]  # {finite species: [0, count]}, count > 0
+    omega_keys: set[tuple[int, str]]  # the omega species
+    # per species, its finite counts laid end to end: ({offset: cluster}, total)
+    layouts: tuple[tuple[dict[int, int], int], ...]
+    omega: list[int]  # the omega clusters
+    balanced: bool
+    junk: int | None  # the junk total
+    atomless: tuple[int, ...]  # the clusters with an atomless part
+    quotient: tuple[int, int, bool]  # omega_junk, fin_junk, atomless of b/junk
+
+
+def _read(b: LabelledBA) -> _Reading:
+    cards: dict[tuple[int, str], int | None] = {}
+    full: dict[tuple[int, str], list[int]] = {}
+    omega_keys: set[tuple[int, str]] = set()
+    at_in: dict[int, int] = {}
+    at_junk: dict[int, int] = {}
+    t_in = t_junk = q_omega = q_fin = 0
+    omega: list[int] = []
+    atomless: list[int] = []
+    for c, cl in enumerate(b.clusters):
+        n_in = cards[c, IN] = cl.n_in
+        n_junk = cards[c, JUNK] = cl.n_junk
+        if n_in is None:
+            omega_keys.add((c, IN))
+            q_omega += 1
+        else:
+            q_fin += n_in + (n_junk is None)  # and omega junk's residue
+            if n_in:
+                full[c, IN] = [0, n_in]
+                at_in[t_in] = c
+                t_in += n_in
+        if n_junk is None:
+            omega_keys.add((c, JUNK))
+        elif n_junk:
+            full[c, JUNK] = [0, n_junk]
+            at_junk[t_junk] = c
+            t_junk += n_junk
+        if n_in is None or n_junk is None:
+            omega.append(c)
+        if cl.has_atomless:
+            atomless.append(c)
+    return _Reading(
+        cards,
+        full,
+        omega_keys,
+        ((at_in, t_in), (at_junk, t_junk)),
+        omega,
+        len(omega_keys) == 2 * len(omega),
+        t_junk if len(omega_keys) == q_omega else None,
+        tuple(atomless),
+        (q_omega, 0 if q_omega else q_fin, bool(atomless)),
+    )
+
+
 @dataclass(frozen=True)
 class QuotientIso:
     """Pairing of the omega clusters of two algebras (the finite parts of
@@ -464,25 +537,54 @@ class QuotientIso:
     omega_pairs: tuple[tuple[int, int], ...]
 
     def validate(self, b0: LabelledBA, b1: LabelledBA) -> None:
-        if canonical_form(quotient_by_junk(b0)) != canonical_form(
-            quotient_by_junk(b1)
-        ):
+        self._validate(_read(b0), _read(b1))
+
+    def _validate(self, r0: _Reading, r1: _Reading) -> None:
+        if r0.quotient != r1.quotient:
             raise ValueError("quotients are not isomorphic")
-        w0, w1 = b0.omega_clusters(), b1.omega_clusters()
-        if sorted(i for i, _ in self.omega_pairs) != w0 or sorted(
+        if sorted(i for i, _ in self.omega_pairs) != r0.omega or sorted(
             j for _, j in self.omega_pairs
-        ) != w1:
+        ) != r1.omega:
             raise ValueError("pairing does not cover the omega clusters")
+
+
+def _merged(ids: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """A set of indices as sorted, merged [lo, hi) ranges."""
+    ranges: list[tuple[int, int]] = []
+    for i in sorted(set(ids)):
+        if ranges and ranges[-1][1] == i:
+            ranges[-1] = (ranges[-1][0], i + 1)
+        else:
+            ranges.append((i, i + 1))
+    return tuple(ranges)
 
 
 @dataclass(frozen=True)
 class BlockPair:
-    """An omega species mapped onto another in index order, minus skips."""
+    """An omega species mapped onto another in index order, minus skips.
+
+    The skips are held as `skip_ranges`: per side, sorted, merged [lo, hi)
+    index ranges.  One from `build_isomorphism` builds the `skip_src` and
+    `skip_dst` sets from them when first read, so ==, hash and repr match
+    the block pair built from those sets; one built from explicit sets
+    merges them into ranges."""
 
     src: tuple[int, str]
     dst: tuple[int, str]
-    skip_src: frozenset[int] = frozenset()
-    skip_dst: frozenset[int] = frozenset()
+    skip_src: frozenset[int] = field(default_factory=frozenset)
+    skip_dst: frozenset[int] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        _set(self, "skip_ranges", (_merged(self.skip_src), _merged(self.skip_dst)))
+
+    def __getattr__(self, name: str) -> frozenset[int]:
+        # reached only for an unset attribute: a skip set not yet built
+        if name not in ("skip_src", "skip_dst"):
+            raise AttributeError(name)
+        ranges = self.skip_ranges[name == "skip_dst"]
+        skip = frozenset(i for lo, hi in ranges for i in range(lo, hi))
+        _set(self, name, skip)
+        return skip
 
 
 @dataclass(frozen=True)
@@ -521,6 +623,14 @@ class AtomIso:
         return pairs
 
 
+def _built(cls: type, **attrs: object):
+    """An instance of a frozen dataclass with its attributes set as given,
+    bypassing its constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
 def build_isomorphism(
     b0: LabelledBA, b1: LabelledBA, f: QuotientIso | None = None
 ) -> AtomIso:
@@ -536,91 +646,111 @@ def build_isomorphism(
     into the first omega block of the same species, and omega blocks
     follow the quotient pairing.
     """
-    if not is_balanced(b0) or not is_balanced(b1):
-        raise ValueError("balance condition fails: a cluster mixes finite "
-                         "and omega species")
-    if f is None:
-        f = QuotientIso(tuple(zip(b0.omega_clusters(), b1.omega_clusters())))
-    f.validate(b0, b1)
-    if b0.total_junk() != b1.total_junk():
-        raise ValueError("finite atom totals differ")
-
+    r0, r1 = _read(b0), _read(b1)
+    f = _gate(r0, r1, f)
     runs: list[tuple] = []
     block_pairs: list[BlockPair] = []
-    for species in (IN, JUNK):
-        (at0, t0), (at1, t1) = _layout(b0, species), _layout(b1, species)
+    for species, (at0, t0), (at1, t1) in zip((IN, JUNK), r0.layouts, r1.layouts):
         end = min(t0, t1)
         if f.omega_pairs:
             # the first pair's hosts absorb the other side's surplus
-            (h0, h1), *rest = f.omega_pairs
-            skips = frozenset(range(t1 - end)), frozenset(range(t0 - end))
-            block_pairs.append(BlockPair((h0, species), (h1, species), *skips))
-            block_pairs += [BlockPair((c0, species), (c1, species)) for c0, c1 in rest]
-            at0[t0], at1[t1], end = h0, h1, max(t0, t1)
-        cuts = sorted(x for x in at0.keys() | at1.keys() if x < end) + [end]
+            at0[t0], at1[t1] = f.omega_pairs[0]
+            skips = (
+                ((0, t1 - end),) if t1 > end else (),
+                ((0, t0 - end),) if t0 > end else (),
+            )
+            for c0, c1 in f.omega_pairs:
+                block_pairs.append(
+                    _built(BlockPair, src=(c0, species), dst=(c1, species),
+                           skip_ranges=skips)
+                )
+                skips = (), ()
+            end = max(t0, t1)
+        cuts = sorted(at0.keys() | at1.keys() | {end})  # every offset <= end
         for x, y in zip(cuts, cuts[1:]):
-            c0, o0 = (at0[x], x) if x in at0 else (c0, o0)
-            c1, o1 = (at1[x], x) if x in at1 else (c1, o1)
+            if x in at0:
+                c0, o0 = at0[x], x
+            if x in at1:
+                c1, o1 = at1[x], x
             runs.append(((c0, species, x - o0), (c1, species, x - o1), y - x))
-    atomless0 = tuple(i for i, c in enumerate(b0.clusters) if c.has_atomless)
-    atomless1 = tuple(i for i, c in enumerate(b1.clusters) if c.has_atomless)
-    iso = object.__new__(AtomIso)
-    _set(iso, "runs", tuple(runs))
-    _set(iso, "block_pairs", tuple(block_pairs))
-    _set(iso, "atomless_pair", (atomless0, atomless1) if atomless0 else None)
-    verify_isomorphism(b0, b1, iso)
+    atomless = (r0.atomless, r1.atomless) if r0.atomless else None
+    iso = _built(AtomIso, runs=tuple(runs), block_pairs=tuple(block_pairs),
+                 atomless_pair=atomless)
+    _verify(r0, r1, iso)
     return iso
 
 
-def _layout(b: LabelledBA, species: str) -> tuple[dict[int, int], int]:
-    """The species' finite counts laid end to end: {offset: cluster}, total."""
-    at, total = {}, 0
-    for c, cl in enumerate(b.clusters):
-        if n := (cl.n_in if species == IN else cl.n_junk):
-            at[total] = c
-            total += n
-    return at, total
+def _gate(r0: _Reading, r1: _Reading, f: QuotientIso | None) -> QuotientIso:
+    """The builder's gates on the algebras read as r0 and r1: refuse the
+    pair, or return the quotient isomorphism to follow."""
+    if not (r0.balanced and r1.balanced):
+        raise ValueError("balance condition fails: a cluster mixes finite "
+                         "and omega species")
+    if f is None:
+        f = QuotientIso(tuple(zip(r0.omega, r1.omega)))
+    f._validate(r0, r1)
+    if r0.junk != r1.junk:
+        raise ValueError("finite atom totals differ")
+    return f
 
 
 def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
     """Check bijectivity on atoms, label preservation, and block coverage."""
+    return _verify(_read(b0), _read(b1), iso)
+
+
+def _verify(r0: _Reading, r1: _Reading, iso: AtomIso) -> bool:
     for ref0, ref1, _ in iso.runs:
         if ref0[1] != ref1[1]:
             raise ValueError("pairing does not preserve the atom label")
     for bp in iso.block_pairs:
         if bp.src[1] != bp.dst[1]:
             raise ValueError("block pairing does not preserve the species")
-    _check_cover(b0, iso, side=0)
-    _check_cover(b1, iso, side=1)
-    has0, has1 = b0.has_atomless(), b1.has_atomless()
+    _check_cover(r0, iso, side=0)
+    _check_cover(r1, iso, side=1)
+    has0, has1 = bool(r0.atomless), bool(r1.atomless)
     if has0 != has1 or (has0 and iso.atomless_pair is None):
         raise ValueError("atomless parts not matched")
     return True
 
 
-def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
-    """The one check of the iso's references on one side against b: each
-    names a species of b, a finite species is paired atom by atom, and an
-    omega species is one block whose skips are its explicit pairs."""
-    cards: dict[tuple[int, str], int | None] = {}
-    for c, cl in enumerate(b.clusters):
-        cards[c, IN], cards[c, JUNK] = cl.n_in, cl.n_junk
-    ranges: dict[tuple[int, str], list[tuple[int, int]]] = {}
+def _check_cover(r: _Reading, iso: AtomIso, side: int) -> None:
+    """The one check of the iso's references on one side against the
+    algebra read as r: each names a species of it, a finite species is
+    paired atom by atom, and an omega species is one block whose skips are
+    its explicit pairs.
+
+    One sweep over the runs in order keeps each species' paired indices as
+    flat bounds [lo0, hi0, lo1, hi1, ...] of sorted, merged ranges.  A run
+    at or past its species' last bound extends or appends in O(1); only a
+    run that comes out of order is inserted by bisection.  The bounds then
+    pass at once if they equal the finite species' [0, count] and the
+    blocks' skips; otherwise each species is checked in turn, and the
+    first that fails names the refusal."""
+    cards = r.cards
+    ranges: dict[tuple[int, str], list[int]] = {}
     for run in iso.runs:
         c, species, lo = run[side]
-        if (c, species) not in cards or lo < 0:
-            raise ValueError(f"no atom {lo} in {_where((c, species))}")
-        # insert [lo, hi) into the species' sorted, merged ranges
-        got, hi = ranges.setdefault((c, species), []), lo + run[2]
-        k = bisect_left(got, (lo,))
-        if k and got[k - 1][1] > lo or k < len(got) and got[k][0] < hi:
-            raise ValueError("an atom appears twice in the pairing")
-        if k and got[k - 1][1] == lo:
-            k, lo = k - 1, got.pop(k - 1)[0]
-        if k < len(got) and got[k][0] == hi:
-            hi = got.pop(k)[1]
-        got.insert(k, (lo, hi))
+        hi = lo + run[2]
+        got = ranges.get((c, species))
+        if got is None:
+            if (c, species) not in cards or lo < 0:
+                raise ValueError(f"no atom {lo} in {_where((c, species))}")
+            ranges[c, species] = [lo, hi]
+        elif lo == got[-1]:
+            got[-1] = hi
+        elif lo > got[-1]:
+            got += (lo, hi)
+        else:
+            if lo < 0:
+                raise ValueError(f"no atom {lo} in {_where((c, species))}")
+            k = bisect_right(got, lo)
+            if k & 1 or k < len(got) and got[k] < hi:
+                raise ValueError("an atom appears twice in the pairing")
+            left, right = k and got[k - 1] == lo, k < len(got) and got[k] == hi
+            got[k - left:k + right] = (lo, hi)[left:2 - right]
     blocks: dict[tuple[int, str], BlockPair] = {}
+    want = r.full
     for bp in iso.block_pairs:
         key = bp.src if side == 0 else bp.dst
         if key not in cards:
@@ -628,21 +758,24 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
         if key in blocks:
             raise ValueError("an omega species appears in two block pairs")
         blocks[key] = bp
+        if skip := bp.skip_ranges[side]:
+            want = {**want, key: [x for span in skip for x in span]}
+    if ranges == want and blocks.keys() == r.omega_keys:
+        return
     for key, card in cards.items():
-        got = ranges.get(key, [])
+        got = ranges.get(key)
         if card is None:
             bp = blocks.get(key)
             if bp is None:
                 raise ValueError(f"omega {_where(key)} not covered by a block")
-            skip = bp.skip_src if side == 0 else bp.skip_dst
-            if set(skip) != {i for lo, hi in got for i in range(lo, hi)}:
+            if (got or []) != [x for span in bp.skip_ranges[side] for x in span]:
                 raise ValueError(
                     f"block skips of {_where(key)} disagree with its pairs"
                 )
         else:
             if key in blocks:
                 raise ValueError(f"finite {_where(key)} cannot form a block")
-            if got != ([(0, card)] if card else []):
+            if got != ([0, card] if card else None):
                 raise ValueError(f"finite {_where(key)} not fully paired")
 
 
@@ -683,8 +816,10 @@ def print_iso(iso: AtomIso) -> str:
     for (c0, s0, i0), (c1, s1, i1), n in iso.runs:
         lines += [f"atom {c0}.{s0}.{i0 + k} -> {c1}.{s1}.{i1 + k}" for k in range(n)]
     for bp in iso.block_pairs:
-        skip0 = ",".join(str(i) for i in sorted(bp.skip_src))
-        skip1 = ",".join(str(i) for i in sorted(bp.skip_dst))
+        skip0, skip1 = (
+            ",".join(str(i) for lo, hi in ranges for i in range(lo, hi))
+            for ranges in bp.skip_ranges
+        )
         suffix = ""
         if skip0 or skip1:
             suffix = f" skip {skip0 or '-'} -> {skip1 or '-'}"
@@ -694,3 +829,33 @@ def print_iso(iso: AtomIso) -> str:
     if iso.atomless_pair is not None:
         lines.append("atomless")
     return "\n".join(lines) + "\n"
+
+
+# The most lines `check_iso_budget` lets `print_iso` write for a pair.
+MAX_ISO_LINES = 1 << 20
+
+
+def iso_lines(b0: LabelledBA, b1: LabelledBA, f: QuotientIso | None = None) -> int:
+    """The lines `print_iso` writes for `build_isomorphism(b0, b1, f)`, in
+    closed form: one per finite atom of the side with more of each species,
+    two per omega cluster and one for an atomless part; none for a pair
+    the gates refuse, since it is refused before anything is printed."""
+    r0, r1 = _read(b0), _read(b1)
+    try:
+        _gate(r0, r1, f)
+    except ValueError:
+        return 0
+    atoms = sum(max(t0, t1) for (_, t0), (_, t1) in zip(r0.layouts, r1.layouts))
+    return atoms + 2 * len(r0.omega) + bool(r0.atomless)
+
+
+def check_iso_budget(
+    b0: LabelledBA, b1: LabelledBA, f: QuotientIso | None = None
+) -> None:
+    """Refuse a pair whose isomorphism prints more than MAX_ISO_LINES
+    lines, from `iso_lines`, before anything is built."""
+    need = iso_lines(b0, b1, f)
+    if need > MAX_ISO_LINES:
+        raise ValueError(
+            f"the isomorphism needs {need} lines, more than {MAX_ISO_LINES}"
+        )

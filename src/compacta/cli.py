@@ -33,6 +33,7 @@ from .banach import parse_plf, sup_norm, HostedFunction
 from .boolalg import (
     QuotientIso,
     build_isomorphism,
+    check_iso_budget,
     clopen_algebra,
     parse_ba,
     print_ba,
@@ -88,6 +89,7 @@ def _dualcheck(tree) -> str:
 
 
 def _iso(b0, b1, qmap) -> str:
+    check_iso_budget(b0, b1, qmap)
     try:
         iso = build_isomorphism(b0, b1, qmap)
     except ValueError as exc:

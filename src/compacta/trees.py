@@ -179,8 +179,9 @@ class StageScript:
     events split into pairs are implied: the root, or a spine slot, when it
     is an event target and not declared static.  Splits never pre-exist,
     they only arise from events.  Validation replays the events once and
-    keeps the record as `replay`, which is not a field, so ==, hash and
-    repr read the fields alone.
+    keeps the record as `replay`, which is not a field, so == and repr read
+    the fields alone.  `hash` raises `TypeError`: `skeleton` and
+    `final_labels` are held as dicts.
     """
 
     skeleton: Mapping[Address, Node]

@@ -2,6 +2,7 @@
 and the gated atom-level isomorphism builder."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +26,12 @@ from compacta.boolalg import (
     bottom,
     build_isomorphism,
     canonical_form,
+    check_iso_budget,
     clopen_algebra,
     cluster,
     complement,
     holds_in,
+    iso_lines,
     is_atom,
     is_balanced,
     join,
@@ -382,6 +385,29 @@ def test_worked_example_succeeds_by_absorption():
     assert junk_blocks[0].skip_dst == frozenset()
     pair = [(a, b) for a, b in iso.atom_pairs if a == AtomRef(1, JUNK, 0)]
     assert pair == [(AtomRef(1, JUNK, 0), AtomRef(0, JUNK, 1))]
+
+
+def test_surplus_absorbed_in_o_runs():
+    """A million finite in-atoms absorbed into an omega block: the iso is
+    one run and one skip range, and building and checking it allocate
+    nothing per atom."""
+    n = 10**6
+    b0 = algebra(cluster(n, 0), cluster(None, None))
+    b1 = algebra(cluster(None, None))
+    tracemalloc.start()
+    try:
+        iso = build_isomorphism(b0, b1)
+        assert verify_isomorphism(b0, b1, iso)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert iso.runs == (((0, IN, 0), (0, IN, 0), n),)
+    host_in, host_junk = iso.block_pairs
+    assert host_in.skip_ranges == ((), ((0, n),))
+    assert host_junk.skip_ranges == ((), ())
+    assert iso_lines(b0, b1) == n + 2
+    check_iso_budget(b0, b1)
 
 
 def test_builder_deterministic():

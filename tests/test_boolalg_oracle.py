@@ -11,8 +11,8 @@ byte-identical on seeded algebra pairs, on a grid of finite surpluses
 against omega clusters, and on independent pairs, most of which the
 gates refuse.  The isomorphism check must give the same verdict and
 message on hand-built isomorphisms with one or more defects and on
-seeded mutants of built ones, and the canonical forms must agree on
-seeded algebras.
+seeded mutants of built ones, and the canonical forms, and the closed
+form of the quotient's, must agree on seeded algebras.
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ from compacta.boolalg import (
     build_isomorphism,
     canonical_form,
     cluster,
+    iso_lines,
     join,
     le,
     print_iso,
+    quotient_by_junk,
+    quotient_form,
     top,
     verify_isomorphism,
 )
@@ -51,6 +54,7 @@ from compacta.randgen import (
     random_algebra_pair,
     random_balanced_algebra,
     random_small_pair,
+    unbalance,
 )
 
 SEED = 11
@@ -130,7 +134,11 @@ def test_printed_isomorphisms_agree() -> None:
     for b0, b1 in pairs:
         printed = _printed(build_isomorphism, b0, b1)
         assert printed == _printed(ref.build_isomorphism, b0, b1), (b0, b1)
-        built += not printed.startswith("refused")
+        if printed.startswith("refused"):
+            assert iso_lines(b0, b1) == 0, (b0, b1)
+        else:
+            built += 1
+            assert printed.count("\n") == iso_lines(b0, b1), (b0, b1)
     assert built > len(pairs) // 2
 
 
@@ -165,6 +173,15 @@ def _identity(c: int, species: str, n: int):
     return [((c, species, k), (c, species, k)) for k in range(n)]
 
 
+def _run_pairs(*runs):
+    """The atom pairs of runs ((c0, species, i0), (c1, species, i1), n)."""
+    return [
+        ((c0, s0, i0 + k), (c1, s1, i1 + k))
+        for (c0, s0, i0), (c1, s1, i1), n in runs
+        for k in range(n)
+    ]
+
+
 FIN = algebra(cluster(3, 2))
 MIXED = algebra(cluster(2, 1), cluster(None, None))
 OMEGA_BLOCKS = (BlockPair((1, IN), (1, IN)), BlockPair((1, JUNK), (1, JUNK)))
@@ -173,6 +190,34 @@ HOST = algebra(cluster(None, None))
 SURPLUS_BLOCKS = (
     BlockPair((1, IN), (0, IN), frozenset(), frozenset({0, 5})),
     BlockPair((1, JUNK), (0, JUNK)),
+)
+
+# Runs cut mid-cluster on both sides, listed last run first, so every
+# species after its first run is merged in out of order.
+CUT0 = algebra(cluster(3, 1), cluster(2, 2))
+CUT1 = algebra(cluster(1, 2), cluster(4, 1))
+CUT_RUNS_REVERSED = (
+    ((1, JUNK, 1), (1, JUNK, 0), 1),
+    ((1, JUNK, 0), (0, JUNK, 1), 1),
+    ((0, JUNK, 0), (0, JUNK, 0), 1),
+    ((1, IN, 0), (1, IN, 2), 2),
+    ((0, IN, 1), (1, IN, 0), 2),
+    ((0, IN, 0), (0, IN, 0), 1),
+)
+# A surplus of finite in-atoms absorbed into the host block: the builder's
+# block pairs hold their skips as ranges, the twins as sets.
+SURPLUS_PAIRS = _pairs(((0, IN, 0), (0, IN, 0)), ((0, IN, 1), (0, IN, 1)))
+SURPLUS_RANGES = build_isomorphism(SURPLUS, HOST).block_pairs
+SURPLUS_SETS = (
+    BlockPair((1, IN), (0, IN), frozenset(), frozenset({0, 1})),
+    BlockPair((1, JUNK), (0, JUNK)),
+)
+VALID = (
+    "valid",
+    "valid, runs in reverse layout order",
+    "non-contiguous omega pairs",
+    "surplus, skips as ranges",
+    "surplus, skips as sets",
 )
 
 HAND_BUILT = {
@@ -252,6 +297,16 @@ HAND_BUILT = {
         _pairs(((0, IN, 0), (0, IN, 4)), ((0, IN, 1), (0, IN, 0))),
         SURPLUS_BLOCKS,
     ),
+    "valid, runs in reverse layout order": (
+        CUT0, CUT1, _pairs(*_run_pairs(*CUT_RUNS_REVERSED)), (),
+    ),
+    "surplus, skips as ranges": (SURPLUS, HOST, SURPLUS_PAIRS, SURPLUS_RANGES),
+    "surplus, skips as sets": (SURPLUS, HOST, SURPLUS_PAIRS, SURPLUS_SETS),
+    "surplus, skips as ranges, pairs off them": (
+        SURPLUS, HOST,
+        _pairs(((0, IN, 0), (0, IN, 1)), ((0, IN, 1), (0, IN, 2))),
+        SURPLUS_RANGES,
+    ),
 }
 
 
@@ -262,7 +317,16 @@ def test_verify_agrees_on_hand_built_isos(name: str) -> None:
     verdict = _verdict(verify_isomorphism, b0, b1, iso)
     assert verdict == _verdict(ref.verify_isomorphism, b0, b1, iso)
     assert print_iso(iso) == ref.print_iso(iso)
-    assert (verdict == "True") == (name in ("valid", "non-contiguous omega pairs"))
+    assert (verdict == "True") == (name in VALID)
+
+
+def test_skip_ranges_match_their_set_twins() -> None:
+    assert SURPLUS_RANGES == SURPLUS_SETS
+    assert [bp.skip_ranges for bp in SURPLUS_RANGES] == [
+        bp.skip_ranges for bp in SURPLUS_SETS
+    ]
+    iso = AtomIso(SURPLUS_PAIRS, SURPLUS_RANGES, None)
+    assert iso.runs == build_isomorphism(SURPLUS, HOST).runs
 
 
 def _mutant(rng: random.Random, iso: AtomIso) -> AtomIso:
@@ -325,7 +389,9 @@ def test_verify_agrees_on_mutated_isos() -> None:
 
 
 def test_canonical_forms_agree() -> None:
-    rng = random.Random(SEED)
+    rng, unbalanced = random.Random(SEED), random.Random(SEED + 1)
     for _ in range(3000):
         b = random_balanced_algebra(rng, 4)
         assert canonical_form(b) == ref.canonical_form(b), b
+        for a in (b, unbalance(unbalanced, b)):
+            assert quotient_form(a) == ref.canonical_form(quotient_by_junk(a)), a

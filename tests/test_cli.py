@@ -265,6 +265,35 @@ def test_iso_accepts_quotient_map_file(run, tmp_path) -> None:
     assert "bulk 1.junk -> 1.junk" in out
 
 
+def test_iso_over_line_budget_is_refused_up_front(run, tmp_path, monkeypatch) -> None:
+    """One atom line past the budget: exit 2 and one error line, before
+    any isomorphism is built."""
+
+    def built(*args):
+        raise AssertionError("the isomorphism was built before the refusal")
+
+    monkeypatch.setattr(cli, "build_isomorphism", built)
+    n = 2**20 + 1
+    b0 = put(
+        tmp_path,
+        "b0.ba",
+        f"ba v1\ncluster in={n} junk=0 atomless=0\ncluster in=w junk=w atomless=0\n",
+    )
+    b1 = put(tmp_path, "b1.ba", "ba v1\ncluster in=w junk=w atomless=0\n")
+    rc, out, err = run("iso", b0, b1)
+    assert (rc, out) == (2, "")
+    assert err == f"error: the isomorphism needs {n + 2} lines, more than {2 ** 20}\n"
+
+
+def test_iso_refusal_comes_before_the_line_budget(run, tmp_path) -> None:
+    """A pair with no isomorphism is refused as one, however many atoms
+    it has."""
+    b0 = put(tmp_path, "b0.ba", f"ba v1\ncluster in={10**8} junk=0 atomless=0\n")
+    b1 = put(tmp_path, "b1.ba", "ba v1\ncluster in=5 junk=0 atomless=0\n")
+    rc, out, err = run("iso", b0, b1)
+    assert (rc, out, err) == (1, "", "error: quotients are not isomorphic\n")
+
+
 def test_iso_rejects_unbalanced(run, tmp_path) -> None:
     bad = put(tmp_path, "bad.ba", "ba v1\ncluster in=w junk=2 atomless=0\n")
     rc, out, err = run("iso", bad, bad)
