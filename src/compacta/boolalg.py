@@ -26,24 +26,26 @@ algebras and isomorphism of their quotients decidable, and the
 back-and-forth constructor realizes any quotient isomorphism as an
 atom-level isomorphism once the balance and junk-total gates pass.
 
-That isomorphism pairs finite atoms in runs ((c0, species, i0), (c1,
-species, i1), n): atom i0 + k of cluster c0 goes to atom i1 + k of
-cluster c1 for k < n, and a run ends where a cluster ends on either side.
-An omega block holds its skips the same way, as sorted, merged index
-ranges, and the skip sets are built only when read.  The builder reads
+That isomorphism is its runs of finite atoms and its omega blocks.  A
+run ((c0, species, i0), (c1, species, i1), n) sends atom i0 + k of
+cluster c0 to atom i1 + k of cluster c1 for k < n; the builder ends a run
+where a cluster ends on either side.  A block holds its skips the same
+way, as sorted, merged [lo, hi) index ranges per side.  The builder reads
 each algebra once, and takes the quotient gate's forms in closed form
-(`quotient_form`) without building the quotients.  The check is one
-in-order sweep over the runs per side, merging each species' runs into
-index ranges: a finite species passes when they come to [0, card), an
-omega one when they come to exactly its block's skip ranges.  So both
-are O(runs), whatever the atom counts; only `print_iso` writes one line
-per atom, and `check_iso_budget` refuses a pair past `MAX_ISO_LINES`.
+(`quotient_form`) without building the quotients.  The check refuses a
+run of fewer than one atom and skips that are not sorted, merged ranges,
+then sweeps the runs in order once per side, merging each species' runs
+into index ranges: a finite species passes when they come to [0, card),
+an omega one when they come to exactly its block's skip ranges.  So
+building, checking, ==, hash and repr are O(runs), whatever the atom
+counts; only `print_iso` writes one line per atom, and
+`check_iso_budget` refuses a pair past `MAX_ISO_LINES`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, NamedTuple
 
 from .compactum import (
@@ -56,8 +58,6 @@ from .compactum import (
 from .construct import _leaf_part, _lifted
 from .dyadic import parse_natural, read_lines, tree_ends
 from .trees import ETA, TERMINAL, LabelledTree
-
-_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -536,99 +536,29 @@ class QuotientIso:
 
     omega_pairs: tuple[tuple[int, int], ...]
 
-    def validate(self, b0: LabelledBA, b1: LabelledBA) -> None:
-        self._validate(_read(b0), _read(b1))
 
-    def _validate(self, r0: _Reading, r1: _Reading) -> None:
-        if r0.quotient != r1.quotient:
-            raise ValueError("quotients are not isomorphic")
-        if sorted(i for i, _ in self.omega_pairs) != r0.omega or sorted(
-            j for _, j in self.omega_pairs
-        ) != r1.omega:
-            raise ValueError("pairing does not cover the omega clusters")
-
-
-def _merged(ids: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """A set of indices as sorted, merged [lo, hi) ranges."""
-    ranges: list[tuple[int, int]] = []
-    for i in sorted(set(ids)):
-        if ranges and ranges[-1][1] == i:
-            ranges[-1] = (ranges[-1][0], i + 1)
-        else:
-            ranges.append((i, i + 1))
-    return tuple(ranges)
+Run = tuple[tuple[int, str, int], tuple[int, str, int], int]
+Ranges = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class BlockPair:
-    """An omega species mapped onto another in index order, minus skips.
-
-    The skips are held as `skip_ranges`: per side, sorted, merged [lo, hi)
-    index ranges.  One from `build_isomorphism` builds the `skip_src` and
-    `skip_dst` sets from them when first read, so ==, hash and repr match
-    the block pair built from those sets; one built from explicit sets
-    merges them into ranges."""
+    """An omega species mapped onto another in index order, minus skips:
+    per side, sorted, merged [lo, hi) index ranges."""
 
     src: tuple[int, str]
     dst: tuple[int, str]
-    skip_src: frozenset[int] = field(default_factory=frozenset)
-    skip_dst: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        _set(self, "skip_ranges", (_merged(self.skip_src), _merged(self.skip_dst)))
-
-    def __getattr__(self, name: str) -> frozenset[int]:
-        # reached only for an unset attribute: a skip set not yet built
-        if name not in ("skip_src", "skip_dst"):
-            raise AttributeError(name)
-        ranges = self.skip_ranges[name == "skip_dst"]
-        skip = frozenset(i for lo, hi in ranges for i in range(lo, hi))
-        _set(self, name, skip)
-        return skip
+    skip_ranges: tuple[Ranges, Ranges]
 
 
 @dataclass(frozen=True)
 class AtomIso:
-    """Finite pairs held as `runs` (see the module docstring).  One from
-    `build_isomorphism` builds `atom_pairs` from its runs when first read,
-    so ==, hash and repr match the iso built from that tuple; one built
-    from explicit pairs merges them into runs."""
+    """Finite pairs as `runs` (see the module docstring), omega species as
+    block pairs, and the atomless clusters of each side."""
 
-    atom_pairs: tuple[tuple[AtomRef, AtomRef], ...]
+    runs: tuple[Run, ...]
     block_pairs: tuple[BlockPair, ...]
     atomless_pair: tuple[tuple[int, ...], tuple[int, ...]] | None
-
-    def __post_init__(self) -> None:
-        runs: list[tuple] = []
-        after = None
-        for a, b in self.atom_pairs:
-            refs = (a.cluster, a.species, a.index), (b.cluster, b.species, b.index)
-            if refs == after:
-                runs[-1] = (*runs[-1][:2], runs[-1][2] + 1)
-            else:
-                runs.append((*refs, 1))
-            after = tuple((c, species, i + 1) for c, species, i in refs)
-        _set(self, "runs", tuple(runs))
-
-    def __getattr__(self, name: str) -> tuple[tuple[AtomRef, AtomRef], ...]:
-        # reached only for an unset attribute: `atom_pairs` not yet built
-        if name != "atom_pairs":
-            raise AttributeError(name)
-        pairs = tuple(
-            (AtomRef(c0, s0, i0 + k), AtomRef(c1, s1, i1 + k))
-            for (c0, s0, i0), (c1, s1, i1), n in self.runs
-            for k in range(n)
-        )
-        _set(self, "atom_pairs", pairs)
-        return pairs
-
-
-def _built(cls: type, **attrs: object):
-    """An instance of a frozen dataclass with its attributes set as given,
-    bypassing its constructor."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(attrs)
-    return obj
 
 
 def build_isomorphism(
@@ -660,10 +590,7 @@ def build_isomorphism(
                 ((0, t0 - end),) if t0 > end else (),
             )
             for c0, c1 in f.omega_pairs:
-                block_pairs.append(
-                    _built(BlockPair, src=(c0, species), dst=(c1, species),
-                           skip_ranges=skips)
-                )
+                block_pairs.append(BlockPair((c0, species), (c1, species), skips))
                 skips = (), ()
             end = max(t0, t1)
         cuts = sorted(at0.keys() | at1.keys() | {end})  # every offset <= end
@@ -674,8 +601,7 @@ def build_isomorphism(
                 c1, o1 = at1[x], x
             runs.append(((c0, species, x - o0), (c1, species, x - o1), y - x))
     atomless = (r0.atomless, r1.atomless) if r0.atomless else None
-    iso = _built(AtomIso, runs=tuple(runs), block_pairs=tuple(block_pairs),
-                 atomless_pair=atomless)
+    iso = AtomIso(tuple(runs), tuple(block_pairs), atomless)
     _verify(r0, r1, iso)
     return iso
 
@@ -688,7 +614,12 @@ def _gate(r0: _Reading, r1: _Reading, f: QuotientIso | None) -> QuotientIso:
                          "and omega species")
     if f is None:
         f = QuotientIso(tuple(zip(r0.omega, r1.omega)))
-    f._validate(r0, r1)
+    if r0.quotient != r1.quotient:
+        raise ValueError("quotients are not isomorphic")
+    if sorted(i for i, _ in f.omega_pairs) != r0.omega or sorted(
+        j for _, j in f.omega_pairs
+    ) != r1.omega:
+        raise ValueError("pairing does not cover the omega clusters")
     if r0.junk != r1.junk:
         raise ValueError("finite atom totals differ")
     return f
@@ -700,9 +631,11 @@ def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
 
 
 def _verify(r0: _Reading, r1: _Reading, iso: AtomIso) -> bool:
-    for ref0, ref1, _ in iso.runs:
+    for ref0, ref1, n in iso.runs:
         if ref0[1] != ref1[1]:
             raise ValueError("pairing does not preserve the atom label")
+        if n < 1:
+            raise ValueError(f"a run of {n} atoms from {_where(ref0[:2])}")
     for bp in iso.block_pairs:
         if bp.src[1] != bp.dst[1]:
             raise ValueError("block pairing does not preserve the species")
@@ -721,7 +654,9 @@ def _check_cover(r: _Reading, iso: AtomIso, side: int) -> None:
     its explicit pairs.
 
     One sweep over the runs in order keeps each species' paired indices as
-    flat bounds [lo0, hi0, lo1, hi1, ...] of sorted, merged ranges.  A run
+    flat bounds [lo0, hi0, lo1, hi1, ...] of sorted, merged ranges: natural
+    numbers that strictly increase, since `_verify` has refused any run
+    shorter than one atom, so a negative skip never matches them.  A run
     at or past its species' last bound extends or appends in O(1); only a
     run that comes out of order is inserted by bisection.  The bounds then
     pass at once if they equal the finite species' [0, count] and the
@@ -768,7 +703,12 @@ def _check_cover(r: _Reading, iso: AtomIso, side: int) -> None:
             bp = blocks.get(key)
             if bp is None:
                 raise ValueError(f"omega {_where(key)} not covered by a block")
-            if (got or []) != [x for span in bp.skip_ranges[side] for x in span]:
+            skips = [x for span in bp.skip_ranges[side] for x in span]
+            if any(x >= y for x, y in zip(skips, skips[1:])):
+                raise ValueError(
+                    f"block skips of {_where(key)} are not sorted, merged ranges"
+                )
+            if (got or []) != skips:
                 raise ValueError(
                     f"block skips of {_where(key)} disagree with its pairs"
                 )

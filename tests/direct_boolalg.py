@@ -5,16 +5,18 @@ the derived operations and the runs in `compacta.boolalg`.
 Here join, order and top each have their own code for selections and
 for atomless pieces, pieces are normalised by a fixpoint that restarts
 after every change, and the surplus of finite atoms is routed through
-per-side skip tables.  The isomorphism lists one `AtomRef` pair per
-finite atom and is checked through per-atom sets, and the canonical form
-takes one pass per field.  Only `Selection`, `take`, `is_balanced`, the
-element and isomorphism types and the quotient are shared with the
-package.
+per-side skip tables.  The isomorphism is built as one `AtomRef` pair
+per finite atom and a skip set per block side, and checked and printed
+through the same per-atom form: `compressed` turns that form into the
+package's runs and skip ranges, and `expanded` turns runs and ranges back
+into it.  The canonical form takes one pass per field.  Only `Selection`,
+`take`, `is_balanced`, the element and isomorphism types and the quotient
+are shared with the package.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from compacta.boolalg import (
     ALL_PIECE,
@@ -124,6 +126,65 @@ def top(b: LabelledBA) -> Element:
     return Element(b, tuple(parts))
 
 
+# The per-atom form: one pair of `AtomRef`s per finite atom, and per block
+# (src, dst, skip_src, skip_dst) with a skip set per side.
+
+AtomPair = tuple[AtomRef, AtomRef]
+Block = tuple[tuple[int, str], tuple[int, str], frozenset[int], frozenset[int]]
+
+
+def compressed(
+    pairs: Iterable[AtomPair],
+    blocks: Iterable[Block] = (),
+    atomless_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> AtomIso:
+    """The package's isomorphism of the per-atom form: a pair that steps
+    both indices of the pair before it by one extends that pair's run, and
+    each skip set becomes sorted, merged [lo, hi) ranges."""
+    runs: list[tuple] = []
+    after = None
+    for a, b in pairs:
+        refs = (a.cluster, a.species, a.index), (b.cluster, b.species, b.index)
+        if refs == after:
+            runs[-1] = (*runs[-1][:2], runs[-1][2] + 1)
+        else:
+            runs.append((*refs, 1))
+        after = tuple((c, species, i + 1) for c, species, i in refs)
+    block_pairs = tuple(
+        BlockPair(src, dst, (_ranges(skip_src), _ranges(skip_dst)))
+        for src, dst, skip_src, skip_dst in blocks
+    )
+    return AtomIso(tuple(runs), block_pairs, atomless_pair)
+
+
+def _ranges(ids: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    ranges: list[tuple[int, int]] = []
+    for i in sorted(set(ids)):
+        if ranges and ranges[-1][1] == i:
+            ranges[-1] = (ranges[-1][0], i + 1)
+        else:
+            ranges.append((i, i + 1))
+    return tuple(ranges)
+
+
+def expanded(iso: AtomIso) -> tuple[tuple[AtomPair, ...], tuple[Block, ...]]:
+    """The per-atom form of the package's isomorphism: each run's pairs in
+    order, and each block with its skip ranges as sets."""
+    pairs = tuple(
+        (AtomRef(c0, s0, i0 + k), AtomRef(c1, s1, i1 + k))
+        for (c0, s0, i0), (c1, s1, i1), n in iso.runs
+        for k in range(n)
+    )
+    blocks = tuple(
+        (bp.src, bp.dst, *(
+            frozenset(i for lo, hi in ranges for i in range(lo, hi))
+            for ranges in bp.skip_ranges
+        ))
+        for bp in iso.block_pairs
+    )
+    return pairs, blocks
+
+
 def build_isomorphism(
     b0: LabelledBA, b1: LabelledBA, f: QuotientIso | None = None
 ) -> AtomIso:
@@ -143,7 +204,7 @@ def build_isomorphism(
         raise ValueError("atomless parts do not match")
 
     atom_pairs: list[tuple[AtomRef, AtomRef]] = []
-    block_pairs: list[BlockPair] = []
+    blocks: list[Block] = []
     for species in (IN, JUNK):
         fin0 = _finite_atoms(b0, species)
         fin1 = _finite_atoms(b1, species)
@@ -162,8 +223,8 @@ def build_isomorphism(
             for k, ref in enumerate(fin1[shared:]):
                 atom_pairs.append((AtomRef(host, species, k), ref))
         for c0, c1 in f.omega_pairs:
-            block_pairs.append(
-                BlockPair(
+            blocks.append(
+                (
                     (c0, species),
                     (c1, species),
                     frozenset(skips0.get(c0, ())),
@@ -172,11 +233,8 @@ def build_isomorphism(
             )
     atomless0 = tuple(i for i, c in enumerate(b0.clusters) if c.has_atomless)
     atomless1 = tuple(i for i, c in enumerate(b1.clusters) if c.has_atomless)
-    iso = AtomIso(
-        atom_pairs=tuple(atom_pairs),
-        block_pairs=tuple(block_pairs),
-        atomless_pair=(atomless0, atomless1) if atomless0 else None,
-    )
+    atomless = (atomless0, atomless1) if atomless0 else None
+    iso = compressed(atom_pairs, blocks, atomless)
     verify_isomorphism(b0, b1, iso)
     return iso
 
@@ -211,14 +269,15 @@ def _finite_atoms(b: LabelledBA, species: str) -> list[AtomRef]:
 
 
 def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
-    for a, b in iso.atom_pairs:
+    pairs, blocks = expanded(iso)
+    for a, b in pairs:
         if a.species != b.species:
             raise ValueError("pairing does not preserve the atom label")
-    for bp in iso.block_pairs:
-        if bp.src[1] != bp.dst[1]:
+    for src, dst, _, _ in blocks:
+        if src[1] != dst[1]:
             raise ValueError("block pairing does not preserve the species")
-    _check_cover(b0, iso, side=0)
-    _check_cover(b1, iso, side=1)
+    _check_cover(b0, pairs, blocks, side=0)
+    _check_cover(b1, pairs, blocks, side=1)
     has0 = b0.has_atomless()
     has1 = b1.has_atomless()
     if has0 != has1 or (has0 and iso.atomless_pair is None):
@@ -226,12 +285,14 @@ def verify_isomorphism(b0: LabelledBA, b1: LabelledBA, iso: AtomIso) -> bool:
     return True
 
 
-def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
+def _check_cover(
+    b: LabelledBA, pairs: Sequence[AtomPair], blocks: Sequence[Block], side: int
+) -> None:
     cards: dict[tuple[int, str], int | None] = {}
     for c, cl in enumerate(b.clusters):
         cards[c, IN], cards[c, JUNK] = cl.n_in, cl.n_junk
     explicit: dict[tuple[int, str], set[int]] = {}
-    for pair in iso.atom_pairs:
+    for pair in pairs:
         ref = pair[side]
         key = (ref.cluster, ref.species)
         if key not in cards or ref.index < 0:
@@ -240,27 +301,26 @@ def _check_cover(b: LabelledBA, iso: AtomIso, side: int) -> None:
         if ref.index in ids:
             raise ValueError("an atom appears twice in the pairing")
         ids.add(ref.index)
-    blocks: dict[tuple[int, str], BlockPair] = {}
-    for bp in iso.block_pairs:
-        key = bp.src if side == 0 else bp.dst
+    skips: dict[tuple[int, str], frozenset[int]] = {}
+    for block in blocks:
+        key = block[side]
         if key not in cards:
             raise ValueError(f"block on {_where(key)}, which the algebra lacks")
-        if key in blocks:
+        if key in skips:
             raise ValueError("an omega species appears in two block pairs")
-        blocks[key] = bp
+        skips[key] = block[2 + side]
     for key, card in cards.items():
         used = explicit.get(key, set())
         if card is None:
-            bp = blocks.get(key)
-            if bp is None:
+            skip = skips.get(key)
+            if skip is None:
                 raise ValueError(f"omega {_where(key)} not covered by a block")
-            skip = bp.skip_src if side == 0 else bp.skip_dst
             if used != set(skip):
                 raise ValueError(
                     f"block skips of {_where(key)} disagree with its pairs"
                 )
         else:
-            if key in blocks:
+            if key in skips:
                 raise ValueError(f"finite {_where(key)} cannot form a block")
             if used != set(range(card)):
                 raise ValueError(f"finite {_where(key)} not fully paired")
@@ -272,20 +332,20 @@ def _where(key: tuple[int, str]) -> str:
 
 def print_iso(iso: AtomIso) -> str:
     lines = []
-    for a, b in iso.atom_pairs:
+    pairs, blocks = expanded(iso)
+    for a, b in pairs:
         lines.append(
             f"atom {a.cluster}.{a.species}.{a.index} -> "
             f"{b.cluster}.{b.species}.{b.index}"
         )
-    for bp in iso.block_pairs:
-        skip0 = ",".join(str(i) for i in sorted(bp.skip_src))
-        skip1 = ",".join(str(i) for i in sorted(bp.skip_dst))
+    for src, dst, skip_src, skip_dst in blocks:
+        skip0 = ",".join(str(i) for i in sorted(skip_src))
+        skip1 = ",".join(str(i) for i in sorted(skip_dst))
         suffix = ""
         if skip0 or skip1:
             suffix = f" skip {skip0 or '-'} -> {skip1 or '-'}"
-        lines.append(
-            f"bulk {bp.src[0]}.{bp.src[1]} -> {bp.dst[0]}.{bp.dst[1]}{suffix}"
-        )
+        lines.append(f"bulk {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}{suffix}")
     if iso.atomless_pair is not None:
         lines.append("atomless")
     return "\n".join(lines) + "\n"
+

@@ -4,6 +4,7 @@ and the gated atom-level isomorphism builder."""
 import itertools
 import tracemalloc
 
+import direct_boolalg as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -379,11 +380,11 @@ def test_worked_example_succeeds_by_absorption():
     b1 = algebra(cluster(3, 2), cluster(None, None))
     iso = build_isomorphism(b0, b1)
     assert verify_isomorphism(b0, b1, iso)
-    junk_blocks = [bp for bp in iso.block_pairs if bp.src[1] == JUNK]
+    pairs, blocks = ref.expanded(iso)
+    junk_blocks = [block for block in blocks if block[0][1] == JUNK]
     assert len(junk_blocks) == 1
-    assert junk_blocks[0].skip_src == frozenset({0})
-    assert junk_blocks[0].skip_dst == frozenset()
-    pair = [(a, b) for a, b in iso.atom_pairs if a == AtomRef(1, JUNK, 0)]
+    assert junk_blocks[0][2:] == (frozenset({0}), frozenset())
+    pair = [(a, b) for a, b in pairs if a == AtomRef(1, JUNK, 0)]
     assert pair == [(AtomRef(1, JUNK, 0), AtomRef(0, JUNK, 1))]
 
 
@@ -408,6 +409,32 @@ def test_surplus_absorbed_in_o_runs():
     assert host_junk.skip_ranges == ((), ())
     assert iso_lines(b0, b1) == n + 2
     check_iso_budget(b0, b1)
+
+
+def test_iso_compares_in_o_runs():
+    """Two isos that each absorb a million finite in-atoms: ==, hash and
+    repr read their runs and skip ranges and list no atom."""
+    n = 10**6
+    b0 = algebra(cluster(n, 0), cluster(None, None))
+    b1 = algebra(cluster(None, None))
+    one, two = build_isomorphism(b0, b1), build_isomorphism(b0, b1)
+    tracemalloc.start()
+    try:
+        same = one == two
+        hashes = hash(one), hash(two)
+        text = repr(one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert same and hashes[0] == hashes[1]
+    assert text == (
+        "AtomIso(runs=(((0, 'in', 0), (0, 'in', 0), 1000000),), "
+        "block_pairs=(BlockPair(src=(1, 'in'), dst=(0, 'in'), "
+        "skip_ranges=((), ((0, 1000000),))), "
+        "BlockPair(src=(1, 'junk'), dst=(0, 'junk'), skip_ranges=((), ()))), "
+        "atomless_pair=None)"
+    )
 
 
 def test_builder_deterministic():
@@ -451,8 +478,9 @@ def test_finite_identity_case():
     iso = build_isomorphism(b, b)
     assert verify_isomorphism(b, b, iso)
     assert iso.block_pairs == ()
-    assert len(iso.atom_pairs) == 6
-    assert all(a == c for a, c in iso.atom_pairs)
+    pairs, _ = ref.expanded(iso)
+    assert len(pairs) == 6
+    assert all(a == c for a, c in pairs)
 
 
 def _block_route(iso):
@@ -478,14 +506,11 @@ def test_bad_quotient_pairing_rejected():
 
 def test_verify_catches_label_violation():
     b = algebra(cluster(1, 1))
-    bad = build_isomorphism(b, b)
-    swapped = type(bad)(
-        atom_pairs=(
+    swapped = ref.compressed(
+        (
             (AtomRef(0, IN, 0), AtomRef(0, JUNK, 0)),
             (AtomRef(0, JUNK, 0), AtomRef(0, IN, 0)),
         ),
-        block_pairs=(),
-        atomless_pair=None,
     )
     with pytest.raises(ValueError):
         verify_isomorphism(b, b, swapped)
@@ -494,7 +519,8 @@ def test_verify_catches_label_violation():
 def test_verify_catches_missing_atom():
     b = algebra(cluster(2, 0))
     iso = build_isomorphism(b, b)
-    truncated = type(iso)(iso.atom_pairs[:1], (), None)
+    pairs, _ = ref.expanded(iso)
+    truncated = ref.compressed(pairs[:1])
     with pytest.raises(ValueError):
         verify_isomorphism(b, b, truncated)
 
@@ -503,24 +529,22 @@ def test_verify_catches_missing_atom():
     "iso, where",
     [
         (
-            AtomIso(((AtomRef(5, IN, 0), AtomRef(0, IN, 0)),), (), None),
+            ref.compressed(((AtomRef(5, IN, 0), AtomRef(0, IN, 0)),)),
             "no atom 0 in cluster 5 species in",
         ),
         (
-            AtomIso(
+            ref.compressed(
                 ((AtomRef(0, IN, 0), AtomRef(0, IN, 0)),
                  (AtomRef(0, JUNK, 0), AtomRef(0, JUNK, 0))),
-                (BlockPair((7, IN), (0, IN)),),
-                None,
+                (((7, IN), (0, IN), frozenset(), frozenset()),),
             ),
             "block on cluster 7 species in, which the algebra lacks",
         ),
         (
-            AtomIso(
+            ref.compressed(
                 ((AtomRef(0, IN, 0), AtomRef(0, IN, 0)),
                  (AtomRef(0, JUNK, 0), AtomRef(0, JUNK, 0))),
-                (BlockPair((0, JUNK), (0, JUNK)),),
-                None,
+                (((0, JUNK), (0, JUNK), frozenset(), frozenset()),),
             ),
             "finite cluster 0 species junk cannot form a block",
         ),
@@ -535,16 +559,81 @@ def test_verify_refuses_a_reference_the_algebra_lacks(iso, where):
 def test_verify_refuses_a_negative_omega_atom():
     b = algebra(cluster(None, None))
     minus = AtomRef(0, IN, -1)
-    iso = AtomIso(
+    iso = ref.compressed(
         ((minus, minus),),
         (
-            BlockPair((0, IN), (0, IN), frozenset({-1}), frozenset({-1})),
-            BlockPair((0, JUNK), (0, JUNK)),
+            ((0, IN), (0, IN), frozenset({-1}), frozenset({-1})),
+            ((0, JUNK), (0, JUNK), frozenset(), frozenset()),
         ),
-        None,
     )
     with pytest.raises(ValueError, match="no atom -1 in cluster 0 species in"):
         verify_isomorphism(b, b, iso)
+
+
+# Three finite in-atoms of the source absorbed into the target's omega
+# block, which skips them: the builder's iso, and variants that the
+# per-atom form could not state.
+ABSORB = algebra(cluster(3, 0), cluster(None, None)), algebra(cluster(None, None))
+JUNK_BLOCK = BlockPair((1, JUNK), (0, JUNK), ((), ()))
+
+
+def _absorbing(*skips):
+    block = BlockPair((1, IN), (0, IN), ((), skips))
+    return AtomIso((((0, IN, 0), (0, IN, 0), 3),), (block, JUNK_BLOCK), None)
+
+
+def test_absorbing_iso_is_the_builders():
+    assert build_isomorphism(*ABSORB) == _absorbing((0, 3))
+    assert verify_isomorphism(*ABSORB, _absorbing((0, 3)))
+
+
+SHORT_RUNS = {
+    0: (((0, IN, 0), (0, IN, 0), 0), ((0, IN, 0), (0, IN, 0), 3)),
+    # steps back from 3 to 2, so that the next run pairs atom 2 again
+    -1: (
+        ((0, IN, 0), (0, IN, 0), 3),
+        ((0, IN, 3), (0, IN, 3), -1),
+        ((0, IN, 2), (0, IN, 2), 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SHORT_RUNS))
+def test_verify_refuses_a_run_shorter_than_one_atom(n):
+    b = algebra(cluster(3, 0))
+    iso = AtomIso(SHORT_RUNS[n], (), None)
+    message = f"^a run of {n} atoms from cluster 0 species in$"
+    with pytest.raises(ValueError, match=message):
+        verify_isomorphism(b, b, iso)
+    # the per-atom form drops the short run: the one of -1 hid a double
+    if n:
+        with pytest.raises(ValueError, match="an atom appears twice"):
+            ref.verify_isomorphism(b, b, iso)
+    else:
+        assert ref.verify_isomorphism(b, b, iso)
+
+
+@pytest.mark.parametrize(
+    "skips, refusal",
+    [
+        (((1, 3), (0, 1)), "are not sorted, merged ranges"),
+        (((0, 2), (1, 3)), "are not sorted, merged ranges"),
+        (((0, 2), (2, 3)), "are not sorted, merged ranges"),
+        (((0, 0), (0, 3)), "are not sorted, merged ranges"),
+        (((-1, 3),), "disagree with its pairs"),
+    ],
+    ids=["unsorted", "overlapping", "adjacent", "empty", "negative"],
+)
+def test_verify_refuses_malformed_skip_ranges(skips, refusal):
+    """Skips must be sorted, merged ranges; a negative one, which the
+    per-atom form can state, disagrees with the pairs there as here."""
+    iso = _absorbing(*skips)
+    message = f"^block skips of cluster 0 species in {refusal}$"
+    with pytest.raises(ValueError, match=message):
+        verify_isomorphism(*ABSORB, iso)
+    if skips[0][0] < 0:
+        with pytest.raises(ValueError, match=message):
+            ref.verify_isomorphism(*ABSORB, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from compacta.boolalg import (
     NO_PIECE,
     AtomIso,
     AtomRef,
-    BlockPair,
     ClusterPart,
     Element,
     LabelledBA,
@@ -182,14 +181,18 @@ def _run_pairs(*runs):
     ]
 
 
+NO_SKIP = frozenset()
 FIN = algebra(cluster(3, 2))
 MIXED = algebra(cluster(2, 1), cluster(None, None))
-OMEGA_BLOCKS = (BlockPair((1, IN), (1, IN)), BlockPair((1, JUNK), (1, JUNK)))
+OMEGA_BLOCKS = (
+    ((1, IN), (1, IN), NO_SKIP, NO_SKIP),
+    ((1, JUNK), (1, JUNK), NO_SKIP, NO_SKIP),
+)
 SURPLUS = algebra(cluster(2, 0), cluster(None, None))
 HOST = algebra(cluster(None, None))
 SURPLUS_BLOCKS = (
-    BlockPair((1, IN), (0, IN), frozenset(), frozenset({0, 5})),
-    BlockPair((1, JUNK), (0, JUNK)),
+    ((1, IN), (0, IN), NO_SKIP, frozenset({0, 5})),
+    ((1, JUNK), (0, JUNK), NO_SKIP, NO_SKIP),
 )
 
 # Runs cut mid-cluster on both sides, listed last run first, so every
@@ -205,12 +208,12 @@ CUT_RUNS_REVERSED = (
     ((0, IN, 0), (0, IN, 0), 1),
 )
 # A surplus of finite in-atoms absorbed into the host block: the builder's
-# block pairs hold their skips as ranges, the twins as sets.
+# block pairs, and their twins merged from per-atom skip sets.
 SURPLUS_PAIRS = _pairs(((0, IN, 0), (0, IN, 0)), ((0, IN, 1), (0, IN, 1)))
 SURPLUS_RANGES = build_isomorphism(SURPLUS, HOST).block_pairs
 SURPLUS_SETS = (
-    BlockPair((1, IN), (0, IN), frozenset(), frozenset({0, 1})),
-    BlockPair((1, JUNK), (0, JUNK)),
+    ((1, IN), (0, IN), NO_SKIP, frozenset({0, 1})),
+    ((1, JUNK), (0, JUNK), NO_SKIP, NO_SKIP),
 )
 VALID = (
     "valid",
@@ -220,100 +223,113 @@ VALID = (
     "surplus, skips as sets",
 )
 
+
+def _ranged(pairs) -> AtomIso:
+    """The iso of the pairs with the builder's own block pairs."""
+    return replace(ref.compressed(pairs), block_pairs=SURPLUS_RANGES)
+
+
 HAND_BUILT = {
-    "valid": (FIN, FIN, _pairs(*_identity(0, IN, 3), *_identity(0, JUNK, 2)), ()),
-    "gap": (FIN, FIN, _pairs(*_identity(0, IN, 3)[::2], *_identity(0, JUNK, 2)), ()),
+    "valid": (
+        FIN, FIN,
+        ref.compressed(_pairs(*_identity(0, IN, 3), *_identity(0, JUNK, 2))),
+    ),
+    "gap": (
+        FIN, FIN,
+        ref.compressed(_pairs(*_identity(0, IN, 3)[::2], *_identity(0, JUNK, 2))),
+    ),
     "duplicate": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 3), ((0, IN, 1), (0, IN, 1)), *_identity(0, JUNK, 2)),
-        (),
+        ref.compressed(_pairs(*_identity(0, IN, 3), ((0, IN, 1), (0, IN, 1)),
+                              *_identity(0, JUNK, 2))),
     ),
     "overlap": (
         FIN, FIN,
-        _pairs(
+        ref.compressed(_pairs(
             ((0, IN, 0), (0, IN, 0)), ((0, IN, 1), (0, IN, 1)),
             ((0, IN, 1), (0, IN, 2)), ((0, IN, 2), (0, IN, 1)),
             *_identity(0, JUNK, 2),
-        ),
-        (),
+        )),
     ),
     "wrong species": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 2), ((0, IN, 2), (0, JUNK, 0)),
-               ((0, JUNK, 0), (0, IN, 2)), ((0, JUNK, 1), (0, JUNK, 1))),
-        (),
+        ref.compressed(_pairs(
+            *_identity(0, IN, 2), ((0, IN, 2), (0, JUNK, 0)),
+            ((0, JUNK, 0), (0, IN, 2)), ((0, JUNK, 1), (0, JUNK, 1)),
+        )),
     ),
     "negative index": (
         FIN, FIN,
-        _pairs(((0, IN, -1), (0, IN, 0)), *_identity(0, IN, 3)[1:],
-               *_identity(0, JUNK, 2)),
-        (),
+        ref.compressed(_pairs(((0, IN, -1), (0, IN, 0)), *_identity(0, IN, 3)[1:],
+                              *_identity(0, JUNK, 2))),
     ),
     "index past card": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 2), ((0, IN, 3), (0, IN, 2)), *_identity(0, JUNK, 2)),
-        (),
+        ref.compressed(_pairs(*_identity(0, IN, 2), ((0, IN, 3), (0, IN, 2)),
+                              *_identity(0, JUNK, 2))),
     ),
     "block on a finite species": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 3), *_identity(0, JUNK, 2)),
-        (BlockPair((0, IN), (0, IN)),),
+        ref.compressed(
+            _pairs(*_identity(0, IN, 3), *_identity(0, JUNK, 2)),
+            (((0, IN), (0, IN), NO_SKIP, NO_SKIP),),
+        ),
     ),
     "missing block": (
         MIXED, MIXED,
-        _pairs(*_identity(0, IN, 2), *_identity(0, JUNK, 1)),
-        OMEGA_BLOCKS[:1],
+        ref.compressed(_pairs(*_identity(0, IN, 2), *_identity(0, JUNK, 1)),
+                       OMEGA_BLOCKS[:1]),
     ),
     "skips disagree": (
         MIXED, MIXED,
-        _pairs(*_identity(0, IN, 2), ((1, IN, 3), (1, IN, 3)), *_identity(0, JUNK, 1)),
-        (BlockPair((1, IN), (1, IN), frozenset({2}), frozenset({2})), OMEGA_BLOCKS[1]),
+        ref.compressed(
+            _pairs(*_identity(0, IN, 2), ((1, IN, 3), (1, IN, 3)),
+                   *_identity(0, JUNK, 1)),
+            (((1, IN), (1, IN), frozenset({2}), frozenset({2})), OMEGA_BLOCKS[1]),
+        ),
     ),
     "duplicate before a missing cluster": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 3), ((0, IN, 0), (0, IN, 0)),
-               ((4, IN, 0), (0, IN, 0))),
-        (),
+        ref.compressed(_pairs(*_identity(0, IN, 3), ((0, IN, 0), (0, IN, 0)),
+                              ((4, IN, 0), (0, IN, 0)))),
     ),
     "missing cluster before a duplicate": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 3), ((4, IN, 0), (0, IN, 0)),
-               ((0, IN, 0), (0, IN, 0))),
-        (),
+        ref.compressed(_pairs(*_identity(0, IN, 3), ((4, IN, 0), (0, IN, 0)),
+                              ((0, IN, 0), (0, IN, 0)))),
     ),
     "defects on both sides": (
         FIN, FIN,
-        _pairs(*_identity(0, IN, 3), ((0, JUNK, 0), (0, JUNK, 5)),
-               ((0, JUNK, 0), (0, JUNK, 1))),
-        (),
+        ref.compressed(_pairs(*_identity(0, IN, 3), ((0, JUNK, 0), (0, JUNK, 5)),
+                              ((0, JUNK, 0), (0, JUNK, 1)))),
     ),
     "non-contiguous omega pairs": (
         SURPLUS, HOST,
-        _pairs(((0, IN, 0), (0, IN, 5)), ((0, IN, 1), (0, IN, 0))),
-        SURPLUS_BLOCKS,
+        ref.compressed(_pairs(((0, IN, 0), (0, IN, 5)), ((0, IN, 1), (0, IN, 0))),
+                       SURPLUS_BLOCKS),
     ),
     "non-contiguous omega pairs, wrong skips": (
         SURPLUS, HOST,
-        _pairs(((0, IN, 0), (0, IN, 4)), ((0, IN, 1), (0, IN, 0))),
-        SURPLUS_BLOCKS,
+        ref.compressed(_pairs(((0, IN, 0), (0, IN, 4)), ((0, IN, 1), (0, IN, 0))),
+                       SURPLUS_BLOCKS),
     ),
     "valid, runs in reverse layout order": (
-        CUT0, CUT1, _pairs(*_run_pairs(*CUT_RUNS_REVERSED)), (),
+        CUT0, CUT1, ref.compressed(_pairs(*_run_pairs(*CUT_RUNS_REVERSED))),
     ),
-    "surplus, skips as ranges": (SURPLUS, HOST, SURPLUS_PAIRS, SURPLUS_RANGES),
-    "surplus, skips as sets": (SURPLUS, HOST, SURPLUS_PAIRS, SURPLUS_SETS),
+    "surplus, skips as ranges": (SURPLUS, HOST, _ranged(SURPLUS_PAIRS)),
+    "surplus, skips as sets": (
+        SURPLUS, HOST, ref.compressed(SURPLUS_PAIRS, SURPLUS_SETS),
+    ),
     "surplus, skips as ranges, pairs off them": (
         SURPLUS, HOST,
-        _pairs(((0, IN, 0), (0, IN, 1)), ((0, IN, 1), (0, IN, 2))),
-        SURPLUS_RANGES,
+        _ranged(_pairs(((0, IN, 0), (0, IN, 1)), ((0, IN, 1), (0, IN, 2)))),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_verify_agrees_on_hand_built_isos(name: str) -> None:
-    b0, b1, pairs, blocks = HAND_BUILT[name]
-    iso = AtomIso(pairs, blocks, None)
+    b0, b1, iso = HAND_BUILT[name]
     verdict = _verdict(verify_isomorphism, b0, b1, iso)
     assert verdict == _verdict(ref.verify_isomorphism, b0, b1, iso)
     assert print_iso(iso) == ref.print_iso(iso)
@@ -321,19 +337,20 @@ def test_verify_agrees_on_hand_built_isos(name: str) -> None:
 
 
 def test_skip_ranges_match_their_set_twins() -> None:
-    assert SURPLUS_RANGES == SURPLUS_SETS
-    assert [bp.skip_ranges for bp in SURPLUS_RANGES] == [
-        bp.skip_ranges for bp in SURPLUS_SETS
-    ]
-    iso = AtomIso(SURPLUS_PAIRS, SURPLUS_RANGES, None)
-    assert iso.runs == build_isomorphism(SURPLUS, HOST).runs
+    """The builder's iso is the per-atom form compressed, and expands
+    back to it; runs cut mid-cluster stay apart when compressed."""
+    built = build_isomorphism(SURPLUS, HOST)
+    assert built == ref.compressed(SURPLUS_PAIRS, SURPLUS_SETS)
+    assert ref.expanded(built) == (SURPLUS_PAIRS, SURPLUS_SETS)
+    cut = build_isomorphism(CUT0, CUT1)
+    assert cut.runs == CUT_RUNS_REVERSED[::-1]
+    assert cut == ref.compressed(ref.expanded(cut)[0])
 
 
 def _mutant(rng: random.Random, iso: AtomIso) -> AtomIso:
     """One seeded defect, or reordering, of a built isomorphism's pairs or
-    block skips."""
-    pairs = list(iso.atom_pairs)
-    blocks = list(iso.block_pairs)
+    block skips, made in the per-atom form."""
+    pairs, blocks = map(list, ref.expanded(iso))
     moves = ["skip"] if blocks else []
     if pairs:
         moves += ["drop", "duplicate", "shift", "species", "cluster", "move"]
@@ -342,14 +359,14 @@ def _mutant(rng: random.Random, iso: AtomIso) -> AtomIso:
     move = rng.choice(moves)
     if move == "skip":
         k = rng.randrange(len(blocks))
-        side = rng.choice(("skip_src", "skip_dst"))
-        skip = set(getattr(blocks[k], side))
+        side = rng.choice((2, 3))  # skip_src or skip_dst
+        skip = set(blocks[k][side])
         if skip and rng.random() < 0.5:
             skip.discard(rng.choice(sorted(skip)))
         else:
             skip.add(rng.randrange(6))
-        blocks[k] = replace(blocks[k], **{side: frozenset(skip)})
-        return AtomIso(tuple(pairs), tuple(blocks), iso.atomless_pair)
+        blocks[k] = (*blocks[k][:side], frozenset(skip), *blocks[k][side + 1:])
+        return ref.compressed(pairs, blocks, iso.atomless_pair)
     k = rng.randrange(len(pairs))
     if move == "drop":
         del pairs[k]
@@ -367,7 +384,7 @@ def _mutant(rng: random.Random, iso: AtomIso) -> AtomIso:
         else:
             a = AtomRef(a.cluster + rng.choice((-1, 1, 5)), a.species, a.index)
         pairs[k] = (a, pairs[k][1]) if side == 0 else (pairs[k][0], a)
-    return AtomIso(tuple(pairs), tuple(blocks), iso.atomless_pair)
+    return ref.compressed(pairs, blocks, iso.atomless_pair)
 
 
 def test_verify_agrees_on_mutated_isos() -> None:

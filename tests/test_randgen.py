@@ -2,7 +2,7 @@
 
 import random
 
-from compacta.boolalg import build_isomorphism, is_balanced
+from compacta.boolalg import build_isomorphism, is_balanced, verify_isomorphism
 from compacta.construct import construct_limit
 from compacta.randgen import (
     random_algebra_pair,
@@ -89,7 +89,7 @@ def test_redress_pairs_build() -> None:
         assert is_balanced(b0) and is_balanced(b1)
         assert len(b1.clusters) <= 6
         iso = build_isomorphism(b0, b1)
-        assert iso.atom_pairs is not None
+        assert verify_isomorphism(b0, b1, iso)
 
 
 def test_redress_deterministic() -> None:
