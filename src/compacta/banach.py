@@ -14,7 +14,10 @@ integer ratios; one `Fraction` is built per call, the result.
 The dense family enumerated here pins breakpoints to the host's stage
 points and extends the first and last values flat to the boundary; that
 makes the norm over the host provably equal to the norm over [0,1],
-which is the identity the test suite checks exactly.
+which is the identity the test suite checks exactly.  Those breakpoints
+are valid by construction, so each member is built through one trusted
+constructor (`_member`) that runs no `PLFunction` or `HostedFunction`
+check; an empty host is refused once, at the first `next`.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .compactum import (
 from .dyadic import Dyadic, check_natural, parse_fraction, read_lines
 
 Rational = Fraction | Dyadic | int
+
+_new, _set = object.__new__, object.__setattr__
 
 
 def _frac(x: Rational) -> Fraction:
@@ -226,18 +231,37 @@ def dense_family(host: SymbolicCompactum, n: int) -> Iterator[HostedFunction]:
 
 
 def _dense_family(host: SymbolicCompactum, n: int) -> Iterator[HostedFunction]:
+    if not host.ends:
+        raise ValueError("host compactum is empty")
+    zero, one = Fraction(0), Fraction(1)
     values = stage_values(n)
     anchors = stage_points(host, n)
-    for k in range(n + 1):
-        if k == 0:
-            for c in values:
-                yield HostedFunction(
-                    PLFunction(((Fraction(0), c), (Fraction(1), c))), host
-                )
-            continue
+    for c in values:
+        yield _member(((zero, c), (one, c)), host)
+    for k in range(1, n + 1):
         for xs in combinations(anchors, k):
+            lead, trail = xs[0] != 0, xs[-1] != 1
             for ys in product(values, repeat=k):
-                yield HostedFunction(_extend_flat(xs, ys), host)
+                points = tuple(zip(xs, ys))
+                if lead:
+                    points = ((zero, ys[0]),) + points
+                if trail:
+                    points += ((one, ys[-1]),)
+                yield _member(points, host)
+
+
+def _member(
+    breakpoints: tuple[tuple[Fraction, Fraction], ...], host: SymbolicCompactum
+) -> HostedFunction:
+    """A dense-family member, with no checks: its breakpoints run from 0
+    to 1 and strictly increase (stage points are sorted and distinct, and
+    lie in [0,1]), and its host is not empty."""
+    f = _new(PLFunction)
+    _set(f, "breakpoints", breakpoints)
+    hf = _new(HostedFunction)
+    _set(hf, "f", f)
+    _set(hf, "host", host)
+    return hf
 
 
 # ---------------------------------------------------------------------------

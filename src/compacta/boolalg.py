@@ -768,7 +768,7 @@ def print_iso(iso: AtomIso) -> str:
         )
     if iso.atomless_pair is not None:
         lines.append("atomless")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 # The most lines `check_iso_budget` lets `print_iso` write for a pair.

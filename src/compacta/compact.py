@@ -18,21 +18,27 @@ its coordinates are integers:
 Every region test asks one question: does the first member from the
 region's start (`compactum.succ`, strict when the start is open) pass
 its end?  Two balls intersect inside the set when their overlap meets
-it; a cover check sweeps all the balls once, in centre order, walking
-the components beside them to test each centre's membership, and asks
-it only where the next ball leaves a gap, and past the last ball.
-The tangency scan of `cover` sweeps the same way and decides each ball
-once, not each pair.  `Fraction`s are built only when a certificate's
-balls are read.
+it.  A cover check sorts the centres and takes each component's run of
+them by one bisection; a centre outside every run lies in a gap.
+Interval and point runs need no walk.  A Cantor run is looked up in
+the component's level-L net, the centres `cover` puts there, and only
+centres off the net are walked, as are a sequence's.  Coverage is
+asked only where two consecutive centres lie more than 2r apart, and
+past the last ball; between consecutive points of one Cantor net lies
+a removed gap, so those are not asked.  The tangency scan of `cover`
+sweeps in centre order and decides each ball once, not each pair.
+`Fraction`s are built only when a certificate's balls are read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import compress, count, islice
+from operator import sub
 
 from .compactum import (
     Cantor,
@@ -264,23 +270,71 @@ def cover_is_valid(s: SymbolicCompactum, cert: CoverCertificate) -> bool:
         nums = [b.center.numerator * (d // b.center.denominator) for b in balls]
     grid = Grid(s, math.lcm(1 << max(s.exp, n), d))
     r, m, comps = grid.d >> n, grid.d // d, grid.comps
-    centers = sorted(x * m for x in nums)
-    # Sweep all balls in centre order.  Only comps[i], the first component
-    # whose hull reaches c, can hold c.  The balls cover the set up to x
-    # (x too when `after`); later balls start at or after c - r, so a
-    # member in [x, c - r), or past the last ball, is left uncovered.
-    i, k, after = 0, len(comps), False
-    x = comps[0][1] if comps else 0
-    for c in centers:
-        while i < k and comps[i][2] < c:
-            i += 1
-        p = succ(comps[i], c) if i < k else None
-        if p is None or p[0] != c * p[1]:
+    centers = sorted(map(m.__mul__, nums))
+    if not centers:
+        return not comps
+    # The first ball must reach the first component's start, a member, and
+    # no member may lie past the last ball.  Two consecutive balls leave a
+    # hole only when their centres lie more than 2r apart and a member
+    # falls strictly between the balls; between consecutive points of one
+    # Cantor net lies a removed gap, which holds none.
+    nets = _runs_are_members(comps, centers, r)
+    if nets is None or centers[0] - r > comps[0][1]:
+        return False
+    gaps = map((2 * r).__lt__, map(sub, islice(centers, 1, None), centers))
+    for j in compress(count(1), gaps):
+        x, c = centers[j - 1], centers[j]
+        rank = nets.get(x)
+        if (rank is None or nets.get(c) != rank + 1) and _not_past(
+            grid.succ(x + r, True), c - r, False
+        ):
             return False
-        if c - r > x and _not_past(grid.succ(x, after), c - r, False):
-            return False
-        x, after = c + r, True
-    return grid.succ(x, after) is None
+    return grid.succ(centers[-1] + r, True) is None
+
+
+def _runs_are_members(
+    comps: Sequence[GridComponent], centers: list[int], r: int
+) -> dict[int, int] | None:
+    """None unless every sorted centre lies in the set; else the points of
+    the Cantor nets used, each ranked so that consecutive points of one
+    net, and only they, have consecutive ranks.
+
+    Each component's centres are one run of the sorted centres, found by
+    bisection; a centre before the first run, between two or past the
+    last lies in a gap.  Interval and point runs lie in the set.  A
+    Cantor run is looked up in the set of its component's level-L net,
+    L the level `cover` uses, when 3^L divides the span on this grid and
+    the net is at most twice the run; a centre off the net, and each
+    centre of a sequence, is walked."""
+    nets: dict[int, int] = {}
+    a = rank = 0
+    h = len(centers)
+    for comp in comps:
+        kind, lo, hi, _ = comp
+        if a == h:
+            break
+        if centers[a] < lo:
+            return None
+        b = bisect_right(centers, hi, a)
+        if b == a or kind not in (Cantor, PointSeq):  # a hull of members
+            a = b
+            continue
+        run: Iterable[int] = centers[a:b]
+        # a level-L net has 2^(L+1) points: at most twice the run's when
+        # 2^L <= b - a, that is when the span is below r * 3^top
+        if kind is Cantor and hi - lo < r * 3 ** ((b - a).bit_length() - 1):
+            level = _cantor_level(hi - lo, r)
+            if (hi - lo) % 3**level == 0:
+                net = cantor_net(lo, hi, level)
+                nets.update(zip(net, range(rank, rank + len(net))))
+                rank += len(net) + 1  # one rank skipped between nets
+                run = set(run).difference(nets)
+        for c in run:
+            p = succ(comp, c)
+            if p[0] != c * p[1]:
+                return None
+        a = b
+    return nets if a == h else None
 
 
 def balls_intersect(

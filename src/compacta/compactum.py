@@ -512,11 +512,16 @@ def succ(comp: GridComponent, x: int, strict: bool = False) -> GridPoint | None:
 def _cantor_succ(x: int, lo: int, hi: int, strict: bool) -> GridPoint:
     """The ternary digit walk of x through the Cantor copy's pieces.  At
     depth k, x sits p units of 1/3^k grid units past the start of its
-    piece, which spans `span` of them, so the piece starts at x*3^k - p."""
+    piece, which spans `span` of them, so the piece starts at x*3^k - p.
+    While x lies inside a piece p stays in (0, span) and follows a fixed
+    map, so an orbit that never leaves repeats.  Brent's checkpoint finds
+    the repeat without a set: `mark` is p at depth 1, 2, 4, 8, ..., and
+    the orbit repeats once p comes back to it."""
     span = hi - lo
-    p, k, seen, right = x - lo, 0, set(), None
-    while 0 < p < span and p not in seen:
-        seen.add(p)
+    p, k, right, mark, due = x - lo, 0, None, 0, 1
+    while 0 < p < span and p != mark:
+        if k == due:
+            mark, due = p, 2 * due
         p, k = 3 * p, k + 1
         if p >= 2 * span:
             p -= 2 * span

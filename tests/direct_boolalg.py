@@ -347,5 +347,5 @@ def print_iso(iso: AtomIso) -> str:
         lines.append(f"bulk {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}{suffix}")
     if iso.atomless_pair is not None:
         lines.append("atomless")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 

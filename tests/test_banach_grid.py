@@ -15,12 +15,23 @@ from __future__ import annotations
 import importlib
 import random
 from fractions import Fraction
+from itertools import combinations, islice, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_banach as ref
-from compacta.banach import HostedFunction, plf, stage_points, sup_norm
+from compacta.banach import (
+    HostedFunction,
+    PLFunction,
+    _extend_flat,
+    dense_family,
+    plf,
+    stage_points,
+    stage_values,
+    sup_norm,
+)
 from compacta.compactum import Cantor, PointSeq, compactum
 from compacta.dyadic import ZERO, Dyadic
 from test_acceptance import SUITE_SEED, suite_instances
@@ -146,3 +157,58 @@ def test_unit_cantor_norms_match_reference() -> None:
 def test_drawn_hosts_match_reference(s, rng) -> None:
     assert_same_norms(s, rng, 10)
     assert_same_stage_points(s)
+
+
+# ---------------------------------------------------------------------------
+# The dense family against the validating generator
+# ---------------------------------------------------------------------------
+
+
+def validated_family(host, n: int):
+    """The dense family as it was built before its trusted constructor:
+    every member through `PLFunction` and `HostedFunction`, checks and
+    all."""
+    values = stage_values(n)
+    anchors = stage_points(host, n)
+    for k in range(n + 1):
+        if k == 0:
+            for c in values:
+                yield HostedFunction(PLFunction(((F(0), c), (F(1), c))), host)
+            continue
+        for xs in combinations(anchors, k):
+            for ys in product(values, repeat=k):
+                yield HostedFunction(_extend_flat(xs, ys), host)
+
+
+def assert_same_family(host, n: int, stop: int | None = None) -> int:
+    """The first `stop` members (all when None) equal the validating
+    generator's and their validated twins; returns how many there were."""
+    members = list(islice(dense_family(host, n), stop))
+    assert members == list(islice(validated_family(host, n), stop)), (host, n)
+    twins = [HostedFunction(PLFunction(f.f.breakpoints), host) for f in members]
+    assert members == twins, (host, n)
+    return len(members)
+
+
+def test_dense_family_matches_validating_generator() -> None:
+    """Whole streams at stages 0 and 1 on the suite's distinct limits, and
+    at stage 2 on the two with the fewest stage points (52,577 members;
+    the stage-2 streams of them all hold 1.6 * 10^9).  The first 500
+    members at stage 3 on every limit."""
+    limits = list(dict.fromkeys(limit for _, limit in suite_instances()))
+    seen = 0
+    for host in limits:
+        seen += assert_same_family(host, 0) + assert_same_family(host, 1)
+        seen += assert_same_family(host, 3, 500)
+    for host in sorted(limits, key=lambda h: len(stage_points(h, 2)))[:2]:
+        seen += assert_same_family(host, 2)
+    assert seen > 350_000, seen
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_dense_family_refuses_empty_host_at_first_member(n: int) -> None:
+    family = dense_family(compactum([]), n)
+    with pytest.raises(ValueError, match="^host compactum is empty$"):
+        next(family)
+    with pytest.raises(ValueError, match="^host compactum is empty$"):
+        next(validated_family(compactum([]), n))

@@ -141,6 +141,25 @@ def test_printed_isomorphisms_agree() -> None:
     assert built > len(pairs) // 2
 
 
+def test_printed_line_count_is_iso_lines() -> None:
+    """`print_iso` writes exactly `iso_lines` lines, one newline each, on
+    the seeded pairs and on two algebras with no clusters, whose
+    isomorphism prints nothing."""
+    rng = random.Random(SEED + 1)
+    empty = algebra()
+    pairs = [random_algebra_pair(rng) for _ in range(200)]
+    pairs += [random_small_pair(rng) for _ in range(100)] + [(empty, empty)]
+    for b0, b1 in pairs:
+        printed = _printed(build_isomorphism, b0, b1)
+        if printed.startswith("refused"):
+            continue
+        assert printed == _printed(ref.build_isomorphism, b0, b1), (b0, b1)
+        assert printed.count("\n") == iso_lines(b0, b1), (b0, b1)
+        assert printed == "" or (printed.endswith("\n") and "\n\n" not in printed)
+    assert iso_lines(empty, empty) == 0
+    assert _printed(build_isomorphism, empty, empty) == ""
+
+
 def test_gates_agree_on_independent_pairs() -> None:
     """Unrelated balanced algebras reach every gate the written-out
     builder has; the refusal texts must match, and some pairs must fail

@@ -294,6 +294,13 @@ def test_iso_refusal_comes_before_the_line_budget(run, tmp_path) -> None:
     assert (rc, out, err) == (1, "", "error: quotients are not isomorphic\n")
 
 
+def test_iso_of_empty_algebras_prints_nothing(run, tmp_path) -> None:
+    """Two algebras with no clusters: the isomorphism has no lines, so
+    nothing is printed, not an empty line."""
+    empty = put(tmp_path, "e.ba", "ba v1\n")
+    assert run("iso", empty, empty) == (0, "", "")
+
+
 def test_iso_rejects_unbalanced(run, tmp_path) -> None:
     bad = put(tmp_path, "bad.ba", "ba v1\ncluster in=w junk=2 atomless=0\n")
     rc, out, err = run("iso", bad, bad)

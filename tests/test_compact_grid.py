@@ -556,6 +556,116 @@ def test_carried_balls_behave_as_a_tuple() -> None:
 
 
 # ---------------------------------------------------------------------------
+# The per-component check: Cantor runs against their nets
+# ---------------------------------------------------------------------------
+
+
+def test_cover_of_a_cantor_host_is_checked_without_a_walk(monkeypatch) -> None:
+    """The centres of `cover` on a Cantor copy are its level-L net, so its
+    check looks them up, and the gaps between consecutive net points hold
+    no member: no Cantor walk runs, on the carried certificate or on its
+    tuple-built twin."""
+    hosts = [s for s in suite_hosts() if any(e[0] is Cantor for e in s.ends)]
+    certs = [cover(s, n) for s in hosts for n in (0, 2, 4, 7)]
+    twins = [CoverCertificate(c.n, c.balls, c.flagged) for c in certs]
+    walks = 0
+    walk = compactum_module._cantor_succ
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    monkeypatch.setattr(compactum_module, "_cantor_succ", counted)
+    assert len(hosts) > 100
+    for s, cert, twin in zip([s for s in hosts for _ in range(4)], certs, twins):
+        assert cover_is_valid(s, cert) and cover_is_valid(s, twin), (s, cert)
+    assert walks == 0, walks
+
+
+def test_cantor_runs_off_the_net_match_reference() -> None:
+    """Hand-built certificates whose Cantor centres leave the level-L net
+    that `cover` uses: (host, certificate, the verdict both must give)."""
+    cantor = compactum([Cantor(ZERO, ONE)])
+    net3 = [b.center for b in cover(cantor, 3).balls]  # level 2, radius 1/8
+    q, third = F(1, 4), F(1, 3)
+    # two Cantor copies with an interval between them; the nets' last and
+    # first points are consecutive centres once the interval's balls go
+    split = compactum(
+        [
+            Cantor(ZERO, Dyadic(1, 2)),
+            Interval(Dyadic(3, 3), Dyadic(5, 3)),
+            Cantor(Dyadic(3, 2), ONE),
+        ]
+    )
+    cantors_only = [
+        b.center for b in cover(split, 3).balls if not q < b.center < 3 * q
+    ]
+    cases = [
+        # 1/4 and 3/4 are members whose ternary orbits repeat
+        (cantor, certificate(3, net3 + [q, 3 * q]), True),
+        (cantor, certificate(1, (0, q, 3 * q, 1)), True),
+        (cantor, certificate(2, (q, 3 * q)), True),
+        (cantor, certificate(3, (q, 3 * q)), False),
+        # 1/2 lies in the removed middle third
+        (cantor, certificate(3, net3 + [F(1, 2)]), False),
+        (cantor, certificate(3, [x for x in net3 if x != F(2, 9)] + [F(1, 2)]), False),
+        # points of finer nets: members off the level-2 net, some in place
+        # of its points, one leaving the piece [2/9, 1/3] uncovered
+        (cantor, certificate(3, net3 + [F(1, 27), F(26, 27)]), True),
+        (cantor, certificate(3, [x for x in net3 if x != F(2, 9)] + [F(7, 27)]), True),
+        (cantor, certificate(4, [x for x in net3 if x not in (F(2, 9), third)]), False),
+        (cantor, certificate(5, net3), False),
+        # no factor of 3 in the grid: no net fits it, and every centre walks
+        (cantor, certificate(3, (0, q, 3 * q, 1)), True),
+        (cantor, certificate(4, (0, q, 3 * q, 1)), False),
+        (cantor, certificate(2, (0, 1)), False),
+        # far fewer centres than the net has points
+        (cantor, certificate(6, (0, F(1, 3), F(2, 3), 1)), False),
+        (split, cover(split, 3), True),
+        (split, certificate(3, cantors_only), False),
+        (split, certificate(3, cantors_only + [F(1, 2)]), True),
+    ]
+    for s, cert, verdict in cases:
+        got = cover_is_valid(s, cert)
+        assert got == ref.cover_is_valid(s, cert) == verdict, (s, cert)
+
+
+def set_walk(x: int, lo: int, hi: int, strict: bool):
+    """The Cantor walk as it was before Brent's checkpoint: every depth's
+    offset is kept in a set, and a repeat ends the walk."""
+    span = hi - lo
+    p, k, seen, right = x - lo, 0, set(), None
+    while 0 < p < span and p not in seen:
+        seen.add(p)
+        p, k = 3 * p, k + 1
+        if p >= 2 * span:
+            p -= 2 * span
+        else:
+            right = k, p
+    if p > span or (strict and p == span):
+        k, p = right
+        return x * 3**k - p + 2 * span, 3**k
+    return x, 1
+
+
+def test_cantor_walk_matches_set_walk() -> None:
+    """succ and pred on Cantor(0, 1), strict and not, at every k/2^m for
+    m <= 10 and every k/(7*3^j) for j <= 4, against the set-based walk
+    (pred on the mirror image)."""
+    d = (1 << 10) * 7 * 3**4
+    comp = (Cantor, 0, d, 0)
+    xs = set(range(0, d + 1, d >> 10)) | set(range(0, d + 1, d // (7 * 3**4)))
+    for x in sorted(xs):
+        for strict in (False, True):
+            want = None if strict and x == d else set_walk(x, 0, d, strict)
+            assert succ(comp, x, strict) == want, (x, strict)
+            mirrored = None if strict and x == 0 else set_walk(-x, -d, 0, strict)
+            want = None if mirrored is None else (-mirrored[0], mirrored[1])
+            assert pred(comp, x, strict) == want, (x, strict)
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis-drawn hosts
 # ---------------------------------------------------------------------------
 
