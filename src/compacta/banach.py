@@ -211,17 +211,6 @@ def stage_values(n: int) -> list[Fraction]:
     return [-x for x in reversed(pos)] + [Fraction(0)] + pos
 
 
-def _extend_flat(
-    xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]
-) -> PLFunction:
-    points = list(zip(xs, ys))
-    if points[0][0] != 0:
-        points.insert(0, (Fraction(0), points[0][1]))
-    if points[-1][0] != 1:
-        points.append((Fraction(1), points[-1][1]))
-    return PLFunction(tuple(points))
-
-
 def dense_family(host: SymbolicCompactum, n: int) -> Iterator[HostedFunction]:
     """Stage-n slice of the dense family: up to n breakpoints placed on
     the host's stage-n points, values of denominator at most 2^n, flat

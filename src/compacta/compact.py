@@ -461,23 +461,6 @@ def _parts_from_rgs(
     return tuple(frozenset(g) for g in groups)
 
 
-def _needs_full_depth(
-    parts: tuple[frozenset[PartitionAtom], ...], depth: int
-) -> bool:
-    """True when some sibling pair of level-`depth` pieces is separated,
-    so the partition does not factor through depth-1 atoms."""
-    owner: dict[PartitionAtom, int] = {}
-    for idx, part in enumerate(parts):
-        for a in part:
-            owner[a] = idx
-    for (gid, word), idx in owner.items():
-        if len(word) == depth and depth > 0 and word.endswith("0"):
-            sibling = (gid, word[:-1] + "1")
-            if owner.get(sibling, idx) != idx:
-                return True
-    return False
-
-
 def clopen_partitions(
     s: SymbolicCompactum, depth: int
 ) -> Iterator[tuple[frozenset[PartitionAtom], ...]]:
@@ -496,10 +479,12 @@ def _partitions(
 ) -> Iterator[tuple[frozenset[PartitionAtom], ...]]:
     for eff in range(depth + 1):
         atoms = atoms_at_depth(s, eff)
+        # In this order a level-eff piece w0 sits just before its sibling
+        # w1; a partition needs depth eff when it separates such a pair.
+        pairs = [i for i, (_, word) in enumerate(atoms) if word.endswith("0")]
         for rgs in _rgs_strings(len(atoms)):
-            parts = _parts_from_rgs(atoms, rgs)
-            if eff == 0 or _needs_full_depth(parts, eff):
-                yield parts
+            if eff == 0 or any(rgs[i] != rgs[i + 1] for i in pairs):
+                yield _parts_from_rgs(atoms, rgs)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,7 @@ from .compactum import (
     SymbolicCompactum,
     succ,
 )
-from .dyadic import (
-    Address, Dyadic, ZERO, address_ends, check_natural, format_address, format_dyadic,
-    tree_ends,
-)
+from .dyadic import Address, Dyadic, ZERO, format_address, format_dyadic, tree_ends
 from .trees import SPINE, SPLIT, TERMINAL, LabelledTree, ScriptState, StageScript
 
 Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
@@ -81,34 +78,23 @@ _KIND, _LO, _X = operator.itemgetter(0), operator.itemgetter(1), operator.itemge
 _set = object.__setattr__
 
 
-def seed_point(addr: Address) -> Dyadic:
-    """The junk point every once-bare node drops: midpoint of its 0-slot,
-    which is [4lo, 4lo + 2] / 2^(e+2) in addr's [lo, lo + 2] / 2^e."""
-    return Dyadic(*_seed(address_ends(addr)))
-
-
 def _seed(node: Ends) -> tuple[int, int]:
-    """`seed_point` as (num, exp), num odd, from the node's (lo, e)."""
+    """The junk point every once-bare node drops, as (num, exp) with num
+    odd, from the node's (lo, e): the midpoint of its 0-slot, which is
+    [4lo, 4lo + 2] / 2^(e+2)."""
     lo, e = node
     return 4 * lo + 1, e + 2
 
 
-def replacement_bridges(addr: Address, j: int) -> tuple[Dyadic, Dyadic]:
-    """Junk pair of the j-th replacement at addr, j >= 1."""
-    if j < 1:
-        raise ValueError(f"j must be at least 1, got {j}")
-    left, right, x = _bridges(address_ends(addr), j)
-    return Dyadic(left, x), Dyadic(right, x)
-
-
 def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
-    """(left, right, x): `replacement_bridges` as ints over 2^x.  left is
-    odd, so x is the larger exponent of the two points.
+    """(left, right, x): the junk pair of the node's j-th replacement,
+    j >= 1, as ints over 2^x.  left is odd, so x is the larger exponent of
+    the two points.
 
     The discarded pair is (2j-1, 2j), the incoming pair (2j+1, 2j+2); the
     even child sits left of the center, the odd one right.  Each side gets
     the midpoint of the gap between the dead interval and the new one: the
-    sum of the two ends `address_ends` gives those children, in closed
+    sum of the two ends `dyadic._child` gives those children, in closed
     form from the node's center (lo + 1) / 2^e.
     """
     lo, e = node
@@ -116,17 +102,12 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
     return center + 3 - (9 << (j + 1)), center - 6 + (36 << j), e + 2 * j + 5
 
 
-def junk_points(addr: Address, r: int, ever_terminal: bool) -> list[Dyadic]:
-    """Isolated points a split node contributes: count ever_terminal + 2r."""
-    check_natural("r", r)
-    junk = _junk(address_ends(addr), r, ever_terminal)
-    return [Dyadic(n, x) for _, n, _, x in junk]
-
-
 def _junk(node: Ends, r: int, ever_terminal: bool) -> list[Part]:
-    """`junk_points` as `Point` parts, from the node's (lo, e).  The seed's
-    num and each left bridge's are odd, so the largest x is the largest
-    exponent of the points in lowest terms."""
+    """The isolated points a split node contributes, ever_terminal + 2r of
+    them, as `Point` parts from the node's (lo, e): its seed, then each
+    replacement's bridges.  The seed's num and each left bridge's are odd,
+    so the largest x is the largest exponent of the points in lowest
+    terms."""
     out = []
     if ever_terminal:
         n, x = _seed(node)

@@ -5,9 +5,9 @@ rational a/2^k, so all geometry here is closed-form integer arithmetic.
 Cantor-set internals are the one exception: points below the grid are
 exact pairs over powers of 3 (`compactum.succ`), framed by interval
 endpoints that stay dyadic.  A tree node's nested interval is read as
-ints, one step per address index (`_child`): `address_ends` steps down
-one address, `tree_ends` takes every node of a tree from its parent's.
-A caller builds a `Dyadic` from them only where it needs one.
+ints, one step per address index (`_child`): `tree_ends` takes every
+node of a tree from its parent's, the one map from an address to its
+interval.  A caller builds a `Dyadic` from them only where it needs one.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def midpoint(a: Dyadic, b: Dyadic) -> Dyadic:
     return (a + b).half()
 
 
-def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
-    """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e.  Given
-    the lo and e of a node, addr is read as a path below that node.
+def _child(lo: int, e: int, m: int) -> tuple[int, int]:
+    """(lo, e) of child m of the node on [lo, lo + 2] / 2^e, the one step
+    from a node's interval to a child's.
 
     Each step rescales the root pattern into the current interval.  The
     m-th root-level interval has length exactly 2^-(m+2).  Even indices 2n
@@ -180,25 +180,16 @@ def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
     2^(m+2) - 1 -+ 3*2^(m-n), minus for even m and plus for odd.  The
     children of a node at (lo, e) accumulate at its midpoint (lo + 1) / 2^e.
     """
-    for m in addr:
-        if m < 0:
-            raise ValueError("interval index must be a natural number")
-        lo, e = _child(lo, e, m)
-    return lo, e
-
-
-def _child(lo: int, e: int, m: int) -> tuple[int, int]:
-    """One step of `address_ends`: (lo, e) of child m of the node on
-    [lo, lo + 2] / 2^e."""
     t = 3 << (m - (m >> 1))
     return ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t), e + m + 2
 
 
 def tree_ends(addrs: Iterable[Address]) -> dict[Address, tuple[int, int]]:
-    """`address_ends` of every address of a prefix-closed set, each taken
-    from its parent's in one step.  The addresses may come in any order:
-    one met before its parent waits, and the waiting ones are stepped
-    shortest first, so that every parent is known before its children."""
+    """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e, for
+    every address of a prefix-closed set, each taken from its parent's by
+    `_child`.  The addresses may come in any order: one met before its
+    parent waits, and the waiting ones are stepped shortest first, so that
+    every parent is known before its children."""
     ends = {ROOT: (0, 1)}
     waiting = []
     for addr in addrs:

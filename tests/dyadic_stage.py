@@ -6,6 +6,10 @@ test `fraction_compact.component_contains`, and a component without
 nearby points is bounded by a linear scan over all of them.
 `test_stage_grid` checks that the integer-grid version returns the same
 `Dyadic` on every case.
+
+`address_ends` reads one address's interval by its own fold of
+`compacta.dyadic._child`, apart from the tree walk `tree_ends`, for the
+tests that build their `Dyadic` ends from it.
 """
 
 from __future__ import annotations
@@ -23,10 +27,19 @@ from compacta.compactum import (
     SymbolicCompactum,
 )
 from compacta.construct import EnumerationState
-from compacta.dyadic import ZERO, Dyadic
+from compacta.dyadic import ZERO, Address, Dyadic, _child
 
 _CEIL_BITS = 80
 ONE = Dyadic(1)
+
+
+def address_ends(addr: Address, lo: int = 0, e: int = 1) -> tuple[int, int]:
+    """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e, one
+    `_child` step per index.  Given the lo and e of a node, addr is read
+    as a path below that node."""
+    for m in addr:
+        lo, e = _child(lo, e, m)
+    return lo, e
 
 
 def dyadic_ceil(value: Fraction, bits: int = 80) -> Dyadic:

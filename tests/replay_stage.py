@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from dyadic_stage import address_ends
+
 from compacta.compactum import Cantor
-from compacta.construct import EnumerationState, replacement_bridges, seed_point
-from compacta.dyadic import Address, Dyadic, address_ends, format_address, midpoint
+from compacta.construct import EnumerationState, _bridges, _seed
+from compacta.dyadic import Address, Dyadic, format_address, midpoint
 from compacta.trees import (
     ETA,
     FRESH,
@@ -221,8 +223,8 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
                 j = pair_index[ev.addr] + 1
                 pair_index[ev.addr] = j
                 if ev.addr in survivors:
-                    left, right = replacement_bridges(ev.addr, j)
-                    loose.extend([left, right])
+                    left, right, x = _bridges(address_ends(ev.addr), j)
+                    loose.extend([Dyadic(left, x), Dyadic(right, x)])
             for child in split_children(ev.addr, pair_index[ev.addr]):
                 emit_node(child, t)
 
@@ -235,6 +237,12 @@ def enumerate_stage(script: StageScript, s: int) -> EnumerationState:
         points=tuple(pts),
         nets={a: (Cantor(*interval(a)), s - t0) for a, t0 in nets.items()},
     )
+
+
+def seed_point(addr: Address) -> Dyadic:
+    """The junk point a once-bare node drops, read from `_seed` on its
+    ends."""
+    return Dyadic(*_seed(address_ends(addr)))
 
 
 def interval(addr: Address) -> tuple[Dyadic, Dyadic]:

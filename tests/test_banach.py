@@ -26,9 +26,9 @@ from compacta.banach import (
     sup_norm,
     unit_sup,
 )
-from compacta.banach import _extend_flat
 from compacta.compactum import Cantor, Interval, Point, PointSeq, compactum
 from compacta.dyadic import ZERO, Dyadic
+from test_banach_grid import _extend_flat
 
 F = Fraction
 D = Dyadic

@@ -25,7 +25,6 @@ import fraction_banach as ref
 from compacta.banach import (
     HostedFunction,
     PLFunction,
-    _extend_flat,
     dense_family,
     plf,
     stage_points,
@@ -162,6 +161,17 @@ def test_drawn_hosts_match_reference(s, rng) -> None:
 # ---------------------------------------------------------------------------
 # The dense family against the validating generator
 # ---------------------------------------------------------------------------
+
+
+def _extend_flat(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> PLFunction:
+    """The breakpoints (xs, ys), extended flat to 0 and 1 where they stop
+    short, through the validating `PLFunction`."""
+    points = list(zip(xs, ys))
+    if points[0][0] != 0:
+        points.insert(0, (Fraction(0), points[0][1]))
+    if points[-1][0] != 1:
+        points.append((Fraction(1), points[-1][1]))
+    return PLFunction(tuple(points))
 
 
 def validated_family(host, n: int):

@@ -1,6 +1,12 @@
-"""Cover certificates, exact ball intersection, clopen partitions."""
+"""Cover certificates, exact ball intersection, clopen partitions.
+
+The partitions stream is checked against the one it replaced, kept below
+as the oracle: every partition built, then tested for a separated
+sibling pair through a dict of each atom's part.
+"""
 
 from fractions import Fraction
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +15,8 @@ from hypothesis import strategies as st
 from compacta.compact import (
     Ball,
     CoverCertificate,
+    _parts_from_rgs,
+    _rgs_strings,
     atom_count,
     atoms_at_depth,
     balls_intersect,
@@ -29,6 +37,7 @@ from compacta.compactum import (
     compactum_contains,
 )
 from compacta.dyadic import Dyadic
+from test_acceptance import suite_instances
 
 D = Dyadic
 F = Fraction
@@ -356,6 +365,84 @@ def test_parts_cover_and_disjoint():
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 assert not any(meets(a, b) for a in parts[i] for b in parts[j])
+
+
+def owner_partitions(s, depth: int):
+    """The clopen partitions as `clopen_partitions` gave them before it
+    decided depth on the growth string."""
+    for eff in range(depth + 1):
+        atoms = atoms_at_depth(s, eff)
+        for rgs in _rgs_strings(len(atoms)):
+            parts = _parts_from_rgs(atoms, rgs)
+            if eff == 0 or needs_full_depth(parts, eff):
+                yield parts
+
+
+def needs_full_depth(parts, depth: int) -> bool:
+    """True when some sibling pair of level-`depth` pieces is separated,
+    so the partition does not factor through depth-1 atoms."""
+    owner = {}
+    for idx, part in enumerate(parts):
+        for a in part:
+            owner[a] = idx
+    for (gid, word), idx in owner.items():
+        if len(word) == depth and depth > 0 and word.endswith("0"):
+            sibling = (gid, word[:-1] + "1")
+            if owner.get(sibling, idx) != idx:
+                return True
+    return False
+
+
+def assert_same_partitions(s, depth: int, stop: int | None = None) -> int:
+    """The first `stop` partitions (all when None) equal the oracle's, one
+    by one; returns how many there were."""
+    got = islice(clopen_partitions(s, depth), stop)
+    want = islice(owner_partitions(s, depth), stop)
+    count = 0
+    for count, (a, b) in enumerate(zip_longest(got, want), 1):
+        assert a == b, (s, depth, count)
+    return count
+
+
+PREFIX = 400
+THREE_PIECES = compactum(
+    [
+        Cantor(D(0), D(1, 2)),
+        Interval(D(3, 3), D(5, 3)),
+        Cantor(D(3, 2), D(1)),
+    ]
+)
+
+
+def test_partitions_match_owner_oracle_on_suite():
+    """The first PREFIX partitions of every distinct suite limit, at
+    depths 0..3.  A depth's stream starts the next one's, so once it
+    fills PREFIX the deeper prefixes are the same partitions."""
+    limits = list(dict.fromkeys(limit for _, limit in suite_instances()))
+    assert len(limits) > 100
+    at_depth_3 = 0
+    for s in limits:
+        for depth in range(4):
+            at_depth_3 += depth == 3
+            if assert_same_partitions(s, depth, PREFIX) == PREFIX:
+                break
+    assert at_depth_3 > 5
+
+
+@pytest.mark.parametrize(
+    "s, depths, last",
+    [
+        (UNIT_CANTOR, range(4), 4140),
+        (THREE_PIECES, range(3), 21147),
+        (MIXED, range(4), 115975),
+    ],
+    ids=("unit_cantor", "three_pieces", "mixed"),
+)
+def test_partitions_match_owner_oracle_in_full(s, depths, last):
+    """Whole streams, at each depth up to 3 within `MAX_PARTITIONS`; the
+    last depth's count is the Bell number of its atoms."""
+    counts = [assert_same_partitions(s, depth) for depth in depths]
+    assert counts[-1] == last
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,13 @@ from compacta.compactum import (
 from compacta import construct
 from compacta.construct import (
     EnumerationState,
+    _bridges,
+    _junk,
+    _seed,
     construct_limit,
     enumerate_stage,
-    seed_point,
     hausdorff_gap,
-    junk_points,
     print_state,
-    replacement_bridges,
 )
 from compacta.dyadic import Dyadic, ZERO, midpoint
 from compacta.trees import (
@@ -50,6 +50,7 @@ from compacta.trees import (
     limit_tree,
     single_node_tree,
 )
+from dyadic_stage import address_ends
 from test_dyadic import ends
 from test_stage_grid import stratified_scripts
 
@@ -70,24 +71,29 @@ def split_tree(r: int, left: str = TERMINAL, right: str = TERMINAL) -> LabelledT
 # --- junk placement ---------------------------------------------------------
 
 
+def junk(addr: tuple[int, ...], r: int, ever_terminal: bool) -> list[Dyadic]:
+    """A split node's junk points, read from `_junk` on its ends."""
+    return [D(n, x) for _, n, _, x in _junk(address_ends(addr), r, ever_terminal)]
+
+
 def test_seed_point_frozen_values():
-    assert seed_point(()) == D(1, 3)
-    assert seed_point((1,)) == D(53, 6)
-    assert seed_point((2,)) == D(37, 7)
-    assert seed_point((3,)) == D(173, 8)
-    assert seed_point((4,)) == D(205, 9)
+    assert D(*_seed(address_ends(()))) == D(1, 3)
+    assert D(*_seed(address_ends((1,)))) == D(53, 6)
+    assert D(*_seed(address_ends((2,)))) == D(37, 7)
+    assert D(*_seed(address_ends((3,)))) == D(173, 8)
+    assert D(*_seed(address_ends((4,)))) == D(205, 9)
 
 
 def test_bridges_frozen_values():
-    left, right = replacement_bridges((), 1)
-    assert left == D(95, 8)
-    assert right == D(97, 7)
+    left, right, x = _bridges(address_ends(()), 1)
+    assert D(left, x) == D(95, 8)
+    assert D(right, x) == D(97, 7)
 
 
 def test_junk_count_is_et_plus_two_r():
     for r in range(4):
         for et in (True, False):
-            pts = junk_points((), r, et)
+            pts = junk((), r, et)
             assert len(pts) == (1 if et else 0) + 2 * r
             assert len(set(pts)) == len(pts)
 
@@ -96,7 +102,7 @@ def test_junk_avoids_final_children_and_between_region():
     for r in range(4):
         left_lo, left_hi = ends((2 * r + 2,))
         right_lo, right_hi = ends((2 * r + 1,))
-        for p in junk_points((), r, True):
+        for p in junk((), r, True):
             assert not (left_lo <= p <= left_hi)
             assert not (right_lo <= p <= right_hi)
             assert not (left_hi < p < right_lo)

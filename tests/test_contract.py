@@ -25,8 +25,8 @@ from compacta.compact import (
     cover_is_valid,
 )
 from compacta.compactum import Cantor, Interval, Point, PointSeq, compactum
-from compacta.construct import enumerate_stage, junk_points, replacement_bridges
-from compacta.dyadic import Dyadic, address_ends
+from compacta.construct import enumerate_stage
+from compacta.dyadic import Dyadic
 from compacta.trees import parse_script
 
 D = Dyadic
@@ -58,9 +58,6 @@ CASES = {
         "index",
         NEGATIVE,
     ),
-    "junk_points": (lambda r: junk_points((), r, True), "r", NEGATIVE),
-    "replacement_bridges": (lambda j: replacement_bridges((), j), "j", (0, *NEGATIVE)),
-    "address_ends": (lambda m: address_ends((0, m)), "index", NEGATIVE),
 }
 
 
@@ -118,7 +115,7 @@ def test_package_exports_are_pinned() -> None:
         "HostedFunction", "Interval", "LabelledBA", "LabelledTree", "Node",
         "PLFunction", "Point", "PointSeq", "QuotientIso", "SPINE", "SPLIT",
         "StageScript", "SymbolicCompactum", "TERMINAL", "add",
-        "address_ends", "algebra", "algebra_form", "all_clopen_selectors",
+        "algebra", "algebra_form", "all_clopen_selectors",
         "balls_intersect", "build_isomorphism", "canonical_form",
         "cb_derivative", "clopen_algebra", "clopen_partitions", "cluster",
         "compactum", "compactum_contains", "construct_limit", "cover",

@@ -19,13 +19,12 @@ from hypothesis import given, strategies as st
 from compacta.dyadic import (
     ZERO,
     Dyadic,
-    address_ends,
     format_address,
     midpoint,
     parse_address,
     parse_dyadic,
 )
-from dyadic_stage import dyadic_ceil
+from dyadic_stage import address_ends, dyadic_ceil
 
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)

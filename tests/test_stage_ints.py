@@ -16,6 +16,7 @@ the ints as `Dyadic` would.
 
 from __future__ import annotations
 
+from dyadic_stage import address_ends
 from replay_stage import _densify, interval
 
 from compacta import construct
@@ -26,13 +27,12 @@ from compacta.construct import (
     _seed,
     enumerate_stage,
     print_state,
-    replacement_bridges,
-    seed_point,
 )
-from compacta.dyadic import Dyadic, address_ends
+from compacta.dyadic import Dyadic
 from compacta.trees import TERMINAL, limit_tree, replay_script
 from test_stage_grid import stratified_scripts
 from test_stage_replay import assert_same
+from test_stored_grid import nested_junk
 
 D = Dyadic
 ROUNDS = range(13)
@@ -55,10 +55,10 @@ def test_leaf_bucket_matches_midpoint_rounds():
     }
     assert len(leaves) > 20
     for addr in sorted(leaves):
-        iv = interval(addr)
-        bucket = [seed_point(addr)]
+        iv, node = interval(addr), address_ends(addr)
+        bucket = [D(*_seed(node))]
         for r in ROUNDS:
-            x, ys = _leaf_bucket(*address_ends(addr), r)
+            x, ys = _leaf_bucket(*node, r)
             assert len(ys) == 2 ** (r + 1) - 1
             assert [p.num << (x - p.exp) for p in bucket] == ys
             bucket = _densify(iv, bucket)
@@ -66,7 +66,8 @@ def test_leaf_bucket_matches_midpoint_rounds():
 
 def test_junk_ints_carry_their_lowest_exponent():
     """A seed's numerator and a left bridge's are odd, so the exponent the
-    enumerator takes from them is the one a `Dyadic` keeps."""
+    enumerator takes from them is the one a `Dyadic` keeps, and the points
+    are the midpoints the nested intervals give."""
     splits = {
         addr
         for script in stratified_scripts()
@@ -75,12 +76,13 @@ def test_junk_ints_carry_their_lowest_exponent():
     assert len(splits) > 10
     for addr in sorted(splits):
         node = address_ends(addr)
+        seed, *bridges = nested_junk(addr, 4, True)
         num, x = _seed(node)
-        assert (num % 2, D(num, x)) == (1, seed_point(addr))
+        assert (num % 2, D(num, x)) == (1, seed)
         for j in range(1, 5):
             left, right, x = _bridges(node, j)
             assert left % 2 == 1
-            assert (D(left, x), D(right, x)) == replacement_bridges(addr, j)
+            assert [D(left, x), D(right, x)] == bridges[2 * j - 2 : 2 * j]
 
 
 def test_carried_replay_is_left_unchanged():

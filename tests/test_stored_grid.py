@@ -48,10 +48,11 @@ from compacta.compactum import (
     reduction,
     select,
 )
-from compacta.construct import _bridges, construct_limit, junk_points
-from compacta.dyadic import ZERO, Dyadic, address_ends, midpoint
+from compacta.construct import _bridges, _junk, construct_limit
+from compacta.dyadic import ZERO, Dyadic, midpoint
 from compacta.randgen import random_tree
 from compacta.trees import ETA, SPLIT, TERMINAL, LabelledTree
+from dyadic_stage import address_ends
 from test_acceptance import SUITE_SEED, suite_instances
 from test_compact_grid import glued
 
@@ -141,7 +142,8 @@ def limit_twin(tree):
             kind = Interval if node.kind == TERMINAL else Cantor
             comps.append(kind(Dyadic(lo, e), Dyadic(lo + 2, e)))
         elif node.kind == SPLIT:
-            comps += map(Point, junk_points(addr, node.r, node.ever_terminal))
+            junk = _junk((lo, e), node.r, node.ever_terminal)
+            comps += (Point(Dyadic(n, x)) for _, n, _, x in junk)
     return compactum(comps)
 
 
@@ -498,7 +500,8 @@ def test_closed_form_addresses_match_nested_recursion_on_suite() -> None:
             addrs.add(addr)
             if node.kind == SPLIT:
                 addrs.update(addr + (m,) for m in range(2 * node.r + 3))
-                assert junk_points(addr, node.r, node.ever_terminal) == nested_junk(
+                junk = _junk(address_ends(addr), node.r, node.ever_terminal)
+                assert [Dyadic(n, x) for _, n, _, x in junk] == nested_junk(
                     addr, node.r, node.ever_terminal
                 )
     assert () in addrs and max(map(len, addrs)) >= 4
