@@ -41,6 +41,7 @@ from .construct import (
     construct_limit,
     enumerate_stage,
     hausdorff_gap,
+    stone_space,
 )
 from .boolalg import (
     AtomIso,
@@ -56,7 +57,6 @@ from .boolalg import (
     parse_ba,
     print_ba,
     quotient_by_junk,
-    stone_space,
     tree_algebra,
     verify_isomorphism,
 )

@@ -40,6 +40,9 @@ an omega one when they come to exactly its block's skip ranges.  So
 building, checking, ==, hash and repr are O(runs), whatever the atom
 counts; only `print_iso` writes one line per atom, and
 `check_iso_budget` refuses a pair past `MAX_ISO_LINES`.
+
+A tree's leaf skeleton, `stone_space`, is built from its ints in
+`construct`, beside the limit, and is read here as well.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from .compactum import (
     SymbolicCompactum,
     glue_classes,
 )
-from .construct import _leaf_part, _lifted
-from .dyadic import parse_natural, read_lines, tree_ends
+from .construct import stone_space  # re-exported: bench/workloads.py reads it here
+from .dyadic import parse_natural, read_lines
 from .trees import ETA, TERMINAL, LabelledTree
 
 
@@ -379,23 +382,6 @@ def tree_algebra(t: LabelledTree) -> LabelledBA:
     if not clusters:
         raise ValueError("tree codes no algebra: no terminal or eta leaves")
     return LabelledBA(tuple(clusters))
-
-
-def stone_space(t: LabelledTree) -> SymbolicCompactum:
-    """Leaf skeleton of a tree as a compactum: isolated paths become the
-    midpoints of their intervals, eta leaves become Cantor copies."""
-    nodes = t.nodes
-    parts = []
-    for addr, (lo, e) in tree_ends(nodes).items():
-        kind = nodes[addr].kind
-        if kind == TERMINAL:
-            mid = lo + 1
-            zeros = (mid & -mid).bit_length() - 1
-            mid >>= zeros
-            parts.append((Point, mid, mid, e - zeros))
-        elif kind == ETA:
-            parts.append(_leaf_part(Cantor, lo, e))
-    return _lifted(parts)
 
 
 def quotient_by_junk(b: LabelledBA) -> LabelledBA:

@@ -39,7 +39,6 @@ from .boolalg import (
     print_ba,
     print_iso,
     quotient_by_junk,
-    stone_space,
     tree_algebra,
 )
 from .boolalg import canonical_form as ba_form
@@ -52,7 +51,9 @@ from .compactum import (
     reduce_intoms,
     reduction,
 )
-from .construct import construct_limit, enumerate_stage, hausdorff_gap, print_state
+from .construct import (
+    construct_limit, enumerate_stage, hausdorff_gap, print_state, stone_space
+)
 from .dyadic import check_natural, parse_natural, read_lines
 from .randgen import random_tree
 from .svg import render_tree_svg

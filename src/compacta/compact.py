@@ -455,10 +455,10 @@ def _parts_from_rgs(
     atoms: list[PartitionAtom], rgs: tuple[int, ...]
 ) -> tuple[frozenset[PartitionAtom], ...]:
     n_parts = max(rgs) + 1 if rgs else 0
-    groups: list[set[PartitionAtom]] = [set() for _ in range(n_parts)]
+    groups: list[list[PartitionAtom]] = [[] for _ in range(n_parts)]
     for atom_, part in zip(atoms, rgs):
-        groups[part].add(atom_)
-    return tuple(frozenset(g) for g in groups)
+        groups[part].append(atom_)
+    return tuple(map(frozenset, groups))
 
 
 def clopen_partitions(

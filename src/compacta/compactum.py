@@ -432,7 +432,7 @@ def canonical_form(s: SymbolicCompactum) -> CompactumForm:
 # ---------------------------------------------------------------------------
 
 
-def compactum_contains(s: SymbolicCompactum, x: Rational) -> bool:
+def compactum_contains(s: SymbolicCompactum, x: Rational | Dyadic) -> bool:
     grid = Grid(s, math.lcm(1 << s.exp, x.denominator))
     return grid.contains(grid.at(x))
 
@@ -458,7 +458,7 @@ class Grid:
             (kind, lo * m, hi * m, at * m) for kind, lo, hi, at in s.ends
         ]
 
-    def at(self, x: Rational) -> int:
+    def at(self, x: Rational | Dyadic) -> int:
         """A rational whose denominator divides d, in grid units."""
         return x.numerator * (self.d // x.denominator)
 

@@ -1,21 +1,26 @@
 """Turning labelled trees into closed sets, exactly and stage by stage.
 
+Tree nodes become ints here alone: `tree_ends` gives each node's nested
+interval [lo, lo + 2] / 2^e, one `_child` step from its parent's, and
+from those come the limit, the leaf skeleton (`stone_space`), the stage
+schedule and the SVG diagram's coordinates.
+
 The limit set of a tree assigns every node a region inside its nested
 interval: a terminal leaf fills its whole interval, an eta leaf carries a
-Cantor copy, and a split node drops isolated junk points: the midpoint of
-its child-0 slot (the slot index 0 never names a tree node, so the spot
-is free), plus one point per replacement on each side, at the midpoints
-of the gaps separating the discarded child interval from its replacement.
-All junk lands strictly outside the final children and never in the open
-region between them.  For a node on [lo, lo + 2] / 2^e the seed is
-(4lo + 1) / 2^(e+2), and with L = lo + 1 the j-th replacement's bridges
-are (L*2^(2j+5) + 3 - 9*2^(j+1)) / 2^(e+2j+5) on the left and
-(L*2^(2j+5) - 6 + 36*2^j) / 2^(e+2j+5) on the right, closed forms of the
-children's ends, so no child address is walked.  `construct_limit`
-builds the limit from ints in one walk of the tree (`dyadic.tree_ends`),
-each region's ends over its exponent in lowest terms, known in closed
-form, then lifted onto the largest and sorted once: no scan, no `Dyadic`
-and no validation.
+Cantor copy, and a split node drops isolated junk points (`node_junk`):
+the midpoint of its child-0 slot (the slot index 0 never names a tree
+node, so the spot is free), plus one point per replacement on each side,
+at the midpoints of the gaps separating the discarded child interval
+from its replacement.  All junk lands strictly outside the final
+children and never in the open region between them.  For a node on
+[lo, lo + 2] / 2^e the seed is (4lo + 1) / 2^(e+2), and with L = lo + 1
+the j-th replacement's bridges are (L*2^(2j+5) + 3 - 9*2^(j+1)) /
+2^(e+2j+5) on the left and (L*2^(2j+5) - 6 + 36*2^j) / 2^(e+2j+5) on the
+right, closed forms of the children's ends, so no child address is
+walked.  `construct_limit` and `stone_space` build their compacta from
+ints in one walk of the tree each, every region's ends over its
+exponent in lowest terms, known in closed form, then lifted onto the
+largest and sorted once: no scan, no `Dyadic` and no validation.
 
 The stage enumerator emits points so that the point set grows
 monotonically and its closure converges to the limit set.  A child
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import bisect
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -68,14 +73,52 @@ from .compactum import (
     SymbolicCompactum,
     succ,
 )
-from .dyadic import Address, Dyadic, ZERO, format_address, format_dyadic, tree_ends
-from .trees import SPINE, SPLIT, TERMINAL, LabelledTree, ScriptState, StageScript
+from .dyadic import Address, Dyadic, ZERO, format_address, format_dyadic
+from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree, ScriptState, StageScript
 
 Ends = tuple[int, int]  # (lo, e): the interval [lo, lo + 2] / 2^e
 # A component (kind, lo, hi, x) on [lo, hi] / 2^x, not a sequence.
 Part = tuple[type, int, int, int]
 _KIND, _LO, _X = operator.itemgetter(0), operator.itemgetter(1), operator.itemgetter(3)
 _set = object.__setattr__
+
+
+def _child(lo: int, e: int, m: int) -> Ends:
+    """(lo, e) of child m of the node on [lo, lo + 2] / 2^e, the one step
+    from a node's interval to a child's.
+
+    Each step rescales the root pattern into the current interval.  The
+    m-th root-level interval has length exactly 2^-(m+2).  Even indices 2n
+    are centered in the block [(1-2^-n)/2, (1-2^-(n+1))/2] climbing toward
+    1/2 from the left; odd indices 2n+1 sit in the mirrored block on the
+    right, descending toward 1/2.  Blocks partition each side, so distinct
+    intervals never touch.  In units of 2^-(m+3), the interval starts at
+    2^(m+2) - 1 -+ 3*2^(m-n), minus for even m and plus for odd.  The
+    children of a node at (lo, e) accumulate at its midpoint (lo + 1) / 2^e.
+    """
+    t = 3 << (m - (m >> 1))
+    return ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t), e + m + 2
+
+
+def tree_ends(addrs: Iterable[Address]) -> dict[Address, Ends]:
+    """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e, for
+    every address of a prefix-closed set, each taken from its parent's by
+    `_child`.  The addresses may come in any order: one met before its
+    parent waits, and the waiting ones are stepped shortest first, so that
+    every parent is known before its children."""
+    ends = {(): (0, 1)}
+    waiting = []
+    for addr in addrs:
+        if addr:
+            try:
+                lo, e = ends[addr[:-1]]
+            except KeyError:
+                waiting.append(addr)
+                continue
+            ends[addr] = _child(lo, e, addr[-1])
+    for addr in sorted(waiting, key=len):
+        ends[addr] = _child(*ends[addr[:-1]], addr[-1])
+    return ends
 
 
 def _seed(node: Ends) -> tuple[int, int]:
@@ -94,7 +137,7 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
     The discarded pair is (2j-1, 2j), the incoming pair (2j+1, 2j+2); the
     even child sits left of the center, the odd one right.  Each side gets
     the midpoint of the gap between the dead interval and the new one: the
-    sum of the two ends `dyadic._child` gives those children, in closed
+    sum of the two ends `_child` gives those children, in closed
     form from the node's center (lo + 1) / 2^e.
     """
     lo, e = node
@@ -102,7 +145,7 @@ def _bridges(node: Ends, j: int) -> tuple[int, int, int]:
     return center + 3 - (9 << (j + 1)), center - 6 + (36 << j), e + 2 * j + 5
 
 
-def _junk(node: Ends, r: int, ever_terminal: bool) -> list[Part]:
+def node_junk(node: Ends, r: int, ever_terminal: bool) -> list[Part]:
     """The isolated points a split node contributes, ever_terminal + 2r of
     them, as `Point` parts from the node's (lo, e): its seed, then each
     replacement's bridges.  The seed's num and each left bridge's are odd,
@@ -126,10 +169,27 @@ def construct_limit(tree: LabelledTree) -> SymbolicCompactum:
     for addr, ends in tree_ends(nodes).items():
         node = nodes[addr]
         if node.kind == SPLIT:
-            parts += _junk(ends, node.r, node.ever_terminal)
+            parts += node_junk(ends, node.r, node.ever_terminal)
         elif node.kind != SPINE:
             kind = Interval if node.kind == TERMINAL else Cantor
             parts.append(_leaf_part(kind, *ends))
+    return _lifted(parts)
+
+
+def stone_space(t: LabelledTree) -> SymbolicCompactum:
+    """Leaf skeleton of a tree as a compactum: isolated paths become the
+    midpoints of their intervals, eta leaves become Cantor copies."""
+    nodes = t.nodes
+    parts = []
+    for addr, (lo, e) in tree_ends(nodes).items():
+        kind = nodes[addr].kind
+        if kind == TERMINAL:
+            mid = lo + 1
+            zeros = (mid & -mid).bit_length() - 1
+            mid >>= zeros
+            parts.append((Point, mid, mid, e - zeros))
+        elif kind == ETA:
+            parts.append(_leaf_part(Cantor, lo, e))
     return _lifted(parts)
 
 

@@ -1,23 +1,20 @@
-"""Exact dyadic rationals and the nested interval addressing scheme.
+"""Exact dyadic rationals, tree addresses and the line-based text reader.
 
 Every coordinate produced by the tree-to-set construction is a dyadic
 rational a/2^k, so all geometry here is closed-form integer arithmetic.
 Cantor-set internals are the one exception: points below the grid are
 exact pairs over powers of 3 (`compactum.succ`), framed by interval
-endpoints that stay dyadic.  A tree node's nested interval is read as
-ints, one step per address index (`_child`): `tree_ends` takes every
-node of a tree from its parent's, the one map from an address to its
-interval.  A caller builds a `Dyadic` from them only where it needs one.
+endpoints that stay dyadic.  The map from an address to its nested
+interval lives with the construction, as ints (`construct.tree_ends`);
+a caller builds a `Dyadic` only where it needs one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Address = tuple[int, ...]
-
-ROOT: Address = ()
 
 
 _set = object.__setattr__
@@ -52,6 +49,10 @@ class Dyadic:
 
     def __reduce__(self) -> tuple[type, tuple[int, int]]:
         return Dyadic, (self.num, self.exp)
+
+    # The value in lowest terms, read as a `Fraction` reads one.
+    numerator = property(lambda self: self.num)
+    denominator = property(lambda self: 1 << self.exp)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -167,44 +168,6 @@ def midpoint(a: Dyadic, b: Dyadic) -> Dyadic:
     return (a + b).half()
 
 
-def _child(lo: int, e: int, m: int) -> tuple[int, int]:
-    """(lo, e) of child m of the node on [lo, lo + 2] / 2^e, the one step
-    from a node's interval to a child's.
-
-    Each step rescales the root pattern into the current interval.  The
-    m-th root-level interval has length exactly 2^-(m+2).  Even indices 2n
-    are centered in the block [(1-2^-n)/2, (1-2^-(n+1))/2] climbing toward
-    1/2 from the left; odd indices 2n+1 sit in the mirrored block on the
-    right, descending toward 1/2.  Blocks partition each side, so distinct
-    intervals never touch.  In units of 2^-(m+3), the interval starts at
-    2^(m+2) - 1 -+ 3*2^(m-n), minus for even m and plus for odd.  The
-    children of a node at (lo, e) accumulate at its midpoint (lo + 1) / 2^e.
-    """
-    t = 3 << (m - (m >> 1))
-    return ((lo + 1) << (m + 2)) - 1 + (t if m & 1 else -t), e + m + 2
-
-
-def tree_ends(addrs: Iterable[Address]) -> dict[Address, tuple[int, int]]:
-    """(lo, e) with the interval of addr equal to [lo, lo + 2] / 2^e, for
-    every address of a prefix-closed set, each taken from its parent's by
-    `_child`.  The addresses may come in any order: one met before its
-    parent waits, and the waiting ones are stepped shortest first, so that
-    every parent is known before its children."""
-    ends = {ROOT: (0, 1)}
-    waiting = []
-    for addr in addrs:
-        if addr:
-            try:
-                lo, e = ends[addr[:-1]]
-            except KeyError:
-                waiting.append(addr)
-                continue
-            ends[addr] = _child(lo, e, addr[-1])
-    for addr in sorted(waiting, key=len):
-        ends[addr] = _child(*ends[addr[:-1]], addr[-1])
-    return ends
-
-
 def format_address(addr: Address) -> str:
     return ".".join(str(i) for i in addr) if addr else "-"
 
@@ -239,10 +202,7 @@ def parse_natural(text: str) -> int:
 
 def _parse_int(text: str) -> int:
     """An optional minus sign, then a numeral as `parse_natural` reads it."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return -parse_natural(text[1:]) if text[:1] == "-" else parse_natural(text)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -2,17 +2,16 @@
 
 Each tree node owns a nested interval; the diagram stacks them by depth,
 root at the top.  Terminal leaves get a dot at their concentration
-point, eta leaves a solid bar, splits an outline plus a dot for the
-isolated point they shed.  Every coordinate is drawn from ints: a
-position num / 2^exp (an interval's ends from one walk of the tree,
-`tree_ends`, a junk point's num and exp) maps to the floor of its exact
-scaling, so equal inputs give byte-equal files.
+point, eta leaves a solid bar, splits an outline plus a dot for each
+isolated point they shed.  Every coordinate is drawn from the ints
+`construct` gives: a position num / 2^exp (an interval's ends from one
+walk of the tree, `tree_ends`, a junk point's from `node_junk`) maps to
+the floor of its exact scaling, so equal inputs give byte-equal files.
 """
 
 from __future__ import annotations
 
-from .construct import _bridges, _seed
-from .dyadic import tree_ends
+from .construct import node_junk, tree_ends
 from .trees import ETA, SPINE, SPLIT, TERMINAL, LabelledTree
 
 WIDTH = 10000
@@ -43,8 +42,7 @@ def render_tree_svg(tree: LabelledTree) -> str:
         f'<rect width="{WIDTH + 2 * MARGIN}" height="{height}" fill="#ffffff"/>',
     ]
     node_ends = tree_ends(tree.nodes)
-    for addr in sorted(tree.nodes):
-        node = tree.node(addr)
+    for addr, node in sorted(tree.nodes.items()):
         lo, e = ends = node_ends[addr]
         x0, x1 = _x(lo, e), _x(lo + 2, e)
         y = MARGIN + len(addr) * ROW
@@ -59,17 +57,10 @@ def render_tree_svg(tree: LabelledTree) -> str:
                 f'<circle cx="{_x(lo + 1, e)}" cy="{cy}" r="5" fill="#c0392b"/>'
             )
         elif node.kind == SPLIT:
-            if node.ever_terminal:
-                out.append(
-                    f'<circle cx="{_x(*_seed(ends))}" cy="{cy}" r="4" '
-                    f'fill="#c0392b"/>'
-                )
-            for j in range(1, node.r + 1):
-                left, right, x = _bridges(ends, j)
-                for p in (left, right):
-                    out.append(
-                        f'<circle cx="{_x(p, x)}" cy="{cy}" r="3" '
-                        f'fill="#e67e22"/>'
-                    )
+            # the seed (index 0, if the node was ever bare), then the bridges
+            junk = node_junk(ends, node.r, node.ever_terminal)
+            for i, (_, p, _, x) in enumerate(junk, not node.ever_terminal):
+                dot = 'r="3" fill="#e67e22"' if i else 'r="4" fill="#c0392b"'
+                out.append(f'<circle cx="{_x(p, x)}" cy="{cy}" {dot}/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

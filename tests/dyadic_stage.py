@@ -8,7 +8,7 @@ nearby points is bounded by a linear scan over all of them.
 `Dyadic` on every case.
 
 `address_ends` reads one address's interval by its own fold of
-`compacta.dyadic._child`, apart from the tree walk `tree_ends`, for the
+`compacta.construct._child`, apart from the tree walk `tree_ends`, for the
 tests that build their `Dyadic` ends from it.
 """
 
@@ -26,8 +26,8 @@ from compacta.compactum import (
     PointSeq,
     SymbolicCompactum,
 )
-from compacta.construct import EnumerationState
-from compacta.dyadic import ZERO, Address, Dyadic, _child
+from compacta.construct import EnumerationState, _child
+from compacta.dyadic import ZERO, Address, Dyadic
 
 _CEIL_BITS = 80
 ONE = Dyadic(1)

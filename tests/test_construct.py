@@ -31,11 +31,11 @@ from compacta import construct
 from compacta.construct import (
     EnumerationState,
     _bridges,
-    _junk,
     _seed,
     construct_limit,
     enumerate_stage,
     hausdorff_gap,
+    node_junk,
     print_state,
 )
 from compacta.dyadic import Dyadic, ZERO, midpoint
@@ -72,8 +72,8 @@ def split_tree(r: int, left: str = TERMINAL, right: str = TERMINAL) -> LabelledT
 
 
 def junk(addr: tuple[int, ...], r: int, ever_terminal: bool) -> list[Dyadic]:
-    """A split node's junk points, read from `_junk` on its ends."""
-    return [D(n, x) for _, n, _, x in _junk(address_ends(addr), r, ever_terminal)]
+    """A split node's junk points, read from `node_junk` on its ends."""
+    return [D(n, x) for _, n, _, x in node_junk(address_ends(addr), r, ever_terminal)]
 
 
 def test_seed_point_frozen_values():

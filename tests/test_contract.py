@@ -3,12 +3,15 @@ function that takes a count, a depth, a precision or an index refuses
 one out of its domain with a `ValueError` that names the parameter.  It
 never answers, and never fails with a `TypeError` from deeper down.  A
 request over budget is refused from its closed-form size, before any of
-its work is done.  The package exports a pinned list of names."""
+its work is done.  The package exports a pinned list of names, and no
+module of it reaches for another's private ones."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +132,34 @@ def test_package_exports_are_pinned() -> None:
         "stage_points", "stone_space", "sup_norm", "tree_algebra",
         "unit_sup", "verify_isomorphism",
     ]
+
+
+def test_no_module_imports_a_private_name_of_another() -> None:
+    """A `_`-prefixed name stays in its module: no module of the package
+    imports one from another, or reads one off another it imported."""
+    paths = sorted(Path(compacta.__file__).parent.glob("*.py"))
+    assert {"boolalg.py", "construct.py", "dyadic.py", "svg.py"} <= {
+        p.name for p in paths
+    }
+    crossings = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # the local names of imported package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "compacta"
+            ):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        crossings.append(f"{path.name}: imports {alias.name}")
+                    if not node.module or node.module == "compacta":
+                        modules.add(alias.asname or alias.name)
+        crossings += [
+            f"{path.name}: reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ]
+    assert crossings == []

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replay_stage as ref
-from compacta import dyadic
+from compacta import construct
 from compacta.construct import enumerate_stage
 from compacta.randgen import random_script
 from compacta.trees import ETA, StageScript, limit_tree, replay_script
@@ -117,14 +117,14 @@ def test_each_call_gets_its_own_nets():
 
 def test_schedule_walks_each_alive_node_once(monkeypatch):
     steps = []
-    child = dyadic._child
+    child = construct._child
 
     def counting(*args):
         steps.append(args)
         return child(*args)
 
     scripts = stratified_scripts()
-    monkeypatch.setattr(dyadic, "_child", counting)
+    monkeypatch.setattr(construct, "_child", counting)
     walked = 0
     for script in scripts:
         enumerate_stage(script, 3)

@@ -12,7 +12,8 @@ addresses behind `construct_limit` and `stone_space` against the nested
 against the child ends they replaced; the tree walk behind
 `construct_limit` and `stone_space` in any order of a tree's nodes; and
 the early stop of `_carried` against the OR of every coordinate it
-replaced.  The replaced versions are kept below as the oracles.
+replaced; and membership of a `Dyadic` against that of its `Fraction`.
+The replaced versions are kept below as the oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import compacta.dyadic as dyadic_module
 from compacta.boolalg import clopen_algebra, stone_space
 from compacta.compactum import (
     Cantor,
+    Grid,
     Interval,
     Point,
     PointSeq,
@@ -41,6 +43,7 @@ from compacta.compactum import (
     canonical_form,
     cb_derivative,
     compactum,
+    compactum_contains,
     glue_classes,
     parse_compactum,
     print_compactum,
@@ -48,7 +51,7 @@ from compacta.compactum import (
     reduction,
     select,
 )
-from compacta.construct import _bridges, _junk, construct_limit
+from compacta.construct import _bridges, construct_limit, node_junk
 from compacta.dyadic import ZERO, Dyadic, midpoint
 from compacta.randgen import random_tree
 from compacta.trees import ETA, SPLIT, TERMINAL, LabelledTree
@@ -142,7 +145,7 @@ def limit_twin(tree):
             kind = Interval if node.kind == TERMINAL else Cantor
             comps.append(kind(Dyadic(lo, e), Dyadic(lo + 2, e)))
         elif node.kind == SPLIT:
-            junk = _junk((lo, e), node.r, node.ever_terminal)
+            junk = node_junk((lo, e), node.r, node.ever_terminal)
             comps += (Point(Dyadic(n, x)) for _, n, _, x in junk)
     return compactum(comps)
 
@@ -500,7 +503,7 @@ def test_closed_form_addresses_match_nested_recursion_on_suite() -> None:
             addrs.add(addr)
             if node.kind == SPLIT:
                 addrs.update(addr + (m,) for m in range(2 * node.r + 3))
-                junk = _junk(address_ends(addr), node.r, node.ever_terminal)
+                junk = node_junk(address_ends(addr), node.r, node.ever_terminal)
                 assert [Dyadic(n, x) for _, n, _, x in junk] == nested_junk(
                     addr, node.r, node.ever_terminal
                 )
@@ -546,3 +549,33 @@ def test_closed_form_bridges_match_child_ends() -> None:
     for node, top in nodes:
         for j in range(1, top + 1):
             assert _bridges(node, j) == child_end_bridges(node, j), (node, j)
+
+
+def test_membership_reads_a_dyadic_as_its_fraction() -> None:
+    """`compactum_contains` and `Grid.at` take a `Dyadic` as they take its
+    `as_fraction()`: on the suite's limits, glued and detached, at every
+    component end, the first members of each sequence and each
+    component's midpoint."""
+    hosts = [
+        host
+        for _, limit in suite_instances()
+        for host in (limit, glued(limit), detached(limit))
+        if host is not None
+    ]
+    answers = Counter()
+    for s in hosts:
+        xs = set()
+        for c in s.components:
+            xs.update((c.lo, c.hi, midpoint(c.lo, c.hi)))
+            if isinstance(c, PointSeq):
+                xs.update(map(c.member, range(4)))
+        for x in xs:
+            f = x.as_fraction()
+            assert (x.numerator, x.denominator) == (f.numerator, f.denominator)
+            grid = Grid(s, 1 << max(s.exp, x.exp))
+            assert grid.at(x) == grid.at(f), (s, x)
+            got = compactum_contains(s, x)
+            assert got == compactum_contains(s, f), (s, x)
+            answers[got] += 1
+    assert any(PointSeq in map(type, s.components) for s in hosts)
+    assert answers[True] > 1000 and answers[False] > 100, answers
